@@ -1,22 +1,18 @@
 """Scenario-driven command line: analyze | verify | tune | synth | simulate.
 
 Exit codes: 0 success, 1 bad input, 2 assumption failure, 3 certification
-failure, 4 synthesis failure, 5 divergence.  OSSCTL_THREADS caps the worker
-count used by the tune grid.
+failure, 4 synthesis failure, 5 divergence.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
 import sys
 
-import numpy as np
-
 from .controller import PiGains
 from .kkt import build_kkt_geometry
-from .lmi import verify_stability
+from .lmi import gain_grid_search, verify_stability
 from .oracle import OracleError, solve_steady_state
 from .plant import (
     check_detectable,
@@ -39,14 +35,6 @@ EXIT_ASSUMPTION = 2
 EXIT_CERTIFICATION = 3
 EXIT_SYNTHESIS = 4
 EXIT_DIVERGENCE = 5
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("OSSCTL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
 
 
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
@@ -139,37 +127,25 @@ def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
 def cmd_tune(scn: Scenario, out_dir: str, dt: float) -> int:
     if not scn.verification.kp_grid or not scn.verification.ki_grid:
         raise ScenarioError("tune requires verification.kp_grid and .ki_grid")
-    geometry = build_kkt_geometry(scn.plant)
-    pairs = [
-        (kp, ki)
-        for kp in scn.verification.kp_grid
-        for ki in scn.verification.ki_grid
-    ]
-
-    def one(pair):
-        kp, ki = pair
-        cert = verify_stability(
-            scn.plant,
-            geometry,
-            PiGains.from_scalars(kp, ki, scn.plant.m),
-            scn.objective.kappa,
-            scn.objective.lipschitz,
-            max_sweeps=scn.verification.max_sweeps,
-        )
-        return {
-            "k_P": kp,
-            "k_I": ki,
-            "certified": cert.feasible,
-            "margin": -cert.eig_S_max,
-            "sweeps": cert.sweeps,
+    records = gain_grid_search(
+        scn.plant,
+        build_kkt_geometry(scn.plant),
+        scn.verification.kp_grid,
+        scn.verification.ki_grid,
+        scn.objective.kappa,
+        scn.objective.lipschitz,
+        max_sweeps=scn.verification.max_sweeps,
+    )
+    rows = [
+        {
+            "k_P": r["k_p"],
+            "k_I": r["k_i"],
+            "certified": r["certified"],
+            "margin": -r["eig_S_max"],
+            "sweeps": r["sweeps"],
         }
-
-    workers = min(_thread_count(), len(pairs))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, pairs))
-    else:
-        rows = [one(p) for p in pairs]
+        for r in records
+    ]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "tune.csv")
     with open(path, "w", newline="") as fh:
@@ -247,10 +223,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--dt", type=float, default=None, help="override time step")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        np.random.seed(args.seed)
     try:
         scn = load_scenario(args.scenario)
     except (ScenarioError, OSError) as exc:

@@ -6,7 +6,7 @@ language neutral and diff friendly.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class Scenario:
     schedule: DisturbanceSchedule
     simulation: SimulationSettings
     verification: VerificationSettings
-    raw: dict = field(default=None, repr=False)
 
 
 def _build_objective(obj: dict, p: int, m: int) -> SteadyStateObjective:
@@ -175,7 +174,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         schedule=schedule,
         simulation=settings,
         verification=verification,
-        raw=data,
     )
 
 

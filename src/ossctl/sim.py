@@ -264,6 +264,8 @@ def simulate(
         return plant.A @ x_ + plant.B @ u_ + d_, xs_dot, e_, u_
 
     for seg_i, (t0, t1, d) in enumerate(segs):
+        # the row at the switching time belongs to the segment it starts
+        ref_idx[-1] = seg_i
         d = check_disturbance(plant, d)
         n_steps, h = _segment_steps(t0, t1, dt)
         if affine:

@@ -131,19 +131,6 @@ def loop_transform(
     )
 
 
-def transformed_nonlinearity(
-    objective_gradient, geometry: KktGeometry, center: float, radius: float
-):
-    """Phi_tilde(a) - Phi_tilde(b) is 1-Lipschitz whenever the underlying
-    gradient has sector [kappa, L]; returned as a callable on stacked (y, u)
-    for sampling-based validation."""
-
-    def phi(z):
-        return (np.asarray(objective_gradient(z)) - center * np.asarray(z)) / radius
-
-    return phi
-
-
 def _bounded_real_feasible(aug: AugmentedPlant, gamma: float, max_sweeps: int):
     """Solve the output-feedback synthesis LMI at a fixed gain level.
 

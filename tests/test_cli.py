@@ -12,7 +12,9 @@ from ossctl.cli import (
     EXIT_OK,
     main,
 )
-from ossctl.scenario import matrix_to_json
+from ossctl.kkt import build_kkt_geometry
+from ossctl.lmi import gain_grid_search
+from ossctl.scenario import load_scenario, matrix_to_json
 
 
 def bundled(name):
@@ -104,8 +106,7 @@ def test_simulate_vb_writes_trace(tmp_path):
     assert len(metrics["segments"]) == 3
 
 
-def test_tune_small_grid(tmp_path, monkeypatch):
-    monkeypatch.setenv("OSSCTL_THREADS", "2")
+def test_tune_small_grid(tmp_path):
     data = json.loads(open(bundled("example_va.json")).read())
     data["verification"]["kp_grid"] = [0.5, 1.0]
     data["verification"]["ki_grid"] = [0.5, 1.0]
@@ -117,6 +118,25 @@ def test_tune_small_grid(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert all(r["certified"] == "True" for r in rows)
+    # the CLI writes exactly the library's grid records
+    scn = load_scenario(str(path))
+    records = gain_grid_search(
+        scn.plant, build_kkt_geometry(scn.plant),
+        scn.verification.kp_grid, scn.verification.ki_grid,
+        scn.objective.kappa, scn.objective.lipschitz,
+        max_sweeps=scn.verification.max_sweeps,
+    )
+    expected = [
+        {
+            "k_P": str(r["k_p"]),
+            "k_I": str(r["k_i"]),
+            "certified": str(r["certified"]),
+            "margin": str(-r["eig_S_max"]),
+            "sweeps": str(r["sweeps"]),
+        }
+        for r in records
+    ]
+    assert rows == expected
 
 
 def test_missing_scenario_is_bad_input(tmp_path):

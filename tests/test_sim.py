@@ -81,6 +81,24 @@ def test_tracking_converges_quadratic(plant_stable, geometry_stable, quadratic_o
     assert metrics[0]["settling_time"] is not None
 
 
+def test_switch_row_belongs_to_new_segment(plant_stable, geometry_stable, quadratic_obj):
+    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
+    sched = DisturbanceSchedule(times=[0.0, 5.0], values=D_SEGMENTS[:2].tolist())
+    trace = oc.simulate(
+        plant_stable, geometry_stable, quadratic_obj, gains, sched, 10.0, dt=1e-2
+    )
+    k = int(np.argmin(np.abs(trace.t - 5.0)))
+    ref = trace.references[1]
+    assert np.array_equal(trace.y_star[k], ref.y_star)
+    switch_error = np.linalg.norm(
+        np.concatenate([trace.y[k] - ref.y_star, trace.u[k] - ref.u_star])
+    )
+    metrics = oc.convergence_metrics(trace)
+    assert metrics[1]["t_start"] == pytest.approx(5.0)
+    assert metrics[1]["initial_error"] == pytest.approx(switch_error, rel=1e-12)
+    assert metrics[1]["settling_time"] is not None
+
+
 def test_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
     # zero-gain-like controller cannot stabilize the unstable plant
     gains = oc.PiGains(K_P=np.zeros((1, 1)), K_I=1e-9 * np.eye(1))
