@@ -6,18 +6,14 @@ reduces to a precomputed one-step linear map, which is exact for the RK4
 discretization and orders of magnitude faster.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import (
-    ControllerState,
-    DynamicStabilizer,
-    PiGains,
-    pi_dynamics,
-    stabilizer_dynamics,
-)
+from .controller import PiGains, pi_as_stabilizer, stabilizer_dynamics
+
+# unused here, but perfbench/tracing.py wraps sim.pi_dynamics when it installs
+from .controller import pi_dynamics  # noqa: F401
 from .kkt import KktGeometry
 from .objective import SteadyStateObjective
 from .oracle import OptimizerResult, solve_steady_state
@@ -85,7 +81,7 @@ class Trace:
     e: np.ndarray
     y_star: np.ndarray
     u_star: np.ndarray
-    x_s: np.ndarray | None = None
+    x_s: np.ndarray
     segment_starts: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     references: list = field(default_factory=list)
 
@@ -96,71 +92,53 @@ class Trace:
         return np.linalg.norm(np.hstack([dy, du]), axis=1)
 
     def to_csv(self, path: str) -> None:
-        n = self.x.shape[1]
-        m = self.u.shape[1]
-        p = self.y.shape[1]
-        header = (
-            ["t"]
-            + [f"x{i+1}" for i in range(n)]
-            + [f"eta{i+1}" for i in range(m)]
-            + [f"y{i+1}" for i in range(p)]
-            + [f"u{i+1}" for i in range(m)]
-            + [f"e{i+1}" for i in range(m)]
-            + [f"ystar{i+1}" for i in range(p)]
-            + [f"ustar{i+1}" for i in range(m)]
+        """One row per sample, 12 significant digits; the header names each
+        column by its block and 1-based index (t, x1.., xs1.., eta1.., y1..,
+        u1.., e1.., ystar1.., ustar1..)."""
+        blocks = [
+            ("t", self.t[:, None]),
+            ("x", self.x),
+            ("xs", self.x_s),
+            ("eta", self.eta),
+            ("y", self.y),
+            ("u", self.u),
+            ("e", self.e),
+            ("ystar", self.y_star),
+            ("ustar", self.u_star),
+        ]
+        header = ",".join(
+            name if name == "t" else f"{name}{i + 1}"
+            for name, block in blocks
+            for i in range(block.shape[1])
         )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.t.size):
-                row = np.concatenate(
-                    [
-                        [self.t[k]],
-                        self.x[k],
-                        self.eta[k],
-                        self.y[k],
-                        self.u[k],
-                        self.e[k],
-                        self.y_star[k],
-                        self.u_star[k],
-                    ]
-                )
-                writer.writerow([f"{v:.12g}" for v in row])
+        np.savetxt(
+            path,
+            np.hstack([block for _, block in blocks]),
+            fmt="%.12g",
+            delimiter=",",
+            newline="\r\n",
+            header=header,
+            comments="",
+        )
 
 
-def _affine_closed_loop(plant, geometry, objective, controller):
-    """(F, c0, state splits) of the affine closed loop s' = F s + c0 + E d,
-    valid when the cost is quadratic.  E injects d into the x block."""
-    n, m, p = plant.n, plant.m, plant.p
+def _affine_closed_loop(plant, geometry, objective, stab):
+    """(F, c0, M, m0) of the affine closed loop s' = F s + c0 + E d on
+    s = (x, x_s, eta), valid when the cost is quadratic.  E injects d into the
+    x block, and the outputs are (u, e) = M s + m0."""
+    m, p = plant.m, plant.p
     H = objective.hessian
-    q = objective.linear_term
     RT = geometry.R.T
     Gy = RT @ H[:, :p]
     Gu = RT @ H[:, p:]
-    g0 = RT @ q
-    GyC = Gy @ plant.C
-    if isinstance(controller, PiGains):
-        L = np.eye(m) + controller.K_P @ Gu
-        Li = np.linalg.inv(L)
-        Ux = -Li @ controller.K_P @ GyC
-        Ue = Li @ controller.K_I
-        u0 = -Li @ controller.K_P @ g0
-        Ex = -(GyC + Gu @ Ux)
-        Ee = -Gu @ Ue
-        e0 = -(Gu @ u0 + g0)
-        F = np.block([[plant.A + plant.B @ Ux, plant.B @ Ue], [Ex, Ee]])
-        c0 = np.concatenate([plant.B @ u0, e0])
-        return F, c0, (n, 0, m)
-    stab = controller
-    ns = stab.order
-    L = np.eye(m) + stab.D_s_e @ Gu
-    Li = np.linalg.inv(L)
+    g0 = RT @ objective.linear_term
+    Li = np.linalg.inv(np.eye(m) + stab.D_s_e @ Gu)
     # u = Ux x + Us x_s + Ue eta + u0
     Ux = Li @ ((stab.D_s_y - stab.D_s_e @ Gy) @ plant.C)
     Us = Li @ stab.C_s
     Ue = Li @ stab.D_s_eta
     u0 = -Li @ stab.D_s_e @ g0
-    Ex = -(GyC + Gu @ Ux)
+    Ex = -(Gy @ plant.C + Gu @ Ux)
     Es = -Gu @ Us
     Ee = -Gu @ Ue
     e0 = -(Gu @ u0 + g0)
@@ -175,7 +153,8 @@ def _affine_closed_loop(plant, geometry, objective, controller):
         ]
     )
     c0 = np.concatenate([plant.B @ u0, Be @ e0, e0])
-    return F, c0, (n, ns, m)
+    M = np.block([[Ux, Us, Ue], [Ex, Es, Ee]])
+    return F, c0, M, np.concatenate([u0, e0])
 
 
 def _rk4_one_step_maps(F: np.ndarray, dt: float):
@@ -214,199 +193,110 @@ def simulate(
     """Integrate the closed loop and (optionally) attach per-segment optimizer
     references computed by the independent oracle.
 
-    controller is either PiGains or a DynamicStabilizer.
+    controller is either PiGains or a DynamicStabilizer; a PI law runs as its
+    zero-order stabilizer, so the state is s = (x, x_s, eta) in both cases.
     """
     if dt <= 0:
         raise SimulationError("dt must be positive")
-    n, m, p = plant.n, plant.m, plant.p
-    is_stab = isinstance(controller, DynamicStabilizer)
-    ns = controller.order if is_stab else 0
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    eta = np.zeros(m) if eta0 is None else np.asarray(eta0, dtype=float).copy()
-    xs = np.zeros(ns) if xs0 is None else np.asarray(xs0, dtype=float).copy()
-    if x.shape != (n,) or eta.shape != (m,) or xs.shape != (ns,):
-        raise SimulationError("initial condition dimensions do not match")
+    n, m = plant.n, plant.m
+    if isinstance(controller, PiGains):
+        controller = pi_as_stabilizer(controller, plant.p)
+    ns = controller.order
+    s = []
+    for v, size in ((x0, n), (xs0, ns), (eta0, m)):
+        v = np.zeros(size) if v is None else np.asarray(v, dtype=float)
+        if v.shape != (size,):
+            raise SimulationError("initial condition dimensions do not match")
+        s.append(v)
+    s = np.concatenate(s)
+
+    segs = list(schedule.segments(t_final))
+    references: list[OptimizerResult | None] = [None] * len(segs)
+    if compute_references:
+        w_warm = None
+        for i, (_, _, d) in enumerate(segs):
+            ref = solve_steady_state(plant, geometry, objective, d, w0=w_warm)
+            w_warm = geometry.Q.T @ np.concatenate([ref.x_star, ref.u_star])
+            references[i] = ref
+
+    steps = [_segment_steps(t0, t1, dt) for t0, t1, _ in segs]
+    t_arr = np.concatenate(
+        [[0.0]]
+        + [t0 + h * np.arange(1, k + 1) for (t0, _, _), (k, h) in zip(segs, steps)]
+    )
+    # the row at a switching time belongs to the segment it starts
+    ref_idx = np.concatenate(
+        [np.full(k, i) for i, (k, _) in enumerate(steps)] + [[len(segs) - 1]]
+    )
 
     affine = objective.is_quadratic
     if affine:
-        F, c0, _ = _affine_closed_loop(plant, geometry, objective, controller)
-
-    segs = list(schedule.segments(t_final))
-    references: list[OptimizerResult | None] = []
-    if compute_references:
-        w_warm = None
-        for _, _, d in segs:
-            ref = solve_steady_state(plant, geometry, objective, d, w0=w_warm)
-            w_warm = geometry.Q.T @ np.concatenate([ref.x_star, ref.u_star])
-            references.append(ref)
+        F, c0, M, m0 = _affine_closed_loop(plant, geometry, objective, controller)
     else:
-        references = [None] * len(segs)
+        u_rec = np.empty((t_arr.size, m))
+        e_rec = np.empty((t_arr.size, m))
 
-    ts = [0.0]
-    xs_hist = [x.copy()]
-    eta_hist = [eta.copy()]
-    stab_hist = [xs.copy()] if is_stab else None
-    ref_idx = [0]
-    u_prev = None
-
-    def pi_state_derivative(x_, eta_, d_, u_guess):
-        y_ = plant.C @ x_
-        e_, u_ = pi_dynamics(
-            controller, geometry, objective, ControllerState(eta_), y_, u_guess
-        )
-        return plant.A @ x_ + plant.B @ u_ + d_, e_, u_
-
-    def stab_state_derivative(x_, xs_, eta_, d_, u_guess):
-        y_ = plant.C @ x_
+    def derivative(s_, d_, u_guess):
+        x_ = s_[:n]
         xs_dot, e_, u_ = stabilizer_dynamics(
-            controller, geometry, objective, xs_, eta_, y_, u_guess
+            controller, geometry, objective,
+            s_[n : n + ns], s_[n + ns :], plant.C @ x_, u_guess,
         )
-        return plant.A @ x_ + plant.B @ u_ + d_, xs_dot, e_, u_
+        x_dot = plant.A @ x_ + plant.B @ u_ + d_
+        return np.concatenate([x_dot, xs_dot, e_]), u_, e_
 
-    for seg_i, (t0, t1, d) in enumerate(segs):
-        # the row at the switching time belongs to the segment it starts
-        ref_idx[-1] = seg_i
+    hist = np.empty((t_arr.size, s.size))
+    hist[0] = s
+    row = 0
+    u = None
+    for (_, _, d), (n_steps, h) in zip(segs, steps):
         d = check_disturbance(plant, d)
-        n_steps, h = _segment_steps(t0, t1, dt)
         if affine:
             Phi, G = _rk4_one_step_maps(F, h)
-            Ed = np.zeros(F.shape[0])
-            Ed[:n] = d
-            psi = G @ (c0 + Ed)
-            s = (
-                np.concatenate([x, xs, eta]) if is_stab else np.concatenate([x, eta])
-            )
-            for k in range(n_steps):
+            psi = G @ (c0 + np.concatenate([d, np.zeros(ns + m)]))
+        for _ in range(n_steps):
+            if affine:
                 s = Phi @ s + psi
-                if not np.all(np.isfinite(s)) or np.linalg.norm(s) > divergence_threshold:
-                    raise DivergenceError(
-                        f"state diverged at t = {t0 + (k + 1) * h:.6g}"
-                    )
-                x = s[:n]
-                if is_stab:
-                    xs = s[n : n + ns]
-                    eta = s[n + ns :]
-                    stab_hist.append(xs.copy())
-                else:
-                    eta = s[n:]
-                ts.append(t0 + (k + 1) * h)
-                xs_hist.append(x.copy())
-                eta_hist.append(eta.copy())
-                ref_idx.append(seg_i)
-            continue
-        for k in range(n_steps):
-            if is_stab:
-                k1x, k1s, k1e, u1 = stab_state_derivative(x, xs, eta, d, u_prev)
-                k2x, k2s, k2e, u2 = stab_state_derivative(
-                    x + 0.5 * h * k1x, xs + 0.5 * h * k1s, eta + 0.5 * h * k1e, d, u1
-                )
-                k3x, k3s, k3e, u3 = stab_state_derivative(
-                    x + 0.5 * h * k2x, xs + 0.5 * h * k2s, eta + 0.5 * h * k2e, d, u2
-                )
-                k4x, k4s, k4e, u4 = stab_state_derivative(
-                    x + h * k3x, xs + h * k3s, eta + h * k3e, d, u3
-                )
-                x = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-                xs = xs + (h / 6) * (k1s + 2 * k2s + 2 * k3s + k4s)
-                eta = eta + (h / 6) * (k1e + 2 * k2e + 2 * k3e + k4e)
-                stab_hist.append(xs.copy())
-                u_prev = u4
             else:
-                k1e, u1 = None, None
-                f1, e1, u1 = pi_state_derivative(x, eta, d, u_prev)
-                f2, e2, u2 = pi_state_derivative(
-                    x + 0.5 * h * f1, eta + 0.5 * h * e1, d, u1
-                )
-                f3, e3, u3 = pi_state_derivative(
-                    x + 0.5 * h * f2, eta + 0.5 * h * e2, d, u2
-                )
-                f4, e4, u4 = pi_state_derivative(x + h * f3, eta + h * e3, d, u3)
-                x = x + (h / 6) * (f1 + 2 * f2 + 2 * f3 + f4)
-                eta = eta + (h / 6) * (e1 + 2 * e2 + 2 * e3 + e4)
-                u_prev = u4
-            if (
-                not (np.all(np.isfinite(x)) and np.all(np.isfinite(eta)))
-                or max(np.linalg.norm(x), np.linalg.norm(eta)) > divergence_threshold
-            ):
-                raise DivergenceError(f"state diverged at t = {t0 + (k + 1) * h:.6g}")
-            ts.append(t0 + (k + 1) * h)
-            xs_hist.append(x.copy())
-            eta_hist.append(eta.copy())
-            ref_idx.append(seg_i)
+                # the first stage is evaluated at the stored state, so its
+                # (u, e) is that row's
+                k1, u, e_rec[row] = derivative(s, d, u)
+                u_rec[row] = u
+                k2, u, _ = derivative(s + 0.5 * h * k1, d, u)
+                k3, u, _ = derivative(s + 0.5 * h * k2, d, u)
+                k4, u, _ = derivative(s + h * k3, d, u)
+                s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            row += 1
+            # also catches inf and nan
+            if not np.linalg.norm(s) <= divergence_threshold:
+                raise DivergenceError(f"state diverged at t = {t_arr[row]:.6g}")
+            hist[row] = s
 
-    t_arr = np.array(ts)
-    x_arr = np.array(xs_hist)
-    eta_arr = np.array(eta_hist)
-    y_arr = x_arr @ plant.C.T
-    # recover u and e pointwise from the stored states
-    u_arr = np.empty((t_arr.size, m))
-    e_arr = np.empty((t_arr.size, m))
     if affine:
-        H = objective.hessian
-        q = objective.linear_term
-        RT = geometry.R.T
-        Gy = RT @ H[:, :p]
-        Gu = RT @ H[:, p:]
-        g0 = RT @ q
-        if is_stab:
-            L = np.linalg.inv(np.eye(m) + controller.D_s_e @ Gu)
-            stab_arr = np.array(stab_hist)
-            pre = (
-                y_arr @ (controller.D_s_y - controller.D_s_e @ Gy).T
-                + stab_arr @ controller.C_s.T
-                + eta_arr @ controller.D_s_eta.T
-                - g0 @ controller.D_s_e.T
-            )
-            u_arr = pre @ L.T
-        else:
-            L = np.linalg.inv(np.eye(m) + controller.K_P @ Gu)
-            pre = eta_arr @ controller.K_I.T - (y_arr @ Gy.T + g0) @ controller.K_P.T
-            u_arr = pre @ L.T
-        e_arr = -(y_arr @ Gy.T + u_arr @ Gu.T + g0)
+        ue = hist @ M.T + m0
+        u_rec, e_rec = ue[:, :m], ue[:, m:]
     else:
-        guess = None
-        for k in range(t_arr.size):
-            if is_stab:
-                _, e_k, u_k = stabilizer_dynamics(
-                    controller,
-                    geometry,
-                    objective,
-                    np.array(stab_hist[k]),
-                    eta_arr[k],
-                    y_arr[k],
-                    guess,
-                )
-            else:
-                e_k, u_k = pi_dynamics(
-                    controller,
-                    geometry,
-                    objective,
-                    ControllerState(eta_arr[k]),
-                    y_arr[k],
-                    guess,
-                )
-            u_arr[k] = u_k
-            e_arr[k] = e_k
-            guess = u_k
+        _, u_rec[-1], e_rec[-1] = derivative(s, d, u)
 
-    ystar = np.zeros((t_arr.size, p))
-    ustar = np.zeros((t_arr.size, m))
+    x_arr = hist[:, :n]
     if compute_references:
-        for k, i in enumerate(ref_idx):
-            ystar[k] = references[i].y_star
-            ustar[k] = references[i].u_star
+        ystar = np.array([r.y_star for r in references])[ref_idx]
+        ustar = np.array([r.u_star for r in references])[ref_idx]
+    else:
+        ystar = np.zeros((t_arr.size, plant.p))
+        ustar = np.zeros((t_arr.size, m))
 
     return Trace(
         t=t_arr,
         x=x_arr,
-        eta=eta_arr,
-        y=y_arr,
-        u=u_arr,
-        e=e_arr,
+        eta=hist[:, n + ns :],
+        y=x_arr @ plant.C.T,
+        u=u_rec,
+        e=e_rec,
         y_star=ystar,
         u_star=ustar,
-        x_s=np.array(stab_hist) if is_stab else None,
-        segment_starts=np.array([s[0] for s in segs]),
+        x_s=hist[:, n : n + ns],
+        segment_starts=np.array([seg[0] for seg in segs]),
         references=references,
     )
 

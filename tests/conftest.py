@@ -1,7 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ossctl as oc
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 A_STABLE = np.array(
     [
@@ -52,24 +57,14 @@ def cosh_obj():
     return oc.cosh_example_objective()
 
 
-def random_quadratic_instance(rng, n_max=5):
-    """Random stabilizable/detectable plant plus strictly convex quadratic."""
-    while True:
-        n = int(rng.integers(2, n_max + 1))
-        m = int(rng.integers(1, n + 1))
-        p = int(rng.integers(1, n + 1))
-        A = rng.normal(size=(n, n))
-        A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.2, 1.0)) * np.eye(n)
-        B = rng.normal(size=(n, m))
-        C = rng.normal(size=(p, n))
-        plant = oc.LtiPlant(A, B, C)
-        if not (oc.check_stabilizable(plant) and oc.check_detectable(plant)):
-            continue
-        try:
-            geometry = oc.build_kkt_geometry(plant)
-        except oc.KktError:
-            continue
-        G = rng.normal(size=(p + m, p + m))
-        H = G @ G.T + 0.1 * np.eye(p + m)
-        q = rng.normal(size=p + m)
-        return plant, geometry, oc.quadratic_objective(H, q, p)
+def load_script(name):
+    """A module of scripts/, imported from its file."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# random stabilizable/detectable plant plus strictly convex quadratic; the
+# script's own generator, so the tests see the instances the script checks
+random_quadratic_instance = load_script("random_validation").random_instance

@@ -172,7 +172,9 @@ def test_criterion_7_equilibrium_correspondence():
         gains = oc.PiGains.from_scalars(0.5, 0.5, plant.m)
         from ossctl.sim import _affine_closed_loop
 
-        F, _, _ = _affine_closed_loop(plant, geometry, obj, gains)
+        F = _affine_closed_loop(
+            plant, geometry, obj, oc.pi_as_stabilizer(gains, plant.p)
+        )[0]
         decay = -np.linalg.eigvals(F).real.max()
         if decay < 0.05:  # resample: only convergent loops reach equilibrium
             continue

@@ -1,14 +1,4 @@
-import importlib.util
-from pathlib import Path
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tests.conftest import load_script
 
 
 def test_run_examples_full_va_grid_reports_uncertified_pairs(tmp_path, capsys):

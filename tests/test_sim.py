@@ -33,13 +33,21 @@ def test_rk4_map_matches_exact_exponential():
     assert np.linalg.norm(Phi - expm(F * dt)) < 1e-13
 
 
-def test_affine_and_generic_paths_agree(plant_stable, geometry_stable, quadratic_obj):
-    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
-    sched = DisturbanceSchedule.constant(D_SEGMENTS[0])
-    fast = oc.simulate(
-        plant_stable, geometry_stable, quadratic_obj, gains, sched, 2.0,
-        dt=1e-3, compute_references=False,
+def _filtered_pi(k_p, k_i):
+    """A second-order stabilizer for plant_stable: the PI law plus two stable
+    filter states, one driven by e and one by y1."""
+    return oc.DynamicStabilizer(
+        A_s=np.diag([-4.0, -6.0]),
+        B_s=[[0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.0]],
+        C_s=[[0.5, -0.2]],
+        D_s=[[0.0, 0.0, k_i, k_p]],
+        p=2,
+        m=1,
     )
+
+
+def test_affine_and_generic_paths_agree(plant_stable, geometry_stable, quadratic_obj):
+    sched = DisturbanceSchedule(times=[0.0, 1.0], values=D_SEGMENTS[:2].tolist())
     hidden = oc.SteadyStateObjective(
         value=quadratic_obj.value,
         gradient=quadratic_obj.gradient,
@@ -48,12 +56,41 @@ def test_affine_and_generic_paths_agree(plant_stable, geometry_stable, quadratic
         kappa=quadratic_obj.kappa,
         lipschitz=quadratic_obj.lipschitz,
     )
-    slow = oc.simulate(
-        plant_stable, geometry_stable, hidden, gains, sched, 2.0,
-        dt=1e-3, compute_references=False,
+    # PI (no stabilizer state) and a second-order stabilizer
+    controllers = (oc.PiGains.from_scalars(2.0, 2.0, 1), _filtered_pi(2.0, 2.0))
+    for controller, ns in zip(controllers, (0, 2)):
+        fast, slow = (
+            oc.simulate(
+                plant_stable, geometry_stable, obj, controller, sched, 2.0,
+                dt=1e-3, compute_references=False,
+            )
+            for obj in (quadratic_obj, hidden)
+        )
+        assert fast.x_s.shape == slow.x_s.shape == (fast.t.size, ns)
+        for name in ("x", "x_s", "u", "e"):
+            gap = np.abs(getattr(fast, name) - getattr(slow, name))
+            assert np.max(gap, initial=0.0) < 1e-7
+
+
+def test_recorded_input_satisfies_pi_law_cosh(
+    plant_stable, geometry_stable, cosh_obj
+):
+    # every row's (u, e), including the switching row and the final one, is
+    # the solution of the implicit input equation at that row's state
+    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
+    sched = DisturbanceSchedule(times=[0.0, 0.1], values=D_SEGMENTS[:2].tolist())
+    trace = oc.simulate(
+        plant_stable, geometry_stable, cosh_obj, gains, sched, 0.2,
+        dt=1e-2, compute_references=False,
     )
-    assert np.max(np.abs(fast.x - slow.x)) < 1e-7
-    assert np.max(np.abs(fast.u - slow.u)) < 1e-7
+    assert np.min(np.abs(trace.t - 0.1)) < 1e-12
+    law = trace.eta @ gains.K_I.T + trace.e @ gains.K_P.T
+    assert np.all(np.abs(trace.u - law) <= 1e-9 * (1.0 + np.abs(law)))
+    grad = np.array(
+        [cosh_obj.gradient(y, u) for y, u in zip(trace.y, trace.u)]
+    )
+    e = -grad @ geometry_stable.R
+    assert np.all(np.abs(trace.e - e) <= 1e-9 * (1.0 + np.abs(e)))
 
 
 def test_segment_boundaries_on_step_grid(plant_stable, geometry_stable, quadratic_obj):
@@ -128,6 +165,19 @@ def test_csv_roundtrip(tmp_path, plant_stable, geometry_stable, quadratic_obj):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (trace.t.size, len(header))
     assert np.allclose(data[:, 0], trace.t)
+
+    stab = oc.simulate(
+        plant_stable, geometry_stable, quadratic_obj, _filtered_pi(2.0, 2.0),
+        sched, 0.1, dt=1e-2, x0=np.ones(4), xs0=np.array([1.0, -2.0]),
+    )
+    stab.to_csv(str(path))
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+    assert header[:8] == ["t", "x1", "x2", "x3", "x4", "xs1", "xs2", "eta1"]
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert data.shape == (stab.t.size, len(header))
+    assert np.allclose(data[:, 5:7], stab.x_s, rtol=1e-11, atol=0.0)
+    assert np.allclose(data[:, header.index("u1")], stab.u[:, 0], rtol=1e-11)
 
 
 def test_equilibrium_is_invariant(plant_stable, geometry_stable, quadratic_obj):
