@@ -66,11 +66,8 @@ from .synthesis import (
     SynthesisResult,
     closed_loop_gain,
     loop_transform,
-    pi_closed_loop_gain,
-    stabilizer_from_dict,
     stabilizer_to_dict,
     synthesize_stabilizer,
-    validate_synthesis,
 )
 
 __version__ = "0.1.0"

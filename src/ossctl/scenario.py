@@ -13,7 +13,7 @@ import numpy as np
 from .controller import DynamicStabilizer, PiGains
 from .objective import SteadyStateObjective, cosh_example_objective, quadratic_objective
 from .plant import LtiPlant
-from .sim import DisturbanceSchedule
+from .sim import DisturbanceSchedule, SimulationError
 
 
 class ScenarioError(ValueError):
@@ -122,6 +122,16 @@ def _build_controller(obj: dict, p: int, m: int):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """Build a scenario; a value the constructors reject is a ScenarioError."""
+    try:
+        return _scenario_from_dict(data)
+    except ScenarioError:
+        raise
+    except (ValueError, SimulationError) as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
+def _scenario_from_dict(data: dict) -> Scenario:
     try:
         plant = LtiPlant(
             A=matrix_from_json(data["plant"]["A"], "plant.A"),

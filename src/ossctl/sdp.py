@@ -43,7 +43,7 @@ class FeasibilityResult:
     status: str  # "feasible" | "stalled" | "undecided"
     v: np.ndarray
     sweeps: int
-    certificate_info: tuple | None = None
+    certificate_info: tuple | None
 
     @property
     def feasible(self) -> bool:
@@ -57,15 +57,14 @@ def solve_feasibility(
     margins: Sequence[float] | None = None,
     max_sweeps: int = 4000,
     check_every: int = 20,
-    certificate: Callable[[np.ndarray], tuple[bool, tuple]] | None = None,
+    *,
+    certificate: Callable[[np.ndarray], tuple[bool, tuple]],
 ) -> FeasibilityResult:
     """Run the splitting until a candidate passes the certificate check.
 
     certificate(v) -> (ok, info) validates a candidate against the original
     (unshifted, unscaled) inequalities; it is consulted every ``check_every``
-    sweeps and at termination.  Without a certificate, acceptance falls back
-    to the iteration reaching its fixed point, which for this splitting
-    happens only at a point of the intersection.
+    sweeps and at termination.
 
     Statuses: "feasible" (certified), "stalled" (fixed point reached but the
     certificate rejects it -- strong evidence of infeasibility at the given
@@ -142,7 +141,7 @@ def solve_feasibility(
         x = project_cone(z)
         y = project_affine(2 * x - z)
         z = z + (y - x)
-        if certificate is not None and sweep % check_every == 0:
+        if sweep % check_every == 0:
             for cand in (x, y):
                 v = extract(cand)
                 ok, info = certificate(v)
@@ -150,16 +149,11 @@ def solve_feasibility(
                     return FeasibilityResult("feasible", v, sweep, info)
         if np.linalg.norm(y - x) < _STALL_RTOL * (1.0 + np.linalg.norm(x)):
             v = extract(x)
-            if certificate is None:
-                return FeasibilityResult("feasible", v, sweep)
             ok, info = certificate(v)
             status = "feasible" if ok else "stalled"
             return FeasibilityResult(status, v, sweep, info)
 
     v = extract(x)
-    if certificate is not None:
-        ok, info = certificate(v)
-        if ok:
-            return FeasibilityResult("feasible", v, max_sweeps, info)
-        return FeasibilityResult("undecided", v, max_sweeps, info)
-    return FeasibilityResult("undecided", v, max_sweeps)
+    ok, info = certificate(v)
+    status = "feasible" if ok else "undecided"
+    return FeasibilityResult(status, v, max_sweeps, info)

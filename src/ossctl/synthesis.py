@@ -3,9 +3,10 @@
 The gradient nonlinearity in sector [kappa, L] is loop-shifted to the
 symmetric sector [-1, 1] (center c = (L+kappa)/2, radius r = (L-kappa)/2)
 and absorbed into a generalized plant whose measurement channel is
-sigma = (y, eta, e).  An output-feedback controller minimizing the L2 gain
-of the transformed channel is then computed by the variable-transformation
-LMI method; gain below one certifies the nonlinear loop by small gain.
+sigma = (y, eta, e).  An output-feedback controller holding the L2 gain of
+the transformed channel below 0.99 is then computed by the
+variable-transformation LMI method; gain below one certifies the nonlinear
+loop by small gain.
 """
 
 from dataclasses import dataclass
@@ -13,15 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import hinf_norm, is_hurwitz, smat, svec_dim
-from .controller import DynamicStabilizer, PiGains, pi_as_stabilizer
+from .controller import DynamicStabilizer
 from .kkt import KktGeometry
-from .lmi import LmiCertificate
 from .plant import LtiPlant
 from .sdp import AffineBlock, solve_feasibility
 
-_GAMMA_LO = 1e-3
-_GAMMA_HI = 1e3
-_GAMMA_RTOL = 1e-2
+#: the one gain level solved for; any certified level below one suffices
+_GAMMA = 0.99
 
 
 class SynthesisError(RuntimeError):
@@ -75,7 +74,6 @@ class AugmentedPlant:
 class SynthesisResult:
     stabilizer: DynamicStabilizer
     gamma: float
-    certificate: LmiCertificate
     hinf_achieved: float
     loop_margin: float
 
@@ -265,19 +263,6 @@ def closed_loop_gain(aug: AugmentedPlant, stab: DynamicStabilizer) -> float:
     return hinf_norm(*closed_loop_system(aug, stab))
 
 
-def pi_closed_loop_gain(
-    plant: LtiPlant,
-    geometry: KktGeometry,
-    gains: PiGains,
-    kappa: float,
-    lipschitz: float,
-) -> float:
-    """Small-gain analysis of a fixed PI law wrapped as a stabilizer."""
-    aug = loop_transform(plant, geometry, kappa, lipschitz)
-    stab = pi_as_stabilizer(gains, plant.p)
-    return closed_loop_gain(aug, stab)
-
-
 def _loop_margin(stab: DynamicStabilizer, geometry: KktGeometry, lipschitz: float) -> float:
     """Positive iff the e-channel algebraic loop is provably well-posed for
     every gradient in the sector: ||D_e|| L ||R||^2 < 1 is sufficient since
@@ -293,86 +278,36 @@ def synthesize_stabilizer(
     lipschitz: float,
     max_sweeps: int = 6000,
 ) -> SynthesisResult:
-    """Bisect the gain level over (1e-3, 1e3) and accept the first certified
-    gamma below one.
+    """Solve the bounded-real LMI once, at gamma = 0.99.
 
-    The reconstructed controller is re-validated independently: the actual
-    closed-loop H-infinity norm must not exceed the certified gamma, the
-    closed loop must be Hurwitz, and the e-channel algebraic loop must stay
-    well posed over the whole sector.
+    Feasibility is monotone in gamma and only a level below one certifies
+    the loop by small gain, so one solve decides.  The reconstructed
+    controller is re-validated independently: the closed loop must be
+    Hurwitz, its actual H-infinity norm must not exceed gamma, and the
+    e-channel algebraic loop must stay well posed over the whole sector.
     """
-    lo, hi = _GAMMA_LO, _GAMMA_HI
-
-    def attempt(g):
-        return _bounded_real_feasible(aug, g, max_sweeps)
-
-    result, vars_ = attempt(hi)
-    if result.status == "undecided":
-        raise SynthesisError(
-            f"bounded-real LMI undecided at gamma = {hi:g} "
-            f"({result.sweeps} sweeps); increase max_sweeps"
-        )
+    result, (X, Y, Ah, Bh, Ch, Dh) = _bounded_real_feasible(aug, _GAMMA, max_sweeps)
     if not result.feasible:
         raise SynthesisError(
-            f"bounded-real LMI infeasible even at gamma = {hi:g}; "
-            "augmented plant not stabilizable from the measurement channel"
+            f"bounded-real LMI {result.status} at gamma = {_GAMMA:g} "
+            f"({result.sweeps} sweeps)"
         )
-    best_gamma, best_result, best_vars = hi, result, vars_
-
-    while best_gamma >= 1.0 and (hi - lo) > _GAMMA_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        result, vars_ = attempt(mid)
-        if result.feasible:
-            hi = mid
-            best_gamma, best_result, best_vars = mid, result, vars_
-        else:
-            lo = mid
-    if best_gamma >= 1.0:
-        raise SynthesisError(
-            f"synthesis failed small-gain test: best certified gamma = "
-            f"{best_gamma:.4g} >= 1"
-        )
-
-    X, Y, Ah, Bh, Ch, Dh = best_vars
     stab = _reconstruct(aug, X, Y, Ah, Bh, Ch, Dh)
     Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, stab)
     if not is_hurwitz(Acl):
         raise SynthesisError("reconstructed closed loop is not Hurwitz")
     achieved = hinf_norm(Acl, Bcl, Ccl, Dcl)
-    if achieved > best_gamma * (1.0 + 1e-6):
+    if achieved > _GAMMA * (1.0 + 1e-6):
         raise SynthesisError(
             f"independent gain check failed: H-inf norm {achieved:.4g} exceeds "
-            f"certified gamma {best_gamma:.4g}"
+            f"certified gamma {_GAMMA:.4g}"
         )
-    margin = _loop_margin(stab, geometry, lipschitz)
-    l_synth, l_couple = best_result.certificate_info
-    cert = LmiCertificate(
-        P=np.block([[X, np.eye(aug.n_states)], [np.eye(aug.n_states), Y]]),
-        alpha=best_gamma,
-        eig_S_max=l_synth,
-        eig_P_min=-l_couple,
-        sweeps=best_result.sweeps,
-        feasible=True,
-        status="feasible",
-    )
     return SynthesisResult(
         stabilizer=stab,
-        gamma=best_gamma,
-        certificate=cert,
+        gamma=_GAMMA,
         hinf_achieved=achieved,
-        loop_margin=margin,
+        loop_margin=_loop_margin(stab, geometry, lipschitz),
     )
-
-
-def validate_synthesis(plant, geometry, objective, stabilizer, schedule, t_final, dt=1e-3):
-    """Simulate the stabilized loop and report per-segment tracking metrics
-    against the independent optimizer oracle."""
-    from .sim import convergence_metrics, simulate
-
-    trace = simulate(
-        plant, geometry, objective, stabilizer, schedule, t_final, dt=dt
-    )
-    return trace, convergence_metrics(trace)
 
 
 def stabilizer_to_dict(stab: DynamicStabilizer, gamma: float | None = None) -> dict:
@@ -387,18 +322,3 @@ def stabilizer_to_dict(stab: DynamicStabilizer, gamma: float | None = None) -> d
     if gamma is not None:
         out["gamma"] = gamma
     return out
-
-
-def stabilizer_from_dict(data: dict) -> DynamicStabilizer:
-    return DynamicStabilizer(
-        A_s=np.array(data["A_s"], dtype=float).reshape(
-            len(data["A_s"]), -1
-        ) if len(data["A_s"]) else np.zeros((0, 0)),
-        B_s=np.array(data["B_s"], dtype=float)
-        if len(data["B_s"])
-        else np.zeros((0, data["p"] + 2 * data["m"])),
-        C_s=np.array(data["C_s"], dtype=float),
-        D_s=np.array(data["D_s"], dtype=float),
-        p=int(data["p"]),
-        m=int(data["m"]),
-    )

@@ -142,3 +142,57 @@ def test_tune_small_grid(tmp_path):
 def test_missing_scenario_is_bad_input(tmp_path):
     code = run(["analyze", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == EXIT_BAD_INPUT
+
+
+def test_synth_example_vc(tmp_path):
+    code = run(["synth", "--scenario", bundled("example_vc.json"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    data = json.loads((tmp_path / "stabilizer.json").read_text())
+    assert data["gamma"] < 1.0
+    assert data["hinf_achieved"] <= data["gamma"]
+    assert data["loop_margin"] > 0
+    A_s, B_s, C_s, D_s = (np.array(data[k]) for k in ("A_s", "B_s", "C_s", "D_s"))
+    p, m = data["p"], data["m"]
+    ns = A_s.shape[0]
+    assert (p, m) == (2, 1)
+    assert A_s.shape == (ns, ns)
+    assert B_s.shape == (ns, p + 2 * m)
+    assert C_s.shape == (m, ns)
+    assert D_s.shape == (m, p + 2 * m)
+
+
+def _non_square_A(data):
+    data["plant"]["A"] = matrix_to_json(np.ones((4, 3)))
+
+
+def _kappa_above_L(data):
+    data["objective"]["kappa"] = 2.0
+
+
+def _zero_k_i(data):
+    data["controller"] = {"type": "pi", "k_p": 2.0, "k_i": 0.0}
+
+
+def _schedule_not_at_zero(data):
+    data["disturbance"]["times"] = [1.0]
+
+
+def _indefinite_H(data):
+    data["objective"]["H"] = matrix_to_json(np.diag([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_non_square_A, _kappa_above_L, _zero_k_i, _schedule_not_at_zero, _indefinite_H],
+)
+def test_malformed_scenario_is_one_line_error(tmp_path, capsys, mutate):
+    data = json.loads(open(bundled("example_va.json")).read())
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = run(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

@@ -9,3 +9,12 @@ def test_run_examples_full_va_grid_reports_uncertified_pairs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "certified 98/100 gain pairs" in out
     assert "not certified: k_P=0.2, k_I=1.8" in out
+
+
+def test_run_examples_quick_vc(tmp_path, capsys):
+    # synthesizes, then simulates 150 s on the affine path
+    run_examples = load_script("run_examples")
+    run_examples.run_vc(str(tmp_path), quick=True)
+    out = capsys.readouterr().out
+    assert "gamma = 0.99" in out
+    assert (tmp_path / "example_vc_trace.csv").is_file()

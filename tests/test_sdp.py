@@ -91,5 +91,8 @@ def test_nonneg_constraint_respected():
 def test_margin_count_validated():
     with pytest.raises(ValueError):
         solve_feasibility(
-            [AffineBlock(1, lambda v: np.array([[v[0]]]))], q=1, margins=[1.0, 1.0]
+            [AffineBlock(1, lambda v: np.array([[v[0]]]))],
+            q=1,
+            margins=[1.0, 1.0],
+            certificate=lambda v: (False, None),
         )
