@@ -14,6 +14,7 @@ from .controller import (
     resolve_input,
     stabilizer_dynamics,
 )
+from .errors import OssctlError
 from .kkt import KktError, KktGeometry, build_kkt_geometry, kkt_residual, nullspace_equivalence
 from .lmi import (
     LmiCertificate,
@@ -50,7 +51,7 @@ from .plant import (
     check_stabilizable,
     particular_equilibrium,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, save_scenario, scenario_from_dict
+from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .sdp import AffineBlock, FeasibilityResult, solve_feasibility
 from .sim import (
     DisturbanceSchedule,

@@ -1,7 +1,11 @@
 """Scenario-driven command line: analyze | verify | tune | synth | simulate.
 
 Exit codes: 0 success, 1 bad input, 2 assumption failure, 3 certification
-failure, 4 synthesis failure, 5 divergence.
+failure, 4 synthesis failure, 5 divergence.  Each error class in
+ossctl.errors carries its code; main() prints one "<label>: <message>" line
+to stderr and returns that code.  An unreadable scenario or an unwritable
+--out directory (OSError) is bad input too.  Certification failure is the
+decision of verify and tune, not an error.
 """
 
 import argparse
@@ -11,30 +15,37 @@ import os
 import sys
 
 from .controller import PiGains
+from .errors import (
+    EXIT_ASSUMPTION,
+    EXIT_BAD_INPUT,
+    EXIT_CERTIFICATION,
+    EXIT_DIVERGENCE,
+    EXIT_OK,
+    EXIT_SYNTHESIS,
+    OracleError,
+    OssctlError,
+    ScenarioError,
+)
 from .kkt import build_kkt_geometry
 from .lmi import gain_grid_search, verify_stability
-from .oracle import OracleError, solve_steady_state
+from .oracle import solve_steady_state
 from .plant import (
     check_detectable,
     check_full_row_rank_AB,
     check_stabilizable,
     eigenvalues,
 )
-from .scenario import Scenario, ScenarioError, load_scenario
-from .sim import DivergenceError, convergence_metrics, simulate
-from .synthesis import (
-    SynthesisError,
-    loop_transform,
-    stabilizer_to_dict,
-    synthesize_stabilizer,
-)
+from .scenario import Scenario, load_scenario
+from .sim import convergence_metrics, simulate
+from .synthesis import loop_transform, stabilizer_to_dict, synthesize_stabilizer
 
-EXIT_OK = 0
-EXIT_BAD_INPUT = 1
-EXIT_ASSUMPTION = 2
-EXIT_CERTIFICATION = 3
-EXIT_SYNTHESIS = 4
-EXIT_DIVERGENCE = 5
+# the stderr prefix of an error, by its exit code
+_LABELS = {
+    EXIT_BAD_INPUT: "error",
+    EXIT_ASSUMPTION: "assumption failure",
+    EXIT_SYNTHESIS: "synthesis failure",
+    EXIT_DIVERGENCE: "divergence",
+}
 
 
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
@@ -226,23 +237,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         scn = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
         return _COMMANDS[args.command](scn, args.out, args.dt)
-    except ScenarioError as exc:
+    except OssctlError as exc:
+        print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except OracleError as exc:
-        print(f"assumption failure: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except SynthesisError as exc:
-        print(f"synthesis failure: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":

@@ -6,12 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AlgebraicLoopError
 from .kkt import KktGeometry
 from .objective import SteadyStateObjective
-
-
-class AlgebraicLoopError(RuntimeError):
-    """The implicit input equation could not be solved at this state."""
 
 
 @dataclass(frozen=True)

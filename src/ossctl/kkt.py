@@ -11,12 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .errors import KktError
 from .objective import SteadyStateObjective
 from .plant import EquilibriumPoint, LtiPlant, check_disturbance
-
-
-class KktError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._linalg import smat, svec_dim
 from .controller import PiGains
+from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
 from .sdp import AffineBlock, solve_feasibility
@@ -24,10 +25,6 @@ from .sdp import AffineBlock, solve_feasibility
 # the geometry of the main one
 _MARGIN_MAIN = 1.0
 _MARGIN_P = 1e-4
-
-
-class LmiError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,10 @@ def verify_stability(
     pm = realization.n_inputs
     multiplier = build_multiplier(kappa, lipschitz, pm)
     N1, N2, N3 = assemble_lmi(realization, multiplier)
-    MM = N3.T @ multiplier.M @ N3
+    with np.errstate(over="ignore", invalid="ignore"):
+        MM = N3.T @ multiplier.M @ N3
+    if not (np.isfinite(N2).all() and np.isfinite(MM).all()):
+        raise LmiError("sector-LMI data overflows: a gain or sector bound is too large")
     dP = svec_dim(nm)
     q = dP + 1  # svec(P) plus alpha
 

@@ -6,9 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-
-class ObjectiveError(ValueError):
-    pass
+from .errors import ObjectiveError
 
 
 @dataclass(frozen=True)

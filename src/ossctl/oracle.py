@@ -10,13 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OracleError
 from .kkt import KktGeometry, build_kkt_geometry
 from .objective import ComposedObjective, SteadyStateObjective
 from .plant import LtiPlant, check_detectable, check_disturbance
-
-
-class OracleError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -75,10 +72,16 @@ def solve_steady_state(
     m = geometry.m
 
     def phi(w):
-        return composed.value_stacked(z_p + Q @ w)
+        try:
+            return composed.value_stacked(z_p + Q @ w)
+        except OverflowError:  # math.cosh and kin: a trial step too long
+            return np.inf
 
     def grad(w):
-        return Q.T @ composed.grad_stacked(z_p + Q @ w)
+        try:
+            return Q.T @ composed.grad_stacked(z_p + Q @ w)
+        except OverflowError as exc:
+            raise OracleError("cost gradient overflow at this disturbance") from exc
 
     w = np.zeros(m) if w0 is None else np.asarray(w0, dtype=float).copy()
     g = grad(w)

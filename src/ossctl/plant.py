@@ -6,14 +6,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import numerical_rank
+from .errors import PlantError
 
 # PBH tests only need eigenvalues of A; the margin absorbs eigenvalue round-off
 # so that marginally stable modes are still tested.
 _PBH_REAL_PART_MARGIN = 1e-10
-
-
-class PlantError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

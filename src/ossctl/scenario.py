@@ -6,18 +6,15 @@ language neutral and diff friendly.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .controller import DynamicStabilizer, PiGains
+from .errors import ScenarioError
 from .objective import SteadyStateObjective, cosh_example_objective, quadratic_objective
 from .plant import LtiPlant
-from .sim import DisturbanceSchedule, SimulationError
-
-
-class ScenarioError(ValueError):
-    pass
+from .sim import DisturbanceSchedule
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
@@ -25,15 +22,31 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return {"rows": M.shape[0], "cols": M.shape[1], "data": M.ravel().tolist()}
 
 
+def _floats(value, name: str, max_ndim: int = 0, inf_ok: bool = False):
+    """A JSON number (max_ndim 0) or list of numbers as float(s); anything
+    else, NaN, and inf unless inf_ok, is a ScenarioError naming the field."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
+    if x.ndim > max_ndim:
+        raise ScenarioError(f"{name}: expected at most {max_ndim} dimensions")
+    if np.isnan(x).any() or not (inf_ok or np.isfinite(x).all()):
+        raise ScenarioError(f"{name}: expected finite numbers")
+    return float(x) if max_ndim == 0 else x
+
+
 def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = np.asarray(obj["data"], dtype=float)
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"{name}: expected rows/cols/data object") from exc
-    if data.size != rows * cols:
+    rows = int(_floats(rows, f"{name}.rows"))
+    cols = int(_floats(cols, f"{name}.cols"))
+    data = _floats(data, f"{name}.data", 1)
+    if min(rows, cols) < 0 or data.size != rows * cols:
         raise ScenarioError(
-            f"{name}: data has {data.size} entries, expected {rows * cols}"
+            f"{name}: data has {data.size} entries, expected {rows} x {cols}"
         )
     return data.reshape(rows, cols)
 
@@ -69,7 +82,7 @@ def _build_objective(obj: dict, p: int, m: int) -> SteadyStateObjective:
     name = obj.get("name")
     if name == "quadratic":
         H = matrix_from_json(obj["H"], "objective.H")
-        q = np.asarray(obj.get("q", np.zeros(H.shape[0])), dtype=float)
+        q = _floats(obj.get("q", np.zeros(H.shape[0])), "objective.q", 1)
         built = quadratic_objective(H, q, p)
     elif name == "cosh_example":
         built = cosh_example_objective()
@@ -81,21 +94,11 @@ def _build_objective(obj: dict, p: int, m: int) -> SteadyStateObjective:
             f"({p}, {m})"
         )
     # declared moduli override the inferred ones (e.g. a tighter sector)
-    kappa = float(obj.get("kappa", built.kappa))
-    lipschitz = float(obj.get("lipschitz", built.lipschitz))
-    if kappa != built.kappa or lipschitz != built.lipschitz:
-        built = SteadyStateObjective(
-            value=built.value,
-            gradient=built.gradient,
-            p=built.p,
-            m=built.m,
-            kappa=kappa,
-            lipschitz=lipschitz,
-            name=built.name,
-            hessian=built.hessian,
-            linear_term=built.linear_term,
-        )
-    return built
+    kappa = _floats(obj.get("kappa", built.kappa), "objective.kappa")
+    lipschitz = _floats(
+        obj.get("lipschitz", built.lipschitz), "objective.lipschitz", inf_ok=True
+    )
+    return replace(built, kappa=kappa, lipschitz=lipschitz)
 
 
 def _build_controller(obj: dict, p: int, m: int):
@@ -106,7 +109,8 @@ def _build_controller(obj: dict, p: int, m: int):
                 K_P=matrix_from_json(obj["K_P"], "controller.K_P"),
                 K_I=matrix_from_json(obj["K_I"], "controller.K_I"),
             )
-        return PiGains.from_scalars(float(obj["k_p"]), float(obj["k_i"]), m)
+        k_p = _floats(obj["k_p"], "controller.k_p")
+        return PiGains.from_scalars(k_p, _floats(obj["k_i"], "controller.k_i"), m)
     if kind == "stabilizer":
         return DynamicStabilizer(
             A_s=matrix_from_json(obj["A_s"], "controller.A_s"),
@@ -122,31 +126,31 @@ def _build_controller(obj: dict, p: int, m: int):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a scenario; a value the constructors reject is a ScenarioError."""
+    """Build a scenario.  A missing or malformed field is a ScenarioError; a value
+    the plant, objective or schedule rejects raises that module's error (exit 1)."""
     try:
         return _scenario_from_dict(data)
-    except ScenarioError:
-        raise
-    except (ValueError, SimulationError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    except KeyError as exc:
+        raise ScenarioError(f"missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
 def _scenario_from_dict(data: dict) -> Scenario:
-    try:
-        plant = LtiPlant(
-            A=matrix_from_json(data["plant"]["A"], "plant.A"),
-            B=matrix_from_json(data["plant"]["B"], "plant.B"),
-            C=matrix_from_json(data["plant"]["C"], "plant.C"),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"missing plant field: {exc}") from exc
+    plant = LtiPlant(
+        A=matrix_from_json(data["plant"]["A"], "plant.A"),
+        B=matrix_from_json(data["plant"]["B"], "plant.B"),
+        C=matrix_from_json(data["plant"]["C"], "plant.C"),
+    )
     objective = _build_objective(data.get("objective", {}), plant.p, plant.m)
     controller = _build_controller(
         data.get("controller", {"type": "synthesize"}), plant.p, plant.m
     )
     dist = data.get("disturbance", {})
-    times = np.asarray(dist.get("times", [0.0]), dtype=float)
-    values = np.atleast_2d(np.asarray(dist.get("values", [[0.0] * plant.n]), dtype=float))
+    times = _floats(dist.get("times", [0.0]), "disturbance.times", 1)
+    values = np.atleast_2d(
+        _floats(dist.get("values", [[0.0] * plant.n]), "disturbance.values", 2)
+    )
     if values.shape[1] != plant.n:
         raise ScenarioError(
             f"disturbance vectors have length {values.shape[1]}, expected {plant.n}"
@@ -155,26 +159,32 @@ def _scenario_from_dict(data: dict) -> Scenario:
     sim = data.get("simulation", {})
 
     def _vec(key, length):
-        if key not in sim or sim[key] is None:
+        if sim.get(key) is None:
             return None
-        v = np.asarray(sim[key], dtype=float)
+        v = _floats(sim[key], f"simulation.{key}", 1)
         if v.shape != (length,):
             raise ScenarioError(f"simulation.{key} must have length {length}")
         return v
 
     ns = controller.order if isinstance(controller, DynamicStabilizer) else 0
     settings = SimulationSettings(
-        t_final=float(sim.get("t_final", 10.0)),
-        dt=float(sim.get("dt", 1e-3)),
+        t_final=_floats(sim.get("t_final", 10.0), "simulation.t_final"),
+        dt=_floats(sim.get("dt", 1e-3), "simulation.dt"),
         x0=_vec("x0", plant.n),
         eta0=_vec("eta0", plant.m),
         xs0=_vec("xs0", ns),
     )
     ver = data.get("verification", {})
+    kp_grid, ki_grid = (
+        tuple(_floats(ver.get(key, ()), f"verification.{key}", 1).tolist())
+        for key in ("kp_grid", "ki_grid")
+    )
+    if 0.0 in ki_grid:
+        raise ScenarioError("verification.ki_grid: K_I = 0 is not invertible")
     verification = VerificationSettings(
-        kp_grid=tuple(float(v) for v in ver.get("kp_grid", ())),
-        ki_grid=tuple(float(v) for v in ver.get("ki_grid", ())),
-        max_sweeps=int(ver.get("max_sweeps", 4000)),
+        kp_grid=kp_grid,
+        ki_grid=ki_grid,
+        max_sweeps=int(_floats(ver.get("max_sweeps", 4000), "verification.max_sweeps")),
     )
     return Scenario(
         name=str(data.get("name", "scenario")),
@@ -191,71 +201,6 @@ def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(data)
-
-
-def scenario_to_dict(scn: Scenario) -> dict:
-    """Serialize back to the JSON structure (matrices round-trip bitwise)."""
-    out = {
-        "name": scn.name,
-        "plant": {
-            "A": matrix_to_json(scn.plant.A),
-            "B": matrix_to_json(scn.plant.B),
-            "C": matrix_to_json(scn.plant.C),
-        },
-        "objective": {
-            "name": scn.objective.name
-            if scn.objective.name in ("cosh_example",)
-            else "quadratic",
-            "kappa": scn.objective.kappa,
-            "lipschitz": scn.objective.lipschitz
-            if np.isfinite(scn.objective.lipschitz)
-            else "inf",
-        },
-        "disturbance": {
-            "times": scn.schedule.times.tolist(),
-            "values": scn.schedule.values.tolist(),
-        },
-        "simulation": {
-            "t_final": scn.simulation.t_final,
-            "dt": scn.simulation.dt,
-        },
-        "verification": {
-            "kp_grid": list(scn.verification.kp_grid),
-            "ki_grid": list(scn.verification.ki_grid),
-            "max_sweeps": scn.verification.max_sweeps,
-        },
-    }
-    if scn.objective.is_quadratic:
-        out["objective"]["H"] = matrix_to_json(scn.objective.hessian)
-        out["objective"]["q"] = scn.objective.linear_term.tolist()
-    ctrl = scn.controller
-    if isinstance(ctrl, PiGains):
-        out["controller"] = {
-            "type": "pi",
-            "K_P": matrix_to_json(ctrl.K_P),
-            "K_I": matrix_to_json(ctrl.K_I),
-        }
-    elif isinstance(ctrl, DynamicStabilizer):
-        out["controller"] = {
-            "type": "stabilizer",
-            "A_s": matrix_to_json(ctrl.A_s),
-            "B_s": matrix_to_json(ctrl.B_s),
-            "C_s": matrix_to_json(ctrl.C_s),
-            "D_s": matrix_to_json(ctrl.D_s),
-        }
-    else:
-        out["controller"] = {"type": "synthesize"}
-    for key in ("x0", "eta0", "xs0"):
-        v = getattr(scn.simulation, key)
-        if v is not None:
-            out["simulation"][key] = v.tolist()
-    return out
-
-
-def save_scenario(scn: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scn), fh, indent=2)
-        fh.write("\n")

@@ -14,18 +14,11 @@ from .controller import PiGains, pi_as_stabilizer, stabilizer_dynamics
 
 # unused here, but perfbench/tracing.py wraps sim.pi_dynamics when it installs
 from .controller import pi_dynamics  # noqa: F401
+from .errors import DivergenceError, SimulationError
 from .kkt import KktGeometry
 from .objective import SteadyStateObjective
 from .oracle import OptimizerResult, solve_steady_state
 from .plant import LtiPlant, check_disturbance
-
-
-class SimulationError(RuntimeError):
-    pass
-
-
-class DivergenceError(SimulationError):
-    """The state norm exceeded the divergence threshold."""
 
 
 @dataclass(frozen=True)
@@ -51,10 +44,6 @@ class DisturbanceSchedule:
     @classmethod
     def constant(cls, d: np.ndarray) -> "DisturbanceSchedule":
         return cls(times=np.array([0.0]), values=np.atleast_2d(d))
-
-    @property
-    def n_segments(self) -> int:
-        return self.times.size
 
     def value_at(self, t: float) -> np.ndarray:
         i = int(np.searchsorted(self.times, t, side="right") - 1)
@@ -219,15 +208,21 @@ def simulate(
             w_warm = geometry.Q.T @ np.concatenate([ref.x_star, ref.u_star])
             references[i] = ref
 
-    steps = [_segment_steps(t0, t1, dt) for t0, t1, _ in segs]
-    t_arr = np.concatenate(
-        [[0.0]]
-        + [t0 + h * np.arange(1, k + 1) for (t0, _, _), (k, h) in zip(segs, steps)]
-    )
-    # the row at a switching time belongs to the segment it starts
-    ref_idx = np.concatenate(
-        [np.full(k, i) for i, (k, _) in enumerate(steps)] + [[len(segs) - 1]]
-    )
+    try:
+        steps = [_segment_steps(t0, t1, dt) for t0, t1, _ in segs]
+        t_arr = np.concatenate(
+            [[0.0]]
+            + [t0 + h * np.arange(1, k + 1) for (t0, _, _), (k, h) in zip(segs, steps)]
+        )
+        # the row at a switching time belongs to the segment it starts
+        ref_idx = np.concatenate(
+            [np.full(k, i) for i, (k, _) in enumerate(steps)] + [[len(segs) - 1]]
+        )
+        hist = np.empty((t_arr.size, s.size))
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise SimulationError(
+            f"cannot build a time grid of {t_final / dt:.4g} steps: {exc}"
+        ) from exc
 
     affine = objective.is_quadratic
     if affine:
@@ -238,14 +233,16 @@ def simulate(
 
     def derivative(s_, d_, u_guess):
         x_ = s_[:n]
-        xs_dot, e_, u_ = stabilizer_dynamics(
-            controller, geometry, objective,
-            s_[n : n + ns], s_[n + ns :], plant.C @ x_, u_guess,
-        )
+        try:
+            xs_dot, e_, u_ = stabilizer_dynamics(
+                controller, geometry, objective,
+                s_[n : n + ns], s_[n + ns :], plant.C @ x_, u_guess,
+            )
+        except OverflowError as exc:
+            raise DivergenceError("the cost overflows along the trajectory") from exc
         x_dot = plant.A @ x_ + plant.B @ u_ + d_
         return np.concatenate([x_dot, xs_dot, e_]), u_, e_
 
-    hist = np.empty((t_arr.size, s.size))
     hist[0] = s
     row = 0
     u = None

@@ -15,16 +15,13 @@ import numpy as np
 
 from ._linalg import hinf_norm, is_hurwitz, smat, svec_dim
 from .controller import DynamicStabilizer
+from .errors import SynthesisError
 from .kkt import KktGeometry
 from .plant import LtiPlant
 from .sdp import AffineBlock, solve_feasibility
 
 #: the one gain level solved for; any certified level below one suffices
 _GAMMA = 0.99
-
-
-class SynthesisError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from importlib import resources
 
+import ossctl
 from ossctl.cli import (
     EXIT_ASSUMPTION,
     EXIT_BAD_INPUT,
     EXIT_CERTIFICATION,
+    EXIT_DIVERGENCE,
     EXIT_OK,
     main,
 )
@@ -181,18 +187,148 @@ def _indefinite_H(data):
     data["objective"]["H"] = matrix_to_json(np.diag([1.0, -1.0, 1.0]))
 
 
+def _missing_H(data):
+    del data["objective"]["H"]
+
+
+def _pi_without_k_i(data):
+    data["controller"] = {"type": "pi", "k_p": 2.0}
+
+
+def _plant_as_list(data):
+    data["plant"] = list(data["plant"].values())
+
+
+def _top_level_list(data):
+    return json.dumps([data]).encode()
+
+
+def _binary_file(data):
+    return bytes(range(256))
+
+
+def _nan_t_final(data):
+    data["simulation"]["t_final"] = float("nan")
+
+
+def _zero_in_ki_grid(data):
+    data["verification"]["ki_grid"][0] = 0.0
+
+
 @pytest.mark.parametrize(
     "mutate",
-    [_non_square_A, _kappa_above_L, _zero_k_i, _schedule_not_at_zero, _indefinite_H],
+    [
+        _non_square_A,
+        _kappa_above_L,
+        _zero_k_i,
+        _schedule_not_at_zero,
+        _indefinite_H,
+        _missing_H,
+        _pi_without_k_i,
+        _plant_as_list,
+        _top_level_list,
+        _binary_file,
+        _nan_t_final,
+        _zero_in_ki_grid,
+    ],
 )
 def test_malformed_scenario_is_one_line_error(tmp_path, capsys, mutate):
     data = json.loads(open(bundled("example_va.json")).read())
-    mutate(data)
+    content = mutate(data)  # the whole file, or None to write the mutated data
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_bytes(json.dumps(data).encode() if content is None else content)
     code = run(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _rank_deficient_AB(data, tmp_path):
+    # row 0 of B is 0, so a zero row 0 in A makes [A B] lose rank
+    data["plant"]["A"]["data"][:4] = [0.0] * 4
+
+
+def _zero_sector(data, tmp_path):
+    data["objective"]["kappa"] = 0.0
+    data["objective"]["lipschitz"] = 0.0
+
+
+def _huge_k_p(data, tmp_path):
+    data["controller"]["k_p"] = 1e300
+
+
+def _zero_t_final(data, tmp_path):
+    data["simulation"]["t_final"] = 0.0
+
+
+def _huge_t_final(data, tmp_path):
+    data["simulation"]["t_final"] = 1e300
+
+
+def _far_initial_state(data, tmp_path):
+    # cosh(y1 / 2) overflows a double beyond |y1| ~ 1420
+    data["simulation"]["x0"] = [1e4, 0.0, 0.0, 0.0]
+
+
+def _huge_disturbance(data, tmp_path):
+    data["disturbance"]["values"][1][0] = 1e300
+
+
+def _negative_dt(data, tmp_path):
+    return ["--dt", "-1"]
+
+
+def _out_below_file(data, tmp_path):
+    (tmp_path / "file").write_text("")
+    return ["--out", str(tmp_path / "file" / "out")]
+
+
+@pytest.mark.parametrize(
+    "command, name, mutate, code, prefix",
+    [
+        ("verify", "va", _rank_deficient_AB, EXIT_ASSUMPTION, "assumption failure: "),
+        ("verify", "va", _zero_sector, EXIT_BAD_INPUT, "error: "),
+        ("verify", "va", _huge_k_p, EXIT_BAD_INPUT, "error: "),
+        ("simulate", "va", _zero_t_final, EXIT_BAD_INPUT, "error: "),
+        ("simulate", "va", _negative_dt, EXIT_BAD_INPUT, "error: "),
+        ("simulate", "va", _huge_t_final, EXIT_BAD_INPUT, "error: "),
+        ("analyze", "va", _out_below_file, EXIT_BAD_INPUT, "error: "),
+        ("simulate", "vb", _far_initial_state, EXIT_DIVERGENCE, "divergence: "),
+        ("simulate", "vb", _huge_disturbance, EXIT_ASSUMPTION, "assumption failure: "),
+    ],
+)
+def test_runtime_error_exit_code(tmp_path, capsys, command, name, mutate, code, prefix):
+    """Errors raised while a command runs, not while the scenario loads, end
+    in one stderr line and their documented exit code."""
+    data = json.loads(open(bundled(f"example_{name}.json")).read())
+    extra = mutate(data, tmp_path) or []
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--scenario", str(path), "--out", str(tmp_path)] + extra
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_process_exit_status_and_stderr(tmp_path):
+    """The installed entry point's real exit status, and one stderr line."""
+    data = json.loads(open(bundled("example_va.json")).read())
+    _nan_t_final(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(ossctl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ossctl.cli", "simulate", "--scenario", str(path),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr.startswith("error: simulation.t_final")
+    assert proc.stderr.count("\n") == 1
