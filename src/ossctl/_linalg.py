@@ -1,6 +1,8 @@
 """Shared dense linear algebra helpers: numerical rank, symmetric vectorization,
 and an H-infinity norm computation via Hamiltonian bisection."""
 
+import functools
+
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
@@ -21,19 +23,31 @@ def numerical_rank(M: np.ndarray, rtol: float | None = None) -> int:
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
+@functools.lru_cache(maxsize=None)
+def _tri(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle index pair of an n x n matrix with the svec scale and
+    its inverse.  Cached per n and read-only, so callers never alias them."""
+    rows, cols = np.triu_indices(n)
+    diag = rows == cols
+    tables = (rows, cols, np.where(diag, 1.0, _SQRT2), np.where(diag, 1.0, 1.0 / _SQRT2))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def svec(S: np.ndarray) -> np.ndarray:
     """Isometric vectorization of a symmetric matrix (off-diagonals scaled by
     sqrt(2) so that Frobenius inner products are preserved)."""
-    iu = np.triu_indices(S.shape[0])
-    return S[iu] * np.where(iu[0] == iu[1], 1.0, _SQRT2)
+    rows, cols, scale, _ = _tri(S.shape[0])
+    return S[rows, cols] * scale
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`svec`."""
-    iu = np.triu_indices(n)
-    S = np.zeros((n, n))
-    S[iu] = v * np.where(iu[0] == iu[1], 1.0, 1.0 / _SQRT2)
-    return S + S.T - np.diag(np.diag(S))
+    rows, cols, _, unscale = _tri(n)
+    S = np.empty((n, n))
+    S[rows, cols] = S[cols, rows] = v * unscale
+    return S
 
 
 def svec_dim(n: int) -> int:

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 bad input, 2 assumption failure, 3 certification
 failure, 4 synthesis failure, 5 divergence.  Each error class in
 ossctl.errors carries its code; main() prints one "<label>: <message>" line
 to stderr and returns that code.  An unreadable scenario or an unwritable
---out directory (OSError) is bad input too.  Certification failure is the
-decision of verify and tune, not an error.
+--out directory (OSError) is bad input too; --out is created before the
+scenario loads, so an unwritable one fails before any work is done.
+Certification failure is the decision of verify and tune, not an error.
 """
 
 import argparse
@@ -49,7 +50,6 @@ _LABELS = {
 
 
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
@@ -128,6 +128,11 @@ def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
         "eig_S_max": cert.eig_S_max,
         "eig_P_min": cert.eig_P_min,
         "sweeps": cert.sweeps,
+        "witness": (
+            None
+            if cert.witness is None
+            else {"omega": cert.witness[0], "lambda": cert.witness[1]}
+        ),
         "P": cert.P.tolist(),
     }
     _write_json(out_dir, "certificate.json", report)
@@ -152,16 +157,16 @@ def cmd_tune(scn: Scenario, out_dir: str, dt: float) -> int:
             "k_P": r["k_p"],
             "k_I": r["k_i"],
             "certified": r["certified"],
+            "status": r["status"],
             "margin": -r["eig_S_max"],
             "sweeps": r["sweeps"],
         }
         for r in records
     ]
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "tune.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(
-            fh, fieldnames=["k_P", "k_I", "certified", "margin", "sweeps"]
+            fh, fieldnames=["k_P", "k_I", "certified", "status", "margin", "sweeps"]
         )
         writer.writeheader()
         writer.writerows(rows)
@@ -207,7 +212,6 @@ def cmd_simulate(scn: Scenario, out_dir: str, dt: float) -> int:
         xs0=scn.simulation.xs0,
     )
     metrics = convergence_metrics(trace)
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trace.csv")
     trace.to_csv(csv_path)
     _write_json(out_dir, "metrics.json", {"scenario": scn.name, "segments": metrics})
@@ -236,6 +240,7 @@ def main(argv=None) -> int:
     parser.add_argument("--dt", type=float, default=None, help="override time step")
     args = parser.parse_args(argv)
     try:
+        os.makedirs(args.out, exist_ok=True)
         scn = load_scenario(args.scenario)
         return _COMMANDS[args.command](scn, args.out, args.dt)
     except OssctlError as exc:

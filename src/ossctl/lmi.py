@@ -7,6 +7,14 @@ certificate.  One deviation from the textbook statement is deliberate: the
 Lyapunov matrix is constrained positive definite here, since with P left
 free the inequality alone does not rule out unstable loops (a concrete
 counterexample lives in the test suite).
+
+A pair is decided both ways.  "feasible" rests on an eigenvalue-checked
+certificate (P, alpha) from the splitting solver.  "infeasible" rests on a
+frequency-domain witness found before the solver runs: a frequency w at
+which T(w)* M T(w) has a positive eigenvalue, with T(w) the frequency
+response of the linear part stacked over the identity (the KYP argument of
+Rantzer, "On the Kalman-Yakubovich-Popov lemma", SCL 1996).  Pairs neither
+rules out end "stalled" or "undecided" as the solver reports.
 """
 
 from dataclasses import dataclass
@@ -18,13 +26,19 @@ from .controller import PiGains
 from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
-from .sdp import AffineBlock, solve_feasibility
+from .sdp import AffineBlock, FeasibilityResult, solve_feasibility
 
 # default strict-feasibility shifts: O(1) on the main inequality (valid by
 # homogeneity in (P, alpha)), small on P > 0 so the P block does not distort
 # the geometry of the main one
 _MARGIN_MAIN = 1.0
 _MARGIN_P = 1e-4
+
+# frequencies (rad/s) screened for an infeasibility witness, besides w = inf;
+# the realization is real, so T(-w) is the conjugate of T(w) and w >= 0 suffices
+_WITNESS_OMEGAS = np.logspace(-3, 3, 60)
+# a witness eigenvalue must exceed this fraction of ||T* M T||_F
+_WITNESS_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,8 @@ class LmiCertificate:
     sweeps: int
     feasible: bool
     status: str
+    # (omega, lambda) of the frequency witness behind an "infeasible" status
+    witness: tuple[float, float] | None = None
 
 
 def build_realization(
@@ -133,6 +149,54 @@ def assemble_lmi(
     return N1, N2, N3
 
 
+def _sector_form_max(xi: np.ndarray, MM: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue and Frobenius norm of xi* MM xi, over a stack of xi."""
+    H = np.conj(np.swapaxes(xi, -1, -2)) @ MM @ xi
+    return np.linalg.eigvalsh(H)[..., -1], np.linalg.norm(H, axis=(-2, -1))
+
+
+def _xi(realization: RealizationH, omegas: np.ndarray) -> np.ndarray:
+    """Stacked xi(w) = [(jwI - A)^-1 B; I]; w = inf gives [0; I]."""
+    nm, pm = realization.n_states, realization.n_inputs
+    xi = np.zeros((omegas.size, nm + pm, pm), dtype=complex)
+    xi[:, nm:] = np.eye(pm)
+    finite = np.isfinite(omegas)
+    jw = 1j * omegas[finite, None, None] * np.eye(nm)
+    xi[finite, :nm] = np.linalg.solve(
+        jw - realization.A, np.broadcast_to(realization.B, (jw.shape[0], nm, pm))
+    )
+    return xi
+
+
+def frequency_witness(
+    realization: RealizationH, MM: np.ndarray
+) -> tuple[float, float] | None:
+    """A frequency w at which the sector inequality has no solution, as
+    (w, lambda_max(xi* MM xi)), or None if the screened grid shows none.
+
+    On xi(w) = [(jwI - A)^-1 B; I] the P terms N1' P N2 + N2' P N1 vanish for
+    every symmetric P (A X + B = jw X), so xi* S xi = alpha xi* MM xi, and
+    xi* MM xi = T* M T with T = [C (jwI - A)^-1 B + D; I].  A positive
+    eigenvalue there rules out every alpha > 0; alpha = 0 is ruled out anyway,
+    because the w-w block of S is then 0.  The grid is screened in one
+    batched solve, and the strongest hit is recomputed on its own.
+    """
+    omegas = np.append(_WITNESS_OMEGAS, np.inf)
+    with np.errstate(all="ignore"):
+        try:
+            lam, scale = _sector_form_max(_xi(realization, omegas), MM)
+        except np.linalg.LinAlgError:  # jw is an eigenvalue of A
+            return None
+        hits = np.flatnonzero(lam > _WITNESS_RTOL * scale)
+        if hits.size == 0:
+            return None
+        omega = omegas[hits[np.argmax(lam[hits])]]
+        lam, scale = _sector_form_max(_xi(realization, np.array([omega]))[0], MM)
+    if not lam > _WITNESS_RTOL * scale:
+        return None
+    return float(omega), float(lam)
+
+
 def verify_stability(
     plant: LtiPlant,
     geometry: KktGeometry,
@@ -141,9 +205,14 @@ def verify_stability(
     lipschitz: float,
     max_sweeps: int = 4000,
 ) -> LmiCertificate:
-    """Search for a Lyapunov certificate (P > 0, alpha >= 0) of the sector
-    inequality; the returned certificate is validated by eigenvalue checks on
-    the actual matrices, independently of the solver's internal state."""
+    """Decide the sector inequality for (P > 0, alpha >= 0).
+
+    Statuses: "infeasible" (a frequency witness rules out every (P, alpha);
+    no solver sweeps run), "feasible" (a certificate validated by eigenvalue
+    checks on the actual matrices, independently of the solver's internal
+    state), "stalled" or "undecided" (the solver's fixed point or sweep cap,
+    with no certificate and no witness).
+    """
     realization = build_realization(plant, geometry, gains)
     nm = realization.n_states
     pm = realization.n_inputs
@@ -178,14 +247,20 @@ def verify_stability(
         )
         return ok, (eig_S, eig_P)
 
-    result = solve_feasibility(
-        [AffineBlock(nm + pm, S_main), AffineBlock(nm, S_pos)],
-        q,
-        nonneg=(dP,),
-        margins=[_MARGIN_MAIN, _MARGIN_P],
-        max_sweeps=max_sweeps,
-        certificate=certificate,
-    )
+    witness = frequency_witness(realization, MM)
+    if witness is not None:
+        # no candidate is searched for; report the trivial one, (P, alpha) = 0
+        v0 = np.zeros(q)
+        result = FeasibilityResult("infeasible", v0, 0, certificate(v0)[1])
+    else:
+        result = solve_feasibility(
+            [AffineBlock(nm + pm, S_main), AffineBlock(nm, S_pos)],
+            q,
+            nonneg=(dP,),
+            margins=[_MARGIN_MAIN, _MARGIN_P],
+            max_sweeps=max_sweeps,
+            certificate=certificate,
+        )
     eig_S, eig_P = result.certificate_info
     return LmiCertificate(
         P=smat(result.v[:dP], nm),
@@ -195,6 +270,7 @@ def verify_stability(
         sweeps=result.sweeps,
         feasible=result.feasible,
         status=result.status,
+        witness=witness,
     )
 
 

@@ -40,7 +40,9 @@ class AffineBlock:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    status: str  # "feasible" | "stalled" | "undecided"
+    # "feasible" | "stalled" | "undecided" from solve_feasibility; a caller
+    # that rules a problem out before splitting reports "infeasible"
+    status: str
     v: np.ndarray
     sweeps: int
     certificate_info: tuple | None
@@ -109,12 +111,15 @@ def solve_feasibility(
         b[off : off + d] = -s0_list[i] - margins[i] * svec(np.eye(n))
         off += d
 
-    gram = E @ E.T
-    cho = np.linalg.cholesky(gram + 1e-13 * np.eye(ztot))
-    Et = E.T
+    # projection onto {w : E w = b} is w - K (E w - b) with K = E'(EE')^-1;
+    # precomputing it makes each sweep's projection one affine matvec
+    cho = np.linalg.cholesky(E @ E.T + 1e-13 * np.eye(ztot))
+    K = scipy.linalg.cho_solve((cho, True), E).T
+    Pa = np.eye(width) - K @ E
+    c = K @ b
 
     def project_affine(w: np.ndarray) -> np.ndarray:
-        return w - Et @ scipy.linalg.cho_solve((cho, True), E @ w - b)
+        return Pa @ w + c
 
     def project_cone(w: np.ndarray) -> np.ndarray:
         w = w.copy()

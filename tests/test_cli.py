@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,21 @@ def test_verify_va_certifies(tmp_path):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["certified"] is True
     assert cert["eig_S_max"] < 0
+    assert cert["witness"] is None
+
+
+def test_verify_reports_infeasibility_witness(tmp_path):
+    data = json.loads(open(bundled("example_va.json")).read())
+    data["controller"] = {"type": "pi", "k_p": 0.2, "k_i": 1.8}
+    path = tmp_path / "va_corner.json"
+    path.write_text(json.dumps(data))
+    code = run(["verify", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CERTIFICATION
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["status"] == "infeasible"
+    assert cert["sweeps"] == 0
+    assert cert["witness"]["omega"] > 0
+    assert cert["witness"]["lambda"] > 0
 
 
 def test_verify_vc_fails_certification(tmp_path):
@@ -137,6 +153,7 @@ def test_tune_small_grid(tmp_path):
             "k_P": str(r["k_p"]),
             "k_I": str(r["k_i"]),
             "certified": str(r["certified"]),
+            "status": r["status"],
             "margin": str(-r["eig_S_max"]),
             "sweeps": str(r["sweeps"]),
         }
@@ -312,6 +329,22 @@ def test_runtime_error_exit_code(tmp_path, capsys, command, name, mutate, code, 
     assert err.startswith(prefix)
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unwritable_out_fails_before_work(tmp_path, capsys):
+    # --out is created before the scenario loads, so a simulation that takes
+    # seconds is never started when its outputs cannot be written
+    (tmp_path / "file").write_text("")
+    argv = ["simulate", "--scenario", bundled("example_vb.json"),
+            "--out", str(tmp_path / "file" / "out")]
+    t0 = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 def test_process_exit_status_and_stderr(tmp_path):

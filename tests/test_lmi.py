@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import ossctl as oc
-from ossctl.lmi import LmiError, assemble_lmi, build_multiplier, build_realization
+import ossctl.lmi as lmi
+from ossctl.lmi import (
+    LmiError,
+    assemble_lmi,
+    build_multiplier,
+    build_realization,
+    frequency_witness,
+)
 
 KAPPA_A, L_A = 1.0 / 9.0, 1.0
 
@@ -118,3 +125,65 @@ def test_grid_search_records(plant_stable, geometry_stable):
     assert {tuple(sorted(r.keys())) for r in records} == {
         ("certified", "eig_P_min", "eig_S_max", "k_i", "k_p", "status", "sweeps")
     }
+
+
+def _lmi_data(plant, geometry, kp, ki, kappa=KAPPA_A, lipschitz=L_A):
+    real = build_realization(plant, geometry, oc.PiGains.from_scalars(kp, ki, 1))
+    mult = build_multiplier(kappa, lipschitz, real.n_inputs)
+    N1, N2, N3 = assemble_lmi(real, mult)
+    return real, N1, N2, N3.T @ mult.M @ N3
+
+
+def test_p_terms_vanish_on_frequency_direction(plant_stable, geometry_stable):
+    # on xi = [(jwI - A)^-1 B w; w] the P terms cancel for every symmetric P,
+    # which is what makes a positive xi* (N3' M N3) xi a witness
+    real, N1, N2, _ = _lmi_data(plant_stable, geometry_stable, 0.2, 1.8)
+    rng = np.random.default_rng(21)
+    nm = real.n_states
+    for omega in (1e-3, 0.7, 1.8, 40.0):
+        P = rng.normal(size=(nm, nm))
+        P = P + P.T
+        w = rng.normal(size=real.n_inputs) + 1j * rng.normal(size=real.n_inputs)
+        x = np.linalg.solve(1j * omega * np.eye(nm) - real.A, real.B @ w)
+        xi = np.concatenate([x, w])
+        L0 = N1.T @ P @ N2 + N2.T @ P @ N1
+        assert abs(xi.conj() @ L0 @ xi) < 1e-12 * np.linalg.norm(L0) * (xi.conj() @ xi).real
+
+
+def test_witness_fires_on_no_dr_certified_pair(plant_stable, geometry_stable, monkeypatch):
+    kp_values = [0.2, 2.0]
+    ki_values = [round(0.2 * k, 1) for k in range(1, 11)]
+    # decide by the solver alone first
+    monkeypatch.setattr(lmi, "frequency_witness", lambda *args: None)
+    records = oc.gain_grid_search(
+        plant_stable, geometry_stable, kp_values, ki_values, KAPPA_A, L_A
+    )
+    monkeypatch.undo()
+    not_certified = []
+    for r in records:
+        real, _, _, MM = _lmi_data(plant_stable, geometry_stable, r["k_p"], r["k_i"])
+        witness = frequency_witness(real, MM)
+        if r["certified"]:
+            assert witness is None, (r["k_p"], r["k_i"], witness)
+        else:
+            assert r["status"] == "undecided"
+            assert witness is not None and witness[1] > 0
+            not_certified.append((r["k_p"], r["k_i"]))
+    assert not_certified == [(0.2, 1.8), (0.2, 2.0)]
+
+
+def test_infeasible_pair_carries_witness(plant_stable, geometry_stable):
+    cert = oc.verify_stability(
+        plant_stable, geometry_stable, oc.PiGains.from_scalars(0.2, 2.0, 1), KAPPA_A, L_A
+    )
+    assert cert.status == "infeasible"
+    assert not cert.feasible
+    assert cert.sweeps == 0
+    omega, lam = cert.witness
+    assert 1.0 < omega < 3.0
+    assert lam > 0
+    # the witness matches a direct evaluation at its frequency
+    real, _, _, MM = _lmi_data(plant_stable, geometry_stable, 0.2, 2.0)
+    x = np.linalg.solve(1j * omega * np.eye(real.n_states) - real.A, real.B)
+    xi = np.vstack([x, np.eye(real.n_inputs)])
+    assert np.linalg.eigvalsh(xi.conj().T @ MM @ xi).max() == pytest.approx(lam, rel=1e-9)

@@ -8,7 +8,7 @@ def test_run_examples_full_va_grid_reports_uncertified_pairs(tmp_path, capsys):
     run_examples.run_va(str(tmp_path), quick=False)
     out = capsys.readouterr().out
     assert "certified 98/100 gain pairs" in out
-    assert "not certified: k_P=0.2, k_I=1.8" in out
+    assert "not certified: k_P=0.2, k_I=1.8 (infeasible)" in out
 
 
 def test_run_examples_quick_vc(tmp_path, capsys):

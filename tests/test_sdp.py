@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ossctl as oc
+from ossctl._linalg import smat, svec
 from ossctl.sdp import AffineBlock, solve_feasibility
 
 
@@ -96,3 +97,36 @@ def test_margin_count_validated():
             margins=[1.0, 1.0],
             certificate=lambda v: (False, None),
         )
+
+
+def test_svec_smat_roundtrip():
+    rng = np.random.default_rng(13)
+    for n in range(1, 9):
+        S = rng.normal(size=(n, n))
+        S = S + S.T
+        v = svec(S)
+        assert v.shape == (n * (n + 1) // 2,)
+        assert np.dot(v, v) == pytest.approx(np.sum(S * S), rel=1e-14)
+        back = smat(v, n)
+        # the diagonal is unscaled and the result symmetric, both exactly;
+        # off-diagonals pass through * sqrt(2) and * (1 / sqrt(2)), which
+        # leaves at most one rounding step in binary floating point
+        assert np.array_equal(back, back.T)
+        assert np.array_equal(np.diag(back), np.diag(S))
+        np.testing.assert_array_max_ulp(back, S, maxulp=1)
+
+
+def test_svec_smat_results_not_aliased():
+    # svec and smat cache their index tables per n; what they return must
+    # be fresh arrays, so writing into one cannot change a later result
+    S = np.arange(16.0).reshape(4, 4)
+    S = S + S.T
+    v = svec(S)
+    expected_v = v.copy()
+    v[:] = -1.0
+    assert np.array_equal(svec(S), expected_v)
+    M = smat(expected_v, 4)
+    expected_M = M.copy()
+    M[:] = 7.0
+    assert np.array_equal(smat(expected_v, 4), expected_M)
+    assert np.array_equal(svec(S), expected_v)
