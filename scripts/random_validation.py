@@ -46,7 +46,7 @@ def main() -> None:
         plant, geo, obj = random_instance(rng)
         d = rng.normal(size=plant.n)
         ref = oc.solve_quadratic_closed_form(
-            plant, obj.hessian, obj.linear_term, d
+            plant, geo, obj.hessian, obj.linear_term, d
         )
         gains = oc.PiGains.from_scalars(1.0, 1.0, plant.m)
         # start at the optimal equilibrium; it must be invariant

@@ -15,7 +15,7 @@ from .controller import (
     stabilizer_dynamics,
 )
 from .errors import OssctlError
-from .kkt import KktError, KktGeometry, build_kkt_geometry, kkt_residual, nullspace_equivalence
+from .kkt import KktError, KktGeometry, build_kkt_geometry, kkt_residual
 from .lmi import (
     LmiCertificate,
     LmiError,
@@ -28,7 +28,6 @@ from .lmi import (
     verify_stability,
 )
 from .objective import (
-    ComposedObjective,
     ObjectiveError,
     SteadyStateObjective,
     check_gradient_fd,
@@ -38,18 +37,15 @@ from .objective import (
 from .oracle import (
     OptimizerResult,
     OracleError,
-    check_uniqueness,
     solve_quadratic_closed_form,
     solve_steady_state,
 )
 from .plant import (
-    EquilibriumPoint,
     LtiPlant,
     PlantError,
     check_detectable,
     check_full_row_rank_AB,
     check_stabilizable,
-    particular_equilibrium,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .sdp import AffineBlock, FeasibilityResult, solve_feasibility
@@ -65,7 +61,6 @@ from .synthesis import (
     AugmentedPlant,
     SynthesisError,
     SynthesisResult,
-    closed_loop_gain,
     loop_transform,
     stabilizer_to_dict,
     synthesize_stabilizer,

@@ -1,6 +1,10 @@
 """Feedback law implementations: the gradient-projection error signal, the
-PI controller (including the implicit algebraic loop through the
-proportional term), and the general dynamic-stabilizer form."""
+PI controller, and the general dynamic-stabilizer form.
+
+A direct term from e to u (the proportional gain, or the e-columns of D_s)
+makes the input implicit; it is solved by damped Newton whatever the cost.
+A quadratic cost makes the whole loop affine, and sim._affine_closed_loop
+closes it exactly instead."""
 
 from dataclasses import dataclass
 
@@ -115,25 +119,12 @@ def _solve_implicit_input(
     """Solve u = offset + feedthrough * e(y, u) for u.
 
     e depends on u through grad_g, so this is an implicit equation whenever
-    the feedthrough is nonzero.  Quadratic costs give an affine equation
-    solved directly; otherwise damped Newton with finite-difference Jacobian.
+    the feedthrough is nonzero.  It is solved by damped Newton from u0, with
+    a finite-difference Jacobian and a backtracking line search on the
+    residual norm.
     """
     m = u0.size
     RT = geometry.R.T
-    if objective.is_quadratic:
-        H = objective.hessian
-        q = objective.linear_term
-        p = objective.p
-        Gy = RT @ (H[:, :p] @ y + q)
-        Gu = RT @ H[:, p:]
-        # u = offset - feedthrough (Gy + Gu u)
-        lhs = np.eye(m) + feedthrough @ Gu
-        try:
-            return np.linalg.solve(lhs, offset - feedthrough @ Gy)
-        except np.linalg.LinAlgError as exc:
-            raise AlgebraicLoopError(
-                "algebraic loop singular for this quadratic cost"
-            ) from exc
 
     def residual(u):
         return u - offset + feedthrough @ (RT @ objective.gradient(y, u))

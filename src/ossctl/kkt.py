@@ -1,5 +1,5 @@
 """Subspace form of the optimality conditions: the nullspace basis Q of
-[A B], its output-space projection R, and residual evaluation.
+[A B], its output-space projection R, and the one residual evaluation.
 
 The controller drives Q' grad_f (equivalently R' grad_g) to zero; together
 with the plant's equilibrium equation this is exactly the first-order
@@ -9,11 +9,10 @@ optimality system, with no dual variables materialized.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import KktError
 from .objective import SteadyStateObjective
-from .plant import EquilibriumPoint, LtiPlant, check_disturbance
+from .plant import LtiPlant, check_disturbance
 
 
 @dataclass(frozen=True)
@@ -60,26 +59,16 @@ def kkt_residual(
     plant: LtiPlant,
     geometry: KktGeometry,
     objective: SteadyStateObjective,
-    point: EquilibriumPoint,
+    x: np.ndarray,
+    u: np.ndarray,
     d: np.ndarray,
 ) -> tuple[float, float]:
-    """(feasibility, gradient) residual norms of the optimality system.
+    """(feasibility, gradient) residual norms of the optimality system at
+    the equilibrium (x, u): ||A x + B u + d|| and ||R' grad_g(C x, u)||.
 
     Both are zero exactly at a global optimizer of the steady-state program.
     """
     d = check_disturbance(plant, d)
-    feas = np.linalg.norm(plant.A @ point.x_bar + plant.B @ point.u_bar + d)
-    y = plant.C @ point.x_bar
-    grad = np.linalg.norm(geometry.R.T @ objective.gradient(y, point.u_bar))
+    feas = np.linalg.norm(plant.A @ x + plant.B @ u + d)
+    grad = np.linalg.norm(geometry.R.T @ objective.gradient(plant.C @ x, u))
     return float(feas), float(grad)
-
-
-def nullspace_equivalence(plant_a: LtiPlant, plant_b: LtiPlant, tol: float = 1e-8) -> bool:
-    """True iff null [A B] coincides for the two plants (principal angles
-    below tol)."""
-    if (plant_a.n, plant_a.m) != (plant_b.n, plant_b.m):
-        raise KktError("plants must share state and input dimensions")
-    Qa = build_kkt_geometry(plant_a).Q
-    Qb = build_kkt_geometry(plant_b).Q
-    angles = scipy.linalg.subspace_angles(Qa, Qb)
-    return bool(angles.size == 0 or angles.max() < tol)

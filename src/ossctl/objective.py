@@ -1,5 +1,8 @@
-"""Steady-state cost functions g(y, u) with their convexity moduli, and the
-composition f(x, u) = g(Cx, u) used in the full-state formulation."""
+"""Steady-state cost functions g(y, u) with their convexity moduli, and a
+finite-difference check of a declared gradient.
+
+Every consumer evaluates g on (y, u) = (C x, u) directly; the KKT geometry's
+R = blkdiag(C, I) Q carries the map from the state space."""
 
 from dataclasses import dataclass, field
 from typing import Callable
@@ -106,43 +109,6 @@ def cosh_example_objective() -> SteadyStateObjective:
         lipschitz=np.inf,
         name="cosh_example",
     )
-
-
-@dataclass(frozen=True)
-class ComposedObjective:
-    """f(x, u) = g(Cx, u), with gradient blkdiag(C', I) grad_g(Cx, u)."""
-
-    base: SteadyStateObjective
-    C: np.ndarray
-
-    def __post_init__(self):
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        object.__setattr__(self, "C", C)
-        if C.shape[0] != self.base.p:
-            raise ObjectiveError(
-                f"C has {C.shape[0]} rows but objective expects p={self.base.p}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.C.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    def value(self, x: np.ndarray, u: np.ndarray) -> float:
-        return self.base.value(self.C @ x, u)
-
-    def gradient(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        g = self.base.gradient(self.C @ x, u)
-        return np.concatenate([self.C.T @ g[: self.base.p], g[self.base.p :]])
-
-    def grad_stacked(self, z: np.ndarray) -> np.ndarray:
-        return self.gradient(z[: self.n], z[self.n :])
-
-    def value_stacked(self, z: np.ndarray) -> float:
-        return self.value(z[: self.n], z[self.n :])
 
 
 def check_gradient_fd(

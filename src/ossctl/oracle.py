@@ -1,9 +1,13 @@
 """Independent steady-state optimizer computation.
 
-Used as ground truth for closed-loop behaviour: the feasible set of the
-steady-state program is parametrized as z = z_p + Q w, turning the problem
-into an unconstrained m-dimensional minimization, solved by damped Newton.
-A direct KKT linear solve is provided for quadratic costs.
+Used as ground truth for closed-loop behaviour.  The forced equilibria
+z = (x, u) for disturbance d are z_p + Q w, with z_p the minimum-norm
+solution of A x + B u + d = 0 and Q the nullspace basis of the given
+KktGeometry; in the cost's variables that is zeta = (y, u) = zeta_p + R w,
+with zeta_p = blkdiag(C, I) z_p.  The program becomes an unconstrained
+m-dimensional minimization of g(zeta_p + R w), with reduced gradient
+R' grad_g, solved by damped Newton.  A direct KKT linear solve is provided
+for quadratic costs as an independent reference.
 """
 
 from dataclasses import dataclass
@@ -11,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleError
-from .kkt import KktGeometry, build_kkt_geometry
-from .objective import ComposedObjective, SteadyStateObjective
-from .plant import LtiPlant, check_detectable, check_disturbance
+from .kkt import KktGeometry, kkt_residual
+from .objective import SteadyStateObjective, quadratic_objective
+from .plant import LtiPlant, check_disturbance
 
 
 @dataclass(frozen=True)
@@ -30,14 +34,11 @@ class OptimizerResult:
         return np.concatenate([self.y_star, self.u_star])
 
 
-def _result(plant, objective, z, d, iters) -> OptimizerResult:
-    n = plant.n
-    x = z[:n]
-    u = z[n:]
+def _result(plant, geometry, objective, z, d, iters) -> OptimizerResult:
+    x = z[: plant.n]
+    u = z[plant.n :]
     y = plant.C @ x
-    feas = float(np.linalg.norm(plant.A @ x + plant.B @ u + d))
-    geometry = build_kkt_geometry(plant)
-    grad = float(np.linalg.norm(geometry.R.T @ objective.gradient(y, u)))
+    feas, grad = kkt_residual(plant, geometry, objective, x, u, d)
     return OptimizerResult(
         x_star=x,
         y_star=y,
@@ -60,26 +61,26 @@ def solve_steady_state(
 ) -> OptimizerResult:
     """Minimize g(Cx, u) over the forced equilibria for disturbance d.
 
-    Newton on the reduced variable w (Hessian by forward differences of the
-    reduced gradient), Armijo backtracking, gradient-descent fallback when
-    the Hessian estimate is not positive definite.
+    Newton on the reduced variable w of zeta = zeta_p + R w (Hessian by
+    forward differences of the reduced gradient R' grad_g), Armijo
+    backtracking, gradient-descent fallback when the Hessian estimate is not
+    positive definite.
     """
     d = check_disturbance(plant, d)
-    composed = ComposedObjective(base=objective, C=plant.C)
-    AB = plant.stacked_AB()
-    z_p = -np.linalg.pinv(AB) @ d
-    Q = geometry.Q
+    z_p = -np.linalg.pinv(plant.stacked_AB()) @ d
+    zeta_p = np.concatenate([plant.C @ z_p[: plant.n], z_p[plant.n :]])
+    R = geometry.R
     m = geometry.m
 
     def phi(w):
         try:
-            return composed.value_stacked(z_p + Q @ w)
+            return objective.value_stacked(zeta_p + R @ w)
         except OverflowError:  # math.cosh and kin: a trial step too long
             return np.inf
 
     def grad(w):
         try:
-            return Q.T @ composed.grad_stacked(z_p + Q @ w)
+            return R.T @ objective.grad_stacked(zeta_p + R @ w)
         except OverflowError as exc:
             raise OracleError("cost gradient overflow at this disturbance") from exc
 
@@ -127,7 +128,7 @@ def solve_steady_state(
     else:
         it = max_iter
 
-    res = _result(plant, objective, z_p + Q @ w, d, it)
+    res = _result(plant, geometry, objective, z_p + geometry.Q @ w, d, it)
     grad_scale = 1.0 + np.linalg.norm(objective.gradient(res.y_star, res.u_star))
     if res.kkt_feas > 1e-8 * (1 + np.linalg.norm(d)) or res.kkt_grad > 1e-8 * grad_scale:
         raise OracleError(
@@ -138,13 +139,14 @@ def solve_steady_state(
 
 def solve_quadratic_closed_form(
     plant: LtiPlant,
+    geometry: KktGeometry,
     H: np.ndarray,
     q: np.ndarray,
     d: np.ndarray,
 ) -> OptimizerResult:
     """Exact optimizer of a quadratic steady-state cost by solving the
     stacked first-order linear system in (x, u, multipliers); the multiplier
-    block is discarded."""
+    block is discarded, and the residuals are evaluated on geometry."""
     d = check_disturbance(plant, d)
     n, m, p = plant.n, plant.m, plant.p
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -169,13 +171,5 @@ def solve_quadratic_closed_form(
         raise OracleError(
             f"ill-conditioned KKT system (cond={cond:.2e}): optimizer not unique"
         )
-    from .objective import quadratic_objective
-
     obj = quadratic_objective(H, q, p)
-    return _result(plant, obj, sol[: n + m], d, 0)
-
-
-def check_uniqueness(plant: LtiPlant, objective: SteadyStateObjective) -> bool:
-    """True iff the closed-loop equilibrium is guaranteed unique: strictly
-    convex cost (kappa > 0) and detectable (C, A)."""
-    return objective.kappa > 0 and check_detectable(plant)
+    return _result(plant, geometry, obj, sol[: n + m], d, 0)

@@ -1,7 +1,8 @@
-"""LTI plant model and the standing well-posedness checks (stabilizability,
-detectability, full row rank of [A B])."""
+"""LTI plant model, the disturbance-length check, and the standing
+well-posedness checks (stabilizability, detectability, full row rank of
+[A B])."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,19 +57,6 @@ class LtiPlant:
         return np.hstack([self.A, self.B])
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
-    x_bar: np.ndarray
-    u_bar: np.ndarray
-    y_bar: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_bar", np.asarray(self.x_bar, dtype=float))
-        object.__setattr__(self, "u_bar", np.asarray(self.u_bar, dtype=float))
-        if self.y_bar is not None:
-            object.__setattr__(self, "y_bar", np.asarray(self.y_bar, dtype=float))
-
-
 def check_disturbance(plant: LtiPlant, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float).ravel()
     if d.shape != (plant.n,):
@@ -76,22 +64,11 @@ def check_disturbance(plant: LtiPlant, d: np.ndarray) -> np.ndarray:
     return d
 
 
-def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a square matrix, with multiplicity."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != M.shape[1]:
-        raise PlantError(f"eigenvalues requires a square matrix, got {M.shape}")
-    try:
-        return np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise PlantError(f"eigenvalue computation failed: {exc}") from exc
-
-
 def check_stabilizable(plant: LtiPlant) -> bool:
     """PBH test: rank [A - lambda I, B] = n at every eigenvalue of A with
     nonnegative real part."""
     n = plant.n
-    for lam in eigenvalues(plant.A):
+    for lam in np.linalg.eigvals(plant.A):
         if lam.real < -_PBH_REAL_PART_MARGIN:
             continue
         M = np.hstack([plant.A - lam * np.eye(n), plant.B]).astype(complex)
@@ -104,7 +81,7 @@ def check_detectable(plant: LtiPlant) -> bool:
     """PBH test: rank [A - lambda I; C] = n at every eigenvalue of A with
     nonnegative real part."""
     n = plant.n
-    for lam in eigenvalues(plant.A):
+    for lam in np.linalg.eigvals(plant.A):
         if lam.real < -_PBH_REAL_PART_MARGIN:
             continue
         M = np.vstack([plant.A - lam * np.eye(n), plant.C.astype(complex)])
@@ -116,12 +93,3 @@ def check_detectable(plant: LtiPlant) -> bool:
 def check_full_row_rank_AB(plant: LtiPlant) -> bool:
     """rank [A B] = n; guarantees a forced equilibrium exists for every d."""
     return numerical_rank(plant.stacked_AB()) == plant.n
-
-
-def particular_equilibrium(plant: LtiPlant, d: np.ndarray) -> EquilibriumPoint:
-    """Minimum-norm solution of A x + B u + d = 0."""
-    d = check_disturbance(plant, d)
-    z = -np.linalg.pinv(plant.stacked_AB()) @ d
-    x = z[: plant.n]
-    u = z[plant.n :]
-    return EquilibriumPoint(x_bar=x, u_bar=u, y_bar=plant.C @ x)

@@ -14,7 +14,7 @@ from .controller import PiGains, pi_as_stabilizer, stabilizer_dynamics
 
 # unused here, but perfbench/tracing.py wraps sim.pi_dynamics when it installs
 from .controller import pi_dynamics  # noqa: F401
-from .errors import DivergenceError, SimulationError
+from .errors import AlgebraicLoopError, DivergenceError, SimulationError
 from .kkt import KktGeometry
 from .objective import SteadyStateObjective
 from .oracle import OptimizerResult, solve_steady_state
@@ -44,10 +44,6 @@ class DisturbanceSchedule:
     @classmethod
     def constant(cls, d: np.ndarray) -> "DisturbanceSchedule":
         return cls(times=np.array([0.0]), values=np.atleast_2d(d))
-
-    def value_at(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        return self.values[max(i, 0)]
 
     def segments(self, t_final: float):
         """(t_start, t_end, d) triples covering [0, t_final]."""
@@ -114,14 +110,21 @@ class Trace:
 def _affine_closed_loop(plant, geometry, objective, stab):
     """(F, c0, M, m0) of the affine closed loop s' = F s + c0 + E d on
     s = (x, x_s, eta), valid when the cost is quadratic.  E injects d into the
-    x block, and the outputs are (u, e) = M s + m0."""
+    x block, and the outputs are (u, e) = M s + m0.  This is the only place
+    a quadratic cost's algebraic loop u = ... + D_e e(y, u) is closed; it is
+    solvable iff I + D_e R' H_u is invertible."""
     m, p = plant.m, plant.p
     H = objective.hessian
     RT = geometry.R.T
     Gy = RT @ H[:, :p]
     Gu = RT @ H[:, p:]
     g0 = RT @ objective.linear_term
-    Li = np.linalg.inv(np.eye(m) + stab.D_s_e @ Gu)
+    try:
+        Li = np.linalg.inv(np.eye(m) + stab.D_s_e @ Gu)
+    except np.linalg.LinAlgError as exc:
+        raise AlgebraicLoopError(
+            "algebraic loop singular for this quadratic cost"
+        ) from exc
     # u = Ux x + Us x_s + Ue eta + u0
     Ux = Li @ ((stab.D_s_y - stab.D_s_e @ Gy) @ plant.C)
     Us = Li @ stab.C_s

@@ -254,12 +254,6 @@ def closed_loop_system(aug: AugmentedPlant, stab: DynamicStabilizer):
     return Acl, Bcl, Ccl, Dcl
 
 
-def closed_loop_gain(aug: AugmentedPlant, stab: DynamicStabilizer) -> float:
-    """H-infinity norm of the transformed channel for a fixed stabilizer
-    (analysis only); below one certifies the nonlinear loop by small gain."""
-    return hinf_norm(*closed_loop_system(aug, stab))
-
-
 def _loop_margin(stab: DynamicStabilizer, geometry: KktGeometry, lipschitz: float) -> float:
     """Positive iff the e-channel algebraic loop is provably well-posed for
     every gradient in the sector: ||D_e|| L ||R||^2 < 1 is sufficient since

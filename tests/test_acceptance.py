@@ -208,7 +208,9 @@ def test_criterion_7_equilibrium_correspondence():
             continue
         count += 1
         d = rng.normal(size=plant.n)
-        ref = oc.solve_quadratic_closed_form(plant, obj.hessian, obj.linear_term, d)
+        ref = oc.solve_quadratic_closed_form(
+            plant, geometry, obj.hessian, obj.linear_term, d
+        )
         schedule = oc.DisturbanceSchedule.constant(d)
         t_final = min(400.0, max(20.0, 16.0 / decay))
         trace = oc.simulate(
@@ -236,7 +238,9 @@ def test_criterion_8_oracle_equivalence():
         plant, geometry, obj = random_quadratic_instance(rng)
         d = rng.normal(size=plant.n)
         newton = oc.solve_steady_state(plant, geometry, obj, d)
-        direct = oc.solve_quadratic_closed_form(plant, obj.hessian, obj.linear_term, d)
+        direct = oc.solve_quadratic_closed_form(
+            plant, geometry, obj.hessian, obj.linear_term, d
+        )
         assert np.linalg.norm(newton.yu() - direct.yu()) < 1e-6
 
 

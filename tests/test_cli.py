@@ -272,8 +272,12 @@ def _zero_sector(data, tmp_path):
     data["objective"]["lipschitz"] = 0.0
 
 
-def _huge_k_p(data, tmp_path):
+def _huge_k_p(data, tmp_path=None):
     data["controller"]["k_p"] = 1e300
+
+
+def _huge_k_i(data, tmp_path=None):
+    data["controller"]["k_i"] = 1e300
 
 
 def _zero_t_final(data, tmp_path):
@@ -291,6 +295,12 @@ def _far_initial_state(data, tmp_path):
 
 def _huge_disturbance(data, tmp_path):
     data["disturbance"]["values"][1][0] = 1e300
+
+
+def _singular_quadratic_loop(data, tmp_path):
+    # 1 + k_p R'H_u = 0 exactly: the affine loop has no input solution
+    data["controller"]["k_p"] = -1.505199322349037
+    data["simulation"]["t_final"] = 0.05
 
 
 def _negative_dt(data, tmp_path):
@@ -314,6 +324,7 @@ def _out_below_file(data, tmp_path):
         ("analyze", "va", _out_below_file, EXIT_BAD_INPUT, "error: "),
         ("simulate", "vb", _far_initial_state, EXIT_DIVERGENCE, "divergence: "),
         ("simulate", "vb", _huge_disturbance, EXIT_ASSUMPTION, "assumption failure: "),
+        ("simulate", "va", _singular_quadratic_loop, EXIT_ASSUMPTION, "assumption failure: "),
     ],
 )
 def test_runtime_error_exit_code(tmp_path, capsys, command, name, mutate, code, prefix):
@@ -347,21 +358,31 @@ def test_unwritable_out_fails_before_work(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+# (scenario, mutation, exit code, stderr prefix); the finite but extreme
+# gains overflow inside numpy, whose warnings must not reach stderr
+PROCESS_CASES = [
+    ("va", _nan_t_final, EXIT_BAD_INPUT, "error: simulation.t_final"),
+    ("va", _huge_k_i, EXIT_DIVERGENCE, "divergence: "),
+    ("vb", _huge_k_p, EXIT_ASSUMPTION, "assumption failure: "),
+]
+
+
 def test_process_exit_status_and_stderr(tmp_path):
     """The installed entry point's real exit status, and one stderr line."""
-    data = json.loads(open(bundled("example_va.json")).read())
-    _nan_t_final(data)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
     src = str(Path(ossctl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ossctl.cli", "simulate", "--scenario", str(path),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == EXIT_BAD_INPUT
-    assert proc.stderr.startswith("error: simulation.t_final")
-    assert proc.stderr.count("\n") == 1
+    for name, mutate, code, prefix in PROCESS_CASES:
+        data = json.loads(open(bundled(f"example_{name}.json")).read())
+        mutate(data)
+        path = tmp_path / f"{mutate.__name__}.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ossctl.cli", "simulate", "--scenario", str(path),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (mutate.__name__, proc.returncode) == (mutate.__name__, code)
+        assert proc.stderr.startswith(prefix), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr

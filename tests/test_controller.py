@@ -51,22 +51,20 @@ def test_resolve_input_no_proportional_term(geometry_stable, cosh_obj):
 
 
 def test_quadratic_and_newton_paths_agree(geometry_stable, quadratic_obj):
-    # solve the same loop with the generic Newton path by hiding the Hessian
+    # the Newton solve of a quadratic loop matches its affine closed form,
+    # u = (I + K_P R'H_u)^-1 (K_I eta - K_P R'(H_y y + q))
     gains = oc.PiGains.from_scalars(3.0, 2.0, 1)
-    hidden = oc.SteadyStateObjective(
-        value=quadratic_obj.value,
-        gradient=quadratic_obj.gradient,
-        p=2,
-        m=1,
-        kappa=quadratic_obj.kappa,
-        lipschitz=quadratic_obj.lipschitz,
-    )
+    H, q = quadratic_obj.hessian, quadratic_obj.linear_term
+    RT = geometry_stable.R.T
     rng = np.random.default_rng(9)
     for _ in range(5):
         eta = rng.normal(size=1)
         y = rng.normal(size=2)
-        u_direct = oc.resolve_input(gains, geometry_stable, quadratic_obj, eta, y)
-        u_newton = oc.resolve_input(gains, geometry_stable, hidden, eta, y)
+        u_direct = np.linalg.solve(
+            np.eye(1) + gains.K_P @ RT @ H[:, 2:],
+            gains.K_I @ eta - gains.K_P @ RT @ (H[:, :2] @ y + q),
+        )
+        u_newton = oc.resolve_input(gains, geometry_stable, quadratic_obj, eta, y)
         assert np.allclose(u_direct, u_newton, atol=1e-8)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 import ossctl as oc
 from ossctl.kkt import KktError
-from ossctl.plant import EquilibriumPoint
 
 Q_PRINTED = np.array([0.1661, 0.2491, -0.6644, 0.1661, 0.6644])
 
@@ -35,11 +34,11 @@ def test_r_projection(plant_stable, geometry_stable):
 def test_residual_zero_at_optimizer(plant_stable, geometry_stable, quadratic_obj):
     d = np.array([-1.0, 3.0, 1.0, 2.0])
     ref = oc.solve_quadratic_closed_form(
-        plant_stable, quadratic_obj.hessian, quadratic_obj.linear_term, d
+        plant_stable, geometry_stable, quadratic_obj.hessian,
+        quadratic_obj.linear_term, d,
     )
-    point = EquilibriumPoint(x_bar=ref.x_star, u_bar=ref.u_star)
     feas, grad = oc.kkt_residual(
-        plant_stable, geometry_stable, quadratic_obj, point, d
+        plant_stable, geometry_stable, quadratic_obj, ref.x_star, ref.u_star, d
     )
     assert feas < 1e-8
     assert grad < 1e-8
@@ -47,9 +46,9 @@ def test_residual_zero_at_optimizer(plant_stable, geometry_stable, quadratic_obj
 
 def test_residual_nonzero_off_optimizer(plant_stable, geometry_stable, quadratic_obj):
     d = np.array([-1.0, 3.0, 1.0, 2.0])
-    point = oc.particular_equilibrium(plant_stable, d)
+    z = -np.linalg.pinv(plant_stable.stacked_AB()) @ d
     feas, grad = oc.kkt_residual(
-        plant_stable, geometry_stable, quadratic_obj, point, d
+        plant_stable, geometry_stable, quadratic_obj, z[:4], z[4:], d
     )
     assert feas < 1e-8  # feasible by construction
     assert grad > 1e-3  # but not optimal
@@ -61,23 +60,3 @@ def test_rank_deficient_AB_rejected():
     )
     with pytest.raises(KktError):
         oc.build_kkt_geometry(plant)
-
-
-def test_nullspace_equivalence(plant_stable, plant_unstable):
-    # same plant trivially equivalent
-    assert oc.nullspace_equivalence(plant_stable, plant_stable)
-    # scaled [A B] spans the same nullspace
-    scaled = oc.LtiPlant(
-        A=2.0 * plant_stable.A, B=2.0 * plant_stable.B, C=plant_stable.C
-    )
-    assert oc.nullspace_equivalence(plant_stable, scaled)
-
-
-def test_nullspace_inequivalence(plant_stable):
-    rng = np.random.default_rng(3)
-    other = oc.LtiPlant(
-        A=rng.normal(size=(4, 4)) - 3 * np.eye(4),
-        B=rng.normal(size=(4, 1)),
-        C=plant_stable.C,
-    )
-    assert not oc.nullspace_equivalence(plant_stable, other)

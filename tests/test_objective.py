@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ossctl as oc
-from ossctl.objective import ComposedObjective, ObjectiveError, check_gradient_fd
+from ossctl.objective import ObjectiveError, check_gradient_fd
 
 
 def test_quadratic_moduli():
@@ -69,22 +69,3 @@ def test_cosh_gradient_strongly_monotone(a, b):
     gb = obj.grad_stacked(b)
     lhs = (ga - gb) @ (a - b)
     assert lhs >= obj.kappa * np.dot(a - b, a - b) - 1e-9
-
-
-def test_composed_chain_rule(plant_stable, cosh_obj):
-    comp = ComposedObjective(base=cosh_obj, C=plant_stable.C)
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=4)
-    u = rng.normal(size=1)
-    g = comp.gradient(x, u)
-    h = 1e-6
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h
-        fd = (comp.value(x + e, u) - comp.value(x - e, u)) / (2 * h)
-        assert g[i] == pytest.approx(fd, abs=1e-5)
-
-
-def test_composed_dimension_check(cosh_obj):
-    with pytest.raises(ObjectiveError):
-        ComposedObjective(base=cosh_obj, C=np.eye(3))

@@ -1,7 +1,11 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 import ossctl as oc
+import ossctl.kkt
+import ossctl.oracle
 from ossctl.oracle import OracleError
 from tests.conftest import D_SEGMENTS, random_quadratic_instance
 
@@ -12,7 +16,8 @@ def test_quadratic_oracle_matches_newton(plant_stable, geometry_stable, quadrati
             plant_stable, geometry_stable, quadratic_obj, d
         )
         direct = oc.solve_quadratic_closed_form(
-            plant_stable, quadratic_obj.hessian, quadratic_obj.linear_term, d
+            plant_stable, geometry_stable, quadratic_obj.hessian,
+            quadratic_obj.linear_term, d,
         )
         assert np.linalg.norm(newton.yu() - direct.yu()) < 1e-8
 
@@ -27,8 +32,8 @@ def test_oracle_residuals_small(plant_stable, geometry_stable, cosh_obj):
 def test_oracle_beats_feasible_point(plant_stable, geometry_stable, cosh_obj):
     d = D_SEGMENTS[0]
     res = oc.solve_steady_state(plant_stable, geometry_stable, cosh_obj, d)
-    eq = oc.particular_equilibrium(plant_stable, d)
-    feasible_value = cosh_obj.value(eq.y_bar, eq.u_bar)
+    z = -np.linalg.pinv(plant_stable.stacked_AB()) @ d  # a forced equilibrium
+    feasible_value = cosh_obj.value(plant_stable.C @ z[:4], z[4:])
     assert res.objective_value <= feasible_value + 1e-12
 
 
@@ -51,7 +56,7 @@ def test_random_instances_match_closed_form():
         d = rng.normal(size=plant.n)
         newton = oc.solve_steady_state(plant, geometry, obj, d)
         direct = oc.solve_quadratic_closed_form(
-            plant, obj.hessian, obj.linear_term, d
+            plant, geometry, obj.hessian, obj.linear_term, d
         )
         assert np.linalg.norm(newton.yu() - direct.yu()) < 1e-6
 
@@ -74,7 +79,20 @@ def test_unbounded_objective_detected(plant_stable, geometry_stable):
         oc.solve_steady_state(plant_stable, geometry_stable, linear, D_SEGMENTS[0])
 
 
-def test_uniqueness_check(plant_stable, quadratic_obj):
-    assert oc.check_uniqueness(plant_stable, quadratic_obj)
-    flat = oc.quadratic_objective(np.zeros((3, 3)), np.zeros(3), p=2)
-    assert not oc.check_uniqueness(plant_stable, flat)
+def test_oracle_solves_on_the_geometry_it_is_given(monkeypatch):
+    # the oracle needs no second SVD: with the geometry builder unavailable it
+    # still solves example_vb's three segments from the geometry it is handed
+    scn = oc.load_scenario(
+        str(resources.files("ossctl").joinpath("scenarios/example_vb.json"))
+    )
+    geometry = oc.build_kkt_geometry(scn.plant)
+
+    def unavailable(plant):
+        raise AssertionError("the oracle rebuilt the KKT geometry")
+
+    for module in (ossctl.oracle, ossctl.kkt):
+        monkeypatch.setattr(module, "build_kkt_geometry", unavailable, raising=False)
+    assert len(scn.schedule.values) == 3
+    for d in scn.schedule.values:
+        res = oc.solve_steady_state(scn.plant, geometry, scn.objective, d)
+        assert res.kkt_feas < 1e-8 and res.kkt_grad < 1e-8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ossctl as oc
-from ossctl.plant import PlantError
+from ossctl.plant import PlantError, check_disturbance
 
 
 def test_dimensions(plant_stable):
@@ -50,14 +50,6 @@ def test_detectability_failure_detected():
     assert not oc.check_detectable(plant)
 
 
-def test_particular_equilibrium_solves_balance(plant_stable):
-    d = np.array([-1.0, 3.0, 1.0, 2.0])
-    eq = oc.particular_equilibrium(plant_stable, d)
-    residual = plant_stable.A @ eq.x_bar + plant_stable.B @ eq.u_bar + d
-    assert np.linalg.norm(residual) < 1e-10
-    assert np.allclose(eq.y_bar, plant_stable.C @ eq.x_bar)
-
-
 def test_disturbance_length_checked(plant_stable):
     with pytest.raises(PlantError):
-        oc.particular_equilibrium(plant_stable, np.ones(3))
+        check_disturbance(plant_stable, np.ones(3))
