@@ -45,9 +45,7 @@ def main() -> None:
     for trial in range(args.trials):
         plant, geo, obj = random_instance(rng)
         d = rng.normal(size=plant.n)
-        ref = oc.solve_quadratic_closed_form(
-            plant, geo, obj.hessian, obj.linear_term, d
-        )
+        ref = oc.solve_quadratic_closed_form(plant, geo, obj, d)
         gains = oc.PiGains.from_scalars(1.0, 1.0, plant.m)
         # start at the optimal equilibrium; it must be invariant
         eta0 = np.linalg.solve(gains.K_I, ref.u_star)

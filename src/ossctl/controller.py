@@ -14,6 +14,10 @@ from .errors import AlgebraicLoopError
 from .kkt import KktGeometry
 from .objective import SteadyStateObjective
 
+# Newton on the implicit input equation u = offset + D_e e(y, u)
+MAX_ITER = 100
+TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PiGains:
@@ -113,34 +117,27 @@ def _solve_implicit_input(
     objective: SteadyStateObjective,
     y: np.ndarray,
     u0: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Solve u = offset + feedthrough * e(y, u) for u.
 
     e depends on u through grad_g, so this is an implicit equation whenever
     the feedthrough is nonzero.  It is solved by damped Newton from u0, with
-    a finite-difference Jacobian and a backtracking line search on the
-    residual norm.
+    the exact Jacobian I + feedthrough R' hess_g[:, p:] and a backtracking
+    line search on the residual norm.
     """
-    m = u0.size
-    RT = geometry.R.T
+    DR = feedthrough @ geometry.R.T
+    p = objective.p
 
     def residual(u):
-        return u - offset + feedthrough @ (RT @ objective.gradient(y, u))
+        return u - offset + DR @ objective.gradient(y, u)
 
     u = u0.copy()
     F = residual(u)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         nF = np.linalg.norm(F)
-        if nF <= tol * (1.0 + np.linalg.norm(u)):
+        if nF <= TOL * (1.0 + np.linalg.norm(u)):
             return u
-        h = 1e-7 * (1.0 + np.linalg.norm(u))
-        J = np.empty((m, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            J[:, j] = (residual(u + e) - F) / h
+        J = np.eye(u.size) + DR @ objective.hessian(y, u)[:, p:]
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:

@@ -17,7 +17,8 @@ from .plant import LtiPlant, check_disturbance
 
 @dataclass(frozen=True)
 class KktGeometry:
-    """Q: (n+m) x m orthonormal basis of null [A B]; R = blkdiag(C, I_m) Q.
+    """Q: (n+m) x m orthonormal basis of null [A B]; R = blkdiag(C, I_m) Q;
+    AB_pinv: the (n+m) x n pseudo-inverse of [A B] (full row rank).
 
     Note: Q is stored with basis vectors as columns, so that Q' grad_f is an
     m-vector.  (Some write-ups print the transposed shape for Q while still
@@ -27,6 +28,7 @@ class KktGeometry:
 
     Q: np.ndarray
     R: np.ndarray
+    AB_pinv: np.ndarray
 
     @property
     def m(self) -> int:
@@ -34,9 +36,9 @@ class KktGeometry:
 
 
 def build_kkt_geometry(plant: LtiPlant) -> KktGeometry:
-    """Orthonormal nullspace basis of [A B] via SVD, plus the projection R."""
+    """Nullspace basis Q, projection R and pseudo-inverse of [A B], from one SVD."""
     AB = plant.stacked_AB()
-    _, s, Vt = np.linalg.svd(AB)
+    U, s, Vt = np.linalg.svd(AB)
     tol = max(AB.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > tol))
     nullity = AB.shape[1] - rank
@@ -52,7 +54,7 @@ def build_kkt_geometry(plant: LtiPlant) -> KktGeometry:
             [np.zeros((plant.m, plant.n)), np.eye(plant.m)],
         ]
     )
-    return KktGeometry(Q=Q, R=blk @ Q)
+    return KktGeometry(Q=Q, R=blk @ Q, AB_pinv=Vt[:rank].T @ (U.T / s[:, None]))
 
 
 def kkt_residual(

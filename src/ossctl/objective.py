@@ -1,10 +1,10 @@
-"""Steady-state cost functions g(y, u) with their convexity moduli, and a
-finite-difference check of a declared gradient.
+"""Steady-state cost functions g(y, u) with their exact derivatives and
+convexity moduli, and a finite-difference check of a declared gradient.
 
 Every consumer evaluates g on (y, u) = (C x, u) directly; the KKT geometry's
 R = blkdiag(C, I) Q carries the map from the state space."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,31 +16,28 @@ from .errors import ObjectiveError
 class SteadyStateObjective:
     """Differentiable convex cost over (y, u).
 
-    gradient returns the stacked (d/dy, d/du) vector.  kappa is the
-    strong-convexity modulus, lipschitz the gradient Lipschitz modulus
-    (may be inf).  For quadratic costs the Hessian is stored so callers can
-    use exact linear algebra instead of iteration.
+    gradient returns the stacked (d/dy, d/du) vector and hessian the
+    (p+m) x (p+m) matrix of second derivatives in the same order.  kappa is
+    the strong-convexity modulus, lipschitz the gradient Lipschitz modulus
+    (may be inf).  is_quadratic marks a constant Hessian, which lets callers
+    read H and q at 0 and use exact linear algebra instead of iteration.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     p: int
     m: int
     kappa: float
     lipschitz: float
     name: str = "objective"
-    hessian: np.ndarray | None = field(default=None)
-    linear_term: np.ndarray | None = field(default=None)
+    is_quadratic: bool = False
 
     def __post_init__(self):
         if self.kappa < 0:
             raise ObjectiveError("kappa must be nonnegative")
         if np.isfinite(self.lipschitz) and self.kappa > self.lipschitz + 1e-12:
             raise ObjectiveError("kappa must not exceed lipschitz")
-
-    @property
-    def is_quadratic(self) -> bool:
-        return self.hessian is not None
 
     def grad_stacked(self, z: np.ndarray) -> np.ndarray:
         return self.gradient(z[: self.p], z[self.p :])
@@ -64,6 +61,7 @@ def quadratic_objective(H: np.ndarray, q: np.ndarray, p: int, name: str = "quadr
     if ev[0] < -1e-10 * max(abs(ev[-1]), 1.0):
         raise ObjectiveError("H must be positive semidefinite")
     H = 0.5 * (H + H.T)
+    H.flags.writeable = False  # hessian() hands this one array to every caller
     m = d - p
 
     def value(y, u):
@@ -77,13 +75,13 @@ def quadratic_objective(H: np.ndarray, q: np.ndarray, p: int, name: str = "quadr
     return SteadyStateObjective(
         value=value,
         gradient=gradient,
+        hessian=lambda y, u: H,
         p=p,
         m=m,
         kappa=float(max(ev[0], 0.0)),
         lipschitz=float(ev[-1]),
         name=name,
-        hessian=H,
-        linear_term=q,
+        is_quadratic=True,
     )
 
 
@@ -100,9 +98,13 @@ def cosh_example_objective() -> SteadyStateObjective:
             [0.5 * sinh(y[0] / 2.0), sinh(y[1] / 3.0) / 3.0, 2.0 * u[0]]
         )
 
+    def hessian(y, u):
+        return np.diag([cosh(y[0] / 2.0) / 4.0, cosh(y[1] / 3.0) / 9.0, 2.0])
+
     return SteadyStateObjective(
         value=value,
         gradient=gradient,
+        hessian=hessian,
         p=2,
         m=1,
         kappa=1.0 / 9.0,

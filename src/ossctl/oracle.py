@@ -6,8 +6,9 @@ solution of A x + B u + d = 0 and Q the nullspace basis of the given
 KktGeometry; in the cost's variables that is zeta = (y, u) = zeta_p + R w,
 with zeta_p = blkdiag(C, I) z_p.  The program becomes an unconstrained
 m-dimensional minimization of g(zeta_p + R w), with reduced gradient
-R' grad_g, solved by damped Newton.  A direct KKT linear solve is provided
-for quadratic costs as an independent reference.
+R' grad_g and reduced Hessian R' hess_g R, solved by damped Newton with the
+cost's exact Hessian.  A direct KKT linear solve is provided for quadratic
+costs as an independent reference.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,11 @@ import numpy as np
 
 from .errors import OracleError
 from .kkt import KktGeometry, kkt_residual
-from .objective import SteadyStateObjective, quadratic_objective
+from .objective import SteadyStateObjective
 from .plant import LtiPlant, check_disturbance
+
+MAX_ITER = 10_000
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,22 +59,20 @@ def solve_steady_state(
     geometry: KktGeometry,
     objective: SteadyStateObjective,
     d: np.ndarray,
-    max_iter: int = 10_000,
-    tol: float = 1e-9,
     w0: np.ndarray | None = None,
 ) -> OptimizerResult:
     """Minimize g(Cx, u) over the forced equilibria for disturbance d.
 
-    Newton on the reduced variable w of zeta = zeta_p + R w (Hessian by
-    forward differences of the reduced gradient R' grad_g), Armijo
-    backtracking, gradient-descent fallback when the Hessian estimate is not
-    positive definite.
+    Newton on the reduced variable w of zeta = zeta_p + R w, with the exact
+    reduced Hessian R' hess_g R and Armijo backtracking; a gradient step
+    replaces Newton where that Hessian is not positive definite.  Reaching
+    MAX_ITER or a failed line search before the stop rule holds raises
+    OracleError.
     """
     d = check_disturbance(plant, d)
-    z_p = -np.linalg.pinv(plant.stacked_AB()) @ d
+    z_p = -geometry.AB_pinv @ d
     zeta_p = np.concatenate([plant.C @ z_p[: plant.n], z_p[plant.n :]])
     R = geometry.R
-    m = geometry.m
 
     def phi(w):
         try:
@@ -78,55 +80,47 @@ def solve_steady_state(
         except OverflowError:  # math.cosh and kin: a trial step too long
             return np.inf
 
-    def grad(w):
+    def derivative(fn, w):
         try:
-            return R.T @ objective.grad_stacked(zeta_p + R @ w)
+            return fn(*np.split(zeta_p + R @ w, [objective.p]))
         except OverflowError as exc:
-            raise OracleError("cost gradient overflow at this disturbance") from exc
+            raise OracleError("cost derivative overflow at this disturbance") from exc
 
-    w = np.zeros(m) if w0 is None else np.asarray(w0, dtype=float).copy()
-    g = grad(w)
+    w = np.zeros(geometry.m) if w0 is None else np.asarray(w0, dtype=float).copy()
+    g = R.T @ derivative(objective.gradient, w)
     fw = phi(w)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 2):  # the last pass only tests the stop rule
         gnorm = np.linalg.norm(g)
-        if gnorm <= tol * (1.0 + abs(fw)):
+        if gnorm <= TOL * (1.0 + abs(fw)):
             break
+        if it > MAX_ITER:
+            raise OracleError(
+                f"oracle reached {MAX_ITER} iterations at gradient norm {gnorm:.3e}"
+            )
         if fw < -1e12:
             raise OracleError(
                 "objective unbounded below on the feasible set; "
                 "no steady-state optimizer exists"
             )
-        # forward-difference Hessian of the reduced problem
-        h = 1e-6 * (1.0 + np.linalg.norm(w))
-        H = np.empty((m, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            H[:, j] = (grad(w + e) - g) / h
-        H = 0.5 * (H + H.T)
+        H = R.T @ derivative(objective.hessian, w) @ R
         try:
-            ev_min = np.linalg.eigvalsh(H).min()
-            if ev_min <= 1e-12:
+            if np.linalg.eigvalsh(H).min() <= 1e-12:
                 raise np.linalg.LinAlgError
             step = -np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             step = -g
         # Armijo backtracking
         t = 1.0
-        accepted = False
         for _ in range(60):
             w_new = w + t * step
             f_new = phi(w_new)
             if f_new <= fw + 1e-4 * t * (g @ step):
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            break
+        else:
+            raise OracleError(f"oracle line search failed at gradient norm {gnorm:.3e}")
         w, fw = w_new, f_new
-        g = grad(w)
-    else:
-        it = max_iter
+        g = R.T @ derivative(objective.gradient, w)
 
     res = _result(plant, geometry, objective, z_p + geometry.Q @ w, d, it)
     grad_scale = 1.0 + np.linalg.norm(objective.gradient(res.y_star, res.u_star))
@@ -140,17 +134,20 @@ def solve_steady_state(
 def solve_quadratic_closed_form(
     plant: LtiPlant,
     geometry: KktGeometry,
-    H: np.ndarray,
-    q: np.ndarray,
+    objective: SteadyStateObjective,
     d: np.ndarray,
 ) -> OptimizerResult:
     """Exact optimizer of a quadratic steady-state cost by solving the
-    stacked first-order linear system in (x, u, multipliers); the multiplier
-    block is discarded, and the residuals are evaluated on geometry."""
+    stacked first-order linear system in (x, u, multipliers).  H and q are
+    read from the quadratic objective as its Hessian and gradient at 0; the
+    multiplier block is discarded, and the residuals are evaluated on
+    geometry."""
+    if not objective.is_quadratic:
+        raise OracleError("the closed form needs a quadratic cost")
     d = check_disturbance(plant, d)
     n, m, p = plant.n, plant.m, plant.p
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    q = np.asarray(q, dtype=float).ravel()
+    H = objective.hessian(np.zeros(p), np.zeros(m))
+    q = objective.gradient(np.zeros(p), np.zeros(m))
     Cb = np.block(
         [[plant.C, np.zeros((p, m))], [np.zeros((m, n)), np.eye(m)]]
     )
@@ -171,5 +168,4 @@ def solve_quadratic_closed_form(
         raise OracleError(
             f"ill-conditioned KKT system (cond={cond:.2e}): optimizer not unique"
         )
-    obj = quadratic_objective(H, q, p)
-    return _result(plant, geometry, obj, sol[: n + m], d, 0)
+    return _result(plant, geometry, objective, sol[: n + m], d, 0)

@@ -112,13 +112,14 @@ def _affine_closed_loop(plant, geometry, objective, stab):
     s = (x, x_s, eta), valid when the cost is quadratic.  E injects d into the
     x block, and the outputs are (u, e) = M s + m0.  This is the only place
     a quadratic cost's algebraic loop u = ... + D_e e(y, u) is closed; it is
-    solvable iff I + D_e R' H_u is invertible."""
+    solvable iff I + D_e R' H_u is invertible.  H and q are the cost's
+    Hessian and gradient at 0."""
     m, p = plant.m, plant.p
-    H = objective.hessian
+    H = objective.hessian(np.zeros(p), np.zeros(m))
     RT = geometry.R.T
     Gy = RT @ H[:, :p]
     Gu = RT @ H[:, p:]
-    g0 = RT @ objective.linear_term
+    g0 = RT @ objective.gradient(np.zeros(p), np.zeros(m))
     try:
         Li = np.linalg.inv(np.eye(m) + stab.D_s_e @ Gu)
     except np.linalg.LinAlgError as exc:

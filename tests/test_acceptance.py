@@ -208,9 +208,7 @@ def test_criterion_7_equilibrium_correspondence():
             continue
         count += 1
         d = rng.normal(size=plant.n)
-        ref = oc.solve_quadratic_closed_form(
-            plant, geometry, obj.hessian, obj.linear_term, d
-        )
+        ref = oc.solve_quadratic_closed_form(plant, geometry, obj, d)
         schedule = oc.DisturbanceSchedule.constant(d)
         t_final = min(400.0, max(20.0, 16.0 / decay))
         trace = oc.simulate(
@@ -233,25 +231,49 @@ def test_criterion_7_equilibrium_correspondence():
 # -- criterion 8: oracle equivalence ----------------------------------------
 
 def test_criterion_8_oracle_equivalence():
+    # with the cost's exact Hessian one Newton step lands on the optimizer;
+    # draws 23, 26 and 42 (0-based) are those where an approximate Hessian
+    # leaves the reduced gradient floored above the stop rule
     rng = np.random.default_rng(18)
     for _ in range(50):
         plant, geometry, obj = random_quadratic_instance(rng)
         d = rng.normal(size=plant.n)
         newton = oc.solve_steady_state(plant, geometry, obj, d)
-        direct = oc.solve_quadratic_closed_form(
-            plant, geometry, obj.hessian, obj.linear_term, d
-        )
-        assert np.linalg.norm(newton.yu() - direct.yu()) < 1e-6
+        direct = oc.solve_quadratic_closed_form(plant, geometry, obj, d)
+        assert np.linalg.norm(newton.yu() - direct.yu()) < 1e-10
+        assert newton.iterations <= 2
 
 
 # -- criterion 9: numerical hygiene -----------------------------------------
 
+def _hessian_fd_error(obj, points, h=1e-5):
+    """Max relative error between the declared Hessian and central
+    differences of the declared gradient."""
+    worst = 0.0
+    for z in points:
+        H = obj.hessian(z[: obj.p], z[obj.p :])
+        fd = np.column_stack(
+            [
+                (obj.grad_stacked(z + h * e) - obj.grad_stacked(z - h * e)) / (2 * h)
+                for e in np.eye(z.size)
+            ]
+        )
+        worst = max(worst, np.linalg.norm(H - fd) / max(np.linalg.norm(H), 1.0))
+    return worst
+
+
 def test_criterion_9_gradient_fd(cosh_obj):
+    # the declared gradient against the value, the declared Hessian against
+    # the gradient, on the same points
     rng = np.random.default_rng(19)
-    assert oc.check_gradient_fd(cosh_obj, rng.uniform(-3, 3, (50, 3))) < 1e-5
+    points = rng.uniform(-3, 3, (50, 3))
+    assert oc.check_gradient_fd(cosh_obj, points) < 1e-5
+    assert _hessian_fd_error(cosh_obj, points) < 1e-5
     G = rng.normal(size=(5, 5))
     quad = oc.quadratic_objective(G @ G.T + np.eye(5), rng.normal(size=5), p=3)
-    assert oc.check_gradient_fd(quad, rng.uniform(-2, 2, (50, 5))) < 1e-5
+    points = rng.uniform(-2, 2, (50, 5))
+    assert oc.check_gradient_fd(quad, points) < 1e-5
+    assert _hessian_fd_error(quad, points) < 1e-5
 
 
 def test_criterion_9_lmi_affinity(plant_stable, geometry_stable):

@@ -56,6 +56,21 @@ def test_analyze_reports_unstable_eigenvalue(tmp_path):
     assert max(ev["re"] for ev in report["eigenvalues"]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("name", ["example_va.json", "example_vc.json"])
+def test_analyze_optimizers_match_closed_form(tmp_path, name):
+    # the written y*/u* of a quadratic cost are the KKT solution to rounding
+    code = run(["analyze", "--scenario", bundled(name), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "analyze.json").read_text())
+    scn = load_scenario(bundled(name))
+    geometry = build_kkt_geometry(scn.plant)
+    assert len(report["optimizers"]) == len(scn.schedule.values)
+    for seg, d in zip(report["optimizers"], scn.schedule.values):
+        ref = ossctl.solve_quadratic_closed_form(scn.plant, geometry, scn.objective, d)
+        written = np.concatenate([seg["y_star"], seg["u_star"]])
+        assert np.max(np.abs(written - ref.yu())) < 1e-12
+
+
 def test_analyze_flags_assumption_failure(tmp_path):
     scenario = {
         "name": "bad",

@@ -54,7 +54,7 @@ def test_quadratic_and_newton_paths_agree(geometry_stable, quadratic_obj):
     # the Newton solve of a quadratic loop matches its affine closed form,
     # u = (I + K_P R'H_u)^-1 (K_I eta - K_P R'(H_y y + q))
     gains = oc.PiGains.from_scalars(3.0, 2.0, 1)
-    H, q = quadratic_obj.hessian, quadratic_obj.linear_term
+    H, q = np.diag([2.0, 1.0, 1.0]), np.zeros(3)  # the quadratic_obj fixture
     RT = geometry_stable.R.T
     rng = np.random.default_rng(9)
     for _ in range(5):

@@ -34,8 +34,7 @@ def test_r_projection(plant_stable, geometry_stable):
 def test_residual_zero_at_optimizer(plant_stable, geometry_stable, quadratic_obj):
     d = np.array([-1.0, 3.0, 1.0, 2.0])
     ref = oc.solve_quadratic_closed_form(
-        plant_stable, geometry_stable, quadratic_obj.hessian,
-        quadratic_obj.linear_term, d,
+        plant_stable, geometry_stable, quadratic_obj, d
     )
     feas, grad = oc.kkt_residual(
         plant_stable, geometry_stable, quadratic_obj, ref.x_star, ref.u_star, d

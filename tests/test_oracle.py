@@ -1,3 +1,4 @@
+import itertools
 from importlib import resources
 
 import numpy as np
@@ -16,8 +17,7 @@ def test_quadratic_oracle_matches_newton(plant_stable, geometry_stable, quadrati
             plant_stable, geometry_stable, quadratic_obj, d
         )
         direct = oc.solve_quadratic_closed_form(
-            plant_stable, geometry_stable, quadratic_obj.hessian,
-            quadratic_obj.linear_term, d,
+            plant_stable, geometry_stable, quadratic_obj, d
         )
         assert np.linalg.norm(newton.yu() - direct.yu()) < 1e-8
 
@@ -55,10 +55,34 @@ def test_random_instances_match_closed_form():
         plant, geometry, obj = random_quadratic_instance(rng)
         d = rng.normal(size=plant.n)
         newton = oc.solve_steady_state(plant, geometry, obj, d)
-        direct = oc.solve_quadratic_closed_form(
-            plant, geometry, obj.hessian, obj.linear_term, d
-        )
+        direct = oc.solve_quadratic_closed_form(plant, geometry, obj, d)
         assert np.linalg.norm(newton.yu() - direct.yu()) < 1e-6
+
+
+def test_iteration_cap_raises_with_gradient_norm(
+    monkeypatch, plant_stable, geometry_stable, cosh_obj
+):
+    monkeypatch.setattr(ossctl.oracle, "MAX_ITER", 1)
+    with pytest.raises(OracleError, match=r"1 iterations at gradient norm \d"):
+        oc.solve_steady_state(
+            plant_stable, geometry_stable, cosh_obj, D_SEGMENTS[0], w0=np.array([30.0])
+        )
+
+
+def test_failed_line_search_raises_with_gradient_norm(plant_stable, geometry_stable):
+    # a value that rises at every evaluation: no step passes the Armijo test
+    calls = itertools.count()
+    rising = oc.SteadyStateObjective(
+        value=lambda y, u: float(next(calls)),
+        gradient=lambda y, u: np.ones(3),
+        hessian=lambda y, u: np.eye(3),
+        p=2,
+        m=1,
+        kappa=1.0,
+        lipschitz=1.0,
+    )
+    with pytest.raises(OracleError, match=r"line search failed at gradient norm \d"):
+        oc.solve_steady_state(plant_stable, geometry_stable, rising, D_SEGMENTS[0])
 
 
 def test_unbounded_objective_detected(plant_stable, geometry_stable):
@@ -70,6 +94,7 @@ def test_unbounded_objective_detected(plant_stable, geometry_stable):
     linear = oc.SteadyStateObjective(
         value=lambda y, u: float(y[0] + y[1] + u[0]),
         gradient=lambda y, u: np.ones(3),
+        hessian=lambda y, u: np.zeros((3, 3)),
         p=2,
         m=1,
         kappa=0.0,

@@ -18,3 +18,10 @@ def test_run_examples_quick_vc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gamma = 0.99" in out
     assert (tmp_path / "example_vc_trace.csv").is_file()
+
+
+def test_random_validation_main(monkeypatch, capsys):
+    random_validation = load_script("random_validation")
+    monkeypatch.setattr("sys.argv", ["random_validation.py", "--trials", "3"])
+    random_validation.main()
+    assert "worst drift" in capsys.readouterr().out

@@ -46,9 +46,11 @@ def _filtered_pi(k_p, k_i):
 
 def test_affine_and_generic_paths_agree(plant_stable, geometry_stable, quadratic_obj):
     sched = DisturbanceSchedule(times=[0.0, 1.0], values=D_SEGMENTS[:2].tolist())
+    # the same cost with is_quadratic left False takes the generic path
     hidden = oc.SteadyStateObjective(
         value=quadratic_obj.value,
         gradient=quadratic_obj.gradient,
+        hessian=quadratic_obj.hessian,
         p=2,
         m=1,
         kappa=quadratic_obj.kappa,
@@ -183,8 +185,7 @@ def test_equilibrium_is_invariant(plant_stable, geometry_stable, quadratic_obj):
     gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
     d = D_SEGMENTS[0]
     ref = oc.solve_quadratic_closed_form(
-        plant_stable, geometry_stable, quadratic_obj.hessian,
-        quadratic_obj.linear_term, d,
+        plant_stable, geometry_stable, quadratic_obj, d
     )
     eta0 = np.linalg.solve(gains.K_I, ref.u_star)
     sched = DisturbanceSchedule.constant(d)

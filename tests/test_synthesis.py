@@ -100,8 +100,7 @@ def test_stabilizer_equilibrium_matches_oracle(
     _, result = synthesis_result
     for d in D_SEGMENTS:
         ref = oc.solve_quadratic_closed_form(
-            plant_unstable, geometry_unstable, quadratic_obj.hessian,
-            quadratic_obj.linear_term, d,
+            plant_unstable, geometry_unstable, quadratic_obj, d
         )
         sched = oc.DisturbanceSchedule.constant(d)
         trace = oc.simulate(
