@@ -20,7 +20,6 @@ from .lmi import (
     LmiCertificate,
     LmiError,
     RealizationH,
-    SectorMultiplier,
     assemble_lmi,
     build_multiplier,
     build_realization,

@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from .controller import PiGains
 from .errors import (
     EXIT_ASSUMPTION,
     EXIT_BAD_INPUT,
@@ -102,19 +101,16 @@ def cmd_analyze(scn: Scenario, out_dir: str, dt: float) -> int:
     return EXIT_OK if ok else EXIT_ASSUMPTION
 
 
-def _require_pi(scn: Scenario) -> PiGains:
-    if not isinstance(scn.controller, PiGains):
-        raise ScenarioError("this command requires a PI controller in the scenario")
-    return scn.controller
-
-
 def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
-    gains = _require_pi(scn)
+    if scn.controller == "synthesize":
+        raise ScenarioError(
+            "verify needs a pi or stabilizer controller, not 'synthesize'"
+        )
     geometry = build_kkt_geometry(scn.plant)
     cert = verify_stability(
         scn.plant,
         geometry,
-        gains,
+        scn.controller,
         scn.objective.kappa,
         scn.objective.lipschitz,
         max_sweeps=scn.verification.max_sweeps,

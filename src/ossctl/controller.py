@@ -3,8 +3,9 @@ PI controller, and the general dynamic-stabilizer form.
 
 A direct term from e to u (the proportional gain, or the e-columns of D_s)
 makes the input implicit; it is solved by damped Newton whatever the cost.
-A quadratic cost makes the whole loop affine, and sim._affine_closed_loop
-closes it exactly instead."""
+A quadratic cost makes the whole loop affine: sim._affine_closed_loop then
+closes the gradient's affine map around the linear closed loop of
+synthesis.closed_loop_system, and no Newton solve runs."""
 
 from dataclasses import dataclass
 

@@ -1,4 +1,5 @@
-"""Absolute-stability certificate for the PI-interconnected loop.
+"""Absolute-stability certificate for the loop closed by a PI law or a
+dynamic stabilizer.
 
 The gradient nonlinearity is treated as a sector-bounded uncertainty
 (sector [kappa, L] from strong convexity and gradient Lipschitz-ness), and
@@ -22,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import smat, svec_dim
-from .controller import PiGains
+from .controller import DynamicStabilizer, PiGains, pi_as_stabilizer
 from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
 from .sdp import AffineBlock, FeasibilityResult, solve_feasibility
+from .synthesis import closed_loop_system, open_loop
 
 # default strict-feasibility shifts: O(1) on the main inequality (valid by
 # homogeneity in (P, alpha)), small on P > 0 so the P block does not distort
@@ -45,8 +47,8 @@ _WITNESS_RTOL = 1e-8
 class RealizationH:
     """State-space data of the linear part seen by the gradient nonlinearity.
 
-    States (x, eta); input the stacked gradient; outputs (y, K_I eta) plus a
-    feedthrough copy of the input, matching the multiplier's signal layout.
+    States (x, eta, x_s); input w = -grad_g; outputs z = (y, u), matching
+    the multiplier's signal layout.
     """
 
     A: np.ndarray
@@ -64,15 +66,6 @@ class RealizationH:
 
 
 @dataclass(frozen=True)
-class SectorMultiplier:
-    """Quadratic form certifying the sector bound on the loop nonlinearity."""
-
-    M: np.ndarray
-    kappa: float
-    lipschitz: float
-
-
-@dataclass(frozen=True)
 class LmiCertificate:
     P: np.ndarray
     alpha: float
@@ -86,25 +79,21 @@ class LmiCertificate:
 
 
 def build_realization(
-    plant: LtiPlant, geometry: KktGeometry, gains: PiGains
+    plant: LtiPlant,
+    geometry: KktGeometry,
+    controller: PiGains | DynamicStabilizer,
 ) -> RealizationH:
-    """Linear fractional form of plant + PI law with the cost gradient pulled
-    out as an external nonlinearity."""
-    n, m, p = plant.n, plant.m, plant.p
-    RT = geometry.R.T
-    A = np.block(
-        [[plant.A, plant.B @ gains.K_I], [np.zeros((m, n + m))]]
-    )
-    B = np.vstack([plant.B @ gains.K_P @ RT, RT])
-    C = np.block(
-        [[plant.C, np.zeros((p, m))], [np.zeros((m, n)), gains.K_I]]
-    )
-    D = np.vstack([np.zeros((p, p + m)), gains.K_P @ RT])
-    return RealizationH(A=A, B=B, C=C, D=D)
+    """The open loop closed by the controller (a PI law as its zero-order
+    stabilizer), with the cost gradient pulled out as the external input.
+    The multiplier reads that input as w = -grad_g, hence the sign of B, D."""
+    if isinstance(controller, PiGains):
+        controller = pi_as_stabilizer(controller, plant.p)
+    A, B, C, D = closed_loop_system(open_loop(plant, geometry), controller)
+    return RealizationH(A=A, B=-B, C=C, D=-D)
 
 
-def build_multiplier(kappa: float, lipschitz: float, size: int) -> SectorMultiplier:
-    """Sector multiplier for a gradient in sector [kappa, L] on R^size.
+def build_multiplier(kappa: float, lipschitz: float, size: int) -> np.ndarray:
+    """Sector multiplier M for a gradient in sector [kappa, L] on R^size.
 
     For L = inf the quadratic form degenerates to the one-sided (monotone
     plus kappa) version.
@@ -124,13 +113,11 @@ def build_multiplier(kappa: float, lipschitz: float, size: int) -> SectorMultipl
                 [-(kappa + lipschitz), -2.0],
             ]
         )
-    return SectorMultiplier(
-        M=np.kron(core, np.eye(size)), kappa=kappa, lipschitz=lipschitz
-    )
+    return np.kron(core, np.eye(size))
 
 
 def assemble_lmi(
-    realization: RealizationH, multiplier: SectorMultiplier
+    realization: RealizationH,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Selector matrices (N1, N2, N3) of the inequality
 
@@ -200,7 +187,7 @@ def frequency_witness(
 def verify_stability(
     plant: LtiPlant,
     geometry: KktGeometry,
-    gains: PiGains,
+    controller: PiGains | DynamicStabilizer,
     kappa: float,
     lipschitz: float,
     max_sweeps: int = 4000,
@@ -213,13 +200,13 @@ def verify_stability(
     state), "stalled" or "undecided" (the solver's fixed point or sweep cap,
     with no certificate and no witness).
     """
-    realization = build_realization(plant, geometry, gains)
+    realization = build_realization(plant, geometry, controller)
     nm = realization.n_states
     pm = realization.n_inputs
-    multiplier = build_multiplier(kappa, lipschitz, pm)
-    N1, N2, N3 = assemble_lmi(realization, multiplier)
+    M = build_multiplier(kappa, lipschitz, pm)
+    N1, N2, N3 = assemble_lmi(realization)
     with np.errstate(over="ignore", invalid="ignore"):
-        MM = N3.T @ multiplier.M @ N3
+        MM = N3.T @ M @ N3
     if not (np.isfinite(N2).all() and np.isfinite(MM).all()):
         raise LmiError("sector-LMI data overflows: a gain or sector bound is too large")
     dP = svec_dim(nm)

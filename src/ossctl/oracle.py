@@ -64,10 +64,10 @@ def solve_steady_state(
     """Minimize g(Cx, u) over the forced equilibria for disturbance d.
 
     Newton on the reduced variable w of zeta = zeta_p + R w, with the exact
-    reduced Hessian R' hess_g R and Armijo backtracking; a gradient step
-    replaces Newton where that Hessian is not positive definite.  Reaching
-    MAX_ITER or a failed line search before the stop rule holds raises
-    OracleError.
+    reduced Hessian R' hess_g R and Armijo backtracking; a gradient step,
+    doubled while Armijo holds, replaces Newton where that Hessian is not
+    positive definite.  Reaching MAX_ITER or a failed line search before the
+    stop rule holds raises OracleError.
     """
     d = check_disturbance(plant, d)
     z_p = -geometry.AB_pinv @ d
@@ -90,6 +90,13 @@ def solve_steady_state(
     g = R.T @ derivative(objective.gradient, w)
     fw = phi(w)
     for it in range(1, MAX_ITER + 2):  # the last pass only tests the stop rule
+        # tested first: the stop rule's tolerance scales with |fw|, so a
+        # value far below zero would pass it
+        if fw < -1e12:
+            raise OracleError(
+                "objective unbounded below on the feasible set; "
+                "no steady-state optimizer exists"
+            )
         gnorm = np.linalg.norm(g)
         if gnorm <= TOL * (1.0 + abs(fw)):
             break
@@ -97,18 +104,15 @@ def solve_steady_state(
             raise OracleError(
                 f"oracle reached {MAX_ITER} iterations at gradient norm {gnorm:.3e}"
             )
-        if fw < -1e12:
-            raise OracleError(
-                "objective unbounded below on the feasible set; "
-                "no steady-state optimizer exists"
-            )
         H = R.T @ derivative(objective.hessian, w) @ R
+        newton = True
         try:
             if np.linalg.eigvalsh(H).min() <= 1e-12:
                 raise np.linalg.LinAlgError
             step = -np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             step = -g
+            newton = False
         # Armijo backtracking
         t = 1.0
         for _ in range(60):
@@ -119,6 +123,16 @@ def solve_steady_state(
             t *= 0.5
         else:
             raise OracleError(f"oracle line search failed at gradient norm {gnorm:.3e}")
+        # a gradient step has no natural length: double it while Armijo
+        # holds, so that a cost unbounded along it reaches the check above
+        if not newton and t == 1.0:
+            for _ in range(60):
+                w_try = w + 2 * t * step
+                f_try = phi(w_try)
+                if not f_try <= fw + 1e-4 * (2 * t) * (g @ step):
+                    break
+                t *= 2
+                w_new, f_new = w_try, f_try
         w, fw = w_new, f_new
         g = R.T @ derivative(objective.gradient, w)
 

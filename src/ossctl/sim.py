@@ -19,6 +19,7 @@ from .kkt import KktGeometry
 from .objective import SteadyStateObjective
 from .oracle import OptimizerResult, solve_steady_state
 from .plant import LtiPlant, check_disturbance
+from .synthesis import closed_loop_system, open_loop
 
 
 @dataclass(frozen=True)
@@ -109,45 +110,28 @@ class Trace:
 
 def _affine_closed_loop(plant, geometry, objective, stab):
     """(F, c0, M, m0) of the affine closed loop s' = F s + c0 + E d on
-    s = (x, x_s, eta), valid when the cost is quadratic.  E injects d into the
-    x block, and the outputs are (u, e) = M s + m0.  This is the only place
-    a quadratic cost's algebraic loop u = ... + D_e e(y, u) is closed; it is
-    solvable iff I + D_e R' H_u is invertible.  H and q are the cost's
-    Hessian and gradient at 0."""
-    m, p = plant.m, plant.p
+    s = (x, eta, x_s), valid when the cost is quadratic.  E injects d into
+    the x block, and the outputs are (u, e) = M s + m0.  The open loop closed
+    by the stabilizer (synthesis.closed_loop_system) is closed once more by
+    the gradient w = H z + q, with H and q the cost's Hessian and gradient
+    at 0; that algebraic loop is solvable iff I - H D is invertible."""
+    p, m = plant.p, plant.m
+    A, B, C, D = closed_loop_system(open_loop(plant, geometry), stab)
     H = objective.hessian(np.zeros(p), np.zeros(m))
-    RT = geometry.R.T
-    Gy = RT @ H[:, :p]
-    Gu = RT @ H[:, p:]
-    g0 = RT @ objective.gradient(np.zeros(p), np.zeros(m))
+    q = objective.gradient(np.zeros(p), np.zeros(m))
     try:
-        Li = np.linalg.inv(np.eye(m) + stab.D_s_e @ Gu)
+        Li = np.linalg.inv(np.eye(p + m) - H @ D)
     except np.linalg.LinAlgError as exc:
         raise AlgebraicLoopError(
             "algebraic loop singular for this quadratic cost"
         ) from exc
-    # u = Ux x + Us x_s + Ue eta + u0
-    Ux = Li @ ((stab.D_s_y - stab.D_s_e @ Gy) @ plant.C)
-    Us = Li @ stab.C_s
-    Ue = Li @ stab.D_s_eta
-    u0 = -Li @ stab.D_s_e @ g0
-    Ex = -(Gy @ plant.C + Gu @ Ux)
-    Es = -Gu @ Us
-    Ee = -Gu @ Ue
-    e0 = -(Gu @ u0 + g0)
-    By = stab.B_s[:, :p]
-    Beta = stab.B_s[:, p : p + m]
-    Be = stab.B_s[:, p + m :]
-    F = np.block(
-        [
-            [plant.A + plant.B @ Ux, plant.B @ Us, plant.B @ Ue],
-            [By @ plant.C + Be @ Ex, stab.A_s + Be @ Es, Beta + Be @ Ee],
-            [Ex, Es, Ee],
-        ]
-    )
-    c0 = np.concatenate([plant.B @ u0, Be @ e0, e0])
-    M = np.block([[Ux, Us, Ue], [Ex, Es, Ee]])
-    return F, c0, M, np.concatenate([u0, e0])
+    # the gradient w = Ws s + w0, and e = -R' w
+    Ws = Li @ H @ C
+    w0 = Li @ q
+    RT = geometry.R.T
+    M = np.vstack([(C + D @ Ws)[p:], -RT @ Ws])
+    m0 = np.concatenate([(D @ w0)[p:], -RT @ w0])
+    return A + B @ Ws, B @ w0, M, m0
 
 
 def _rk4_one_step_maps(F: np.ndarray, dt: float):
@@ -187,7 +171,8 @@ def simulate(
     references computed by the independent oracle.
 
     controller is either PiGains or a DynamicStabilizer; a PI law runs as its
-    zero-order stabilizer, so the state is s = (x, x_s, eta) in both cases.
+    zero-order stabilizer, so the state is s = (x, eta, x_s) in both cases,
+    the order of synthesis.closed_loop_system.
     """
     if dt <= 0:
         raise SimulationError("dt must be positive")
@@ -196,7 +181,7 @@ def simulate(
         controller = pi_as_stabilizer(controller, plant.p)
     ns = controller.order
     s = []
-    for v, size in ((x0, n), (xs0, ns), (eta0, m)):
+    for v, size in ((x0, n), (eta0, m), (xs0, ns)):
         v = np.zeros(size) if v is None else np.asarray(v, dtype=float)
         if v.shape != (size,):
             raise SimulationError("initial condition dimensions do not match")
@@ -240,12 +225,12 @@ def simulate(
         try:
             xs_dot, e_, u_ = stabilizer_dynamics(
                 controller, geometry, objective,
-                s_[n : n + ns], s_[n + ns :], plant.C @ x_, u_guess,
+                s_[n + m :], s_[n : n + m], plant.C @ x_, u_guess,
             )
         except OverflowError as exc:
             raise DivergenceError("the cost overflows along the trajectory") from exc
         x_dot = plant.A @ x_ + plant.B @ u_ + d_
-        return np.concatenate([x_dot, xs_dot, e_]), u_, e_
+        return np.concatenate([x_dot, e_, xs_dot]), u_, e_
 
     hist[0] = s
     row = 0
@@ -290,13 +275,13 @@ def simulate(
     return Trace(
         t=t_arr,
         x=x_arr,
-        eta=hist[:, n + ns :],
+        eta=hist[:, n : n + m],
         y=x_arr @ plant.C.T,
         u=u_rec,
         e=e_rec,
         y_star=ystar,
         u_star=ustar,
-        x_s=hist[:, n : n + ns],
+        x_s=hist[:, n + m :],
         segment_starts=np.array([seg[0] for seg in segs]),
         references=references,
     )

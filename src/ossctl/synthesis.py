@@ -1,4 +1,6 @@
-"""Dynamic stabilizer synthesis for plants where no PI gain certifies.
+"""Dynamic stabilizer synthesis for plants where no PI gain certifies, and
+the one plant-with-controller interconnection (open_loop closed by
+closed_loop_system) that the LMI and simulation layers reuse.
 
 The gradient nonlinearity in sector [kappa, L] is loop-shifted to the
 symmetric sector [-1, 1] (center c = (L+kappa)/2, radius r = (L-kappa)/2)
@@ -9,7 +11,7 @@ variable-transformation LMI method; gain below one certifies the nonlinear
 loop by small gain.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,10 +28,12 @@ _GAMMA = 0.99
 
 @dataclass(frozen=True)
 class AugmentedPlant:
-    """Loop-transformed generalized plant.
+    """Generalized plant: open_loop (center 0, radius 1), or its shift by
+    loop_transform.
 
-    Channels: w (transformed nonlinearity output, dimension p+m), z (its
-    input), y_meas = sigma = (y, eta, e), u (control).  State is (x, eta).
+    Channels: w (the nonlinearity output, dimension p+m: grad_g, or its
+    shifted form w_tilde), z (its input), y_meas = sigma = (y, eta, e),
+    u (control).  State is (x, eta).
     """
 
     A: np.ndarray
@@ -75,11 +79,43 @@ class SynthesisResult:
     loop_margin: float
 
 
+def open_loop(plant: LtiPlant, geometry: KktGeometry) -> AugmentedPlant:
+    """The generalized plant of the loop before any sector shift (center 0,
+    radius 1): inputs w = grad_g and u, outputs z = (y, u) and
+    sigma = (y, eta, e) with e = -R' w, state (x, eta).  Every closed loop
+    is this plant closed by a stabilizer (closed_loop_system)."""
+    n, m, p = plant.n, plant.m, plant.p
+    RT = geometry.R.T
+    ng = n + m
+    nw = p + m
+    return AugmentedPlant(
+        A=np.block([[plant.A, np.zeros((n, m))], [np.zeros((m, ng))]]),
+        B1=np.vstack([np.zeros((n, nw)), -RT]),
+        B2=np.vstack([plant.B, np.zeros((m, m))]),
+        C1=np.block([[plant.C, np.zeros((p, m))], [np.zeros((m, ng))]]),
+        D11=np.zeros((nw, nw)),
+        D12=np.vstack([np.zeros((p, m)), np.eye(m)]),
+        C2=np.block(
+            [
+                [plant.C, np.zeros((p, m))],
+                [np.zeros((m, n)), np.eye(m)],
+                [np.zeros((m, ng))],
+            ]
+        ),
+        D21=np.vstack([np.zeros((p, nw)), np.zeros((m, nw)), -RT]),
+        D22=np.zeros((p + 2 * m, m)),
+        center=0.0,
+        radius=1.0,
+        p=p,
+        m=m,
+    )
+
+
 def loop_transform(
     plant: LtiPlant, geometry: KktGeometry, kappa: float, lipschitz: float
 ) -> AugmentedPlant:
-    """Build the generalized plant with the sector-[kappa, L] gradient
-    replaced by a sector-[-1, 1] uncertainty via w = c z + r w_tilde.
+    """The open loop with the sector-[kappa, L] gradient replaced by a
+    sector-[-1, 1] uncertainty via w = c z + r w_tilde.
 
     kappa = L (zero radius) is the degenerate linear case: the uncertainty
     channel carries zero gain and synthesis reduces to plain stabilization.
@@ -90,39 +126,17 @@ def loop_transform(
         raise SynthesisError("loop transformation requires a finite Lipschitz bound")
     c = 0.5 * (lipschitz + kappa)
     r = 0.5 * (lipschitz - kappa)
-    n, m, p = plant.n, plant.m, plant.p
-    RT = geometry.R.T
-    ng = n + m
-    nw = p + m
-
-    A0 = np.block([[plant.A, np.zeros((n, m))], [np.zeros((m, ng))]])
-    B10 = np.vstack([np.zeros((n, nw)), -RT])
-    B20 = np.vstack([plant.B, np.zeros((m, m))])
-    C10 = np.block([[plant.C, np.zeros((p, m))], [np.zeros((m, ng))]])
-    D120 = np.vstack([np.zeros((p, m)), np.eye(m)])
-    C20 = np.block(
-        [
-            [plant.C, np.zeros((p, m))],
-            [np.zeros((m, n)), np.eye(m)],
-            [np.zeros((m, ng))],
-        ]
-    )
-    D210 = np.vstack([np.zeros((p, nw)), np.zeros((m, nw)), -RT])
-
-    return AugmentedPlant(
-        A=A0 + c * (B10 @ C10),
-        B1=r * B10,
-        B2=B20 + c * (B10 @ D120),
-        C1=C10,
-        D11=np.zeros((nw, nw)),
-        D12=D120,
-        C2=C20 + c * (D210 @ C10),
-        D21=r * D210,
-        D22=c * (D210 @ D120),
+    o = open_loop(plant, geometry)
+    return replace(
+        o,
+        A=o.A + c * (o.B1 @ o.C1),
+        B1=r * o.B1,
+        B2=o.B2 + c * (o.B1 @ o.D12),
+        C2=o.C2 + c * (o.D21 @ o.C1),
+        D21=r * o.D21,
+        D22=c * (o.D21 @ o.D12),
         center=c,
         radius=r,
-        p=p,
-        m=m,
     )
 
 
@@ -240,8 +254,10 @@ def _reconstruct(aug: AugmentedPlant, X, Y, Ah, Bh, Ch, Dh) -> DynamicStabilizer
 
 
 def closed_loop_system(aug: AugmentedPlant, stab: DynamicStabilizer):
-    """(A, B, C, D) of the transformed w -> z channel with the stabilizer in
-    feedback; the stabilizer's D22 loop is assumed already absorbed."""
+    """(A, B, C, D) of the w -> z channel of aug with the stabilizer in
+    feedback on sigma, on the state (aug's state, x_s).  aug.D22 is not
+    read: it is zero on open_loop, and for a loop_transform plant the
+    reconstructed stabilizer is taken to have absorbed it."""
     Acl = np.block(
         [
             [aug.A + aug.B2 @ stab.D_s @ aug.C2, aug.B2 @ stab.C_s],

@@ -47,6 +47,14 @@ def geometry_unstable(plant_unstable):
 
 
 @pytest.fixture(scope="session")
+def synthesis_result(plant_unstable, geometry_unstable):
+    """(loop-transformed plant, synthesis result) of example_vc: plant_unstable
+    and the sector [1, 2]."""
+    aug = oc.loop_transform(plant_unstable, geometry_unstable, 1.0, 2.0)
+    return aug, oc.synthesize_stabilizer(aug, geometry_unstable, 2.0)
+
+
+@pytest.fixture(scope="session")
 def quadratic_obj():
     # g = y1^2 + 0.5 y2^2 + 0.5 u^2
     return oc.quadratic_objective(np.diag([2.0, 1.0, 1.0]), np.zeros(3), p=2)

@@ -57,12 +57,12 @@ def test_criterion_2_certification_sweep(plant_stable, geometry_stable):
             real = build_realization(
                 plant_stable, geometry_stable, oc.PiGains.from_scalars(kp, ki, 1)
             )
-            mult = build_multiplier(1.0 / 9.0, 1.0, real.n_inputs)
-            N1, N2, N3 = assemble_lmi(real, mult)
+            M = build_multiplier(1.0 / 9.0, 1.0, real.n_inputs)
+            N1, N2, N3 = assemble_lmi(real)
             S = (
                 N1.T @ cert.P @ N2
                 + N2.T @ cert.P @ N1
-                + cert.alpha * (N3.T @ mult.M @ N3)
+                + cert.alpha * (N3.T @ M @ N3)
             )
             assert np.linalg.eigvalsh(0.5 * (S + S.T)).max() < 0
         else:
@@ -280,9 +280,9 @@ def test_criterion_9_lmi_affinity(plant_stable, geometry_stable):
     real = build_realization(
         plant_stable, geometry_stable, oc.PiGains.from_scalars(1.0, 1.0, 1)
     )
-    mult = build_multiplier(1.0 / 9.0, 1.0, real.n_inputs)
-    N1, N2, N3 = assemble_lmi(real, mult)
-    MM = N3.T @ mult.M @ N3
+    M = build_multiplier(1.0 / 9.0, 1.0, real.n_inputs)
+    N1, N2, N3 = assemble_lmi(real)
+    MM = N3.T @ M @ N3
 
     def S(P, a):
         return N1.T @ P @ N2 + N2.T @ P @ N1 + a * MM

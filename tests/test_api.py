@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "RealizationH",
     "Scenario",
     "ScenarioError",
-    "SectorMultiplier",
     "SimulationError",
     "SteadyStateObjective",
     "SynthesisError",

@@ -128,6 +128,33 @@ def test_verify_vc_fails_certification(tmp_path):
     assert code == EXIT_CERTIFICATION
 
 
+def test_verify_certifies_synthesized_stabilizer(tmp_path, synthesis_result):
+    # example_vc with its synthesized stabilizer as the scenario controller:
+    # the sector LMI certifies the loop that small gain certified
+    data = json.loads(open(bundled("example_vc.json")).read())
+    stab = synthesis_result[1].stabilizer
+    data["controller"] = {"type": "stabilizer"} | {
+        name: matrix_to_json(getattr(stab, name)) for name in ("A_s", "B_s", "C_s", "D_s")
+    }
+    path = tmp_path / "vc_stabilizer.json"
+    path.write_text(json.dumps(data))
+    code = run(["verify", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["status"] == "feasible"
+    n_states = 4 + 1 + stab.order  # (x, eta, x_s)
+    assert np.array(cert["P"]).shape == (n_states, n_states)
+
+
+def test_verify_rejects_synthesize_controller(tmp_path, capsys):
+    code = run(["verify", "--scenario", bundled("example_vc.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "certificate.json").exists()
+
+
 def test_simulate_vb_writes_trace(tmp_path):
     code = run(
         [

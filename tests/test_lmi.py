@@ -25,23 +25,48 @@ def test_realization_shapes(plant_stable, geometry_stable):
     assert np.allclose(real.A[4:, :], 0.0)
 
 
+def test_pi_realization_is_its_stabilizer_realization(plant_stable, geometry_stable):
+    # a PI law and its zero-order stabilizer close the same loop, bit for bit,
+    # over example_va's grid; and that loop is the PI loop written out
+    grid = [round(0.2 * k, 1) for k in range(1, 11)]
+    RT = geometry_stable.R.T
+    A, B, C = plant_stable.A, plant_stable.B, plant_stable.C
+    for kp in grid:
+        for ki in grid:
+            gains = oc.PiGains.from_scalars(kp, ki, 1)
+            real = build_realization(plant_stable, geometry_stable, gains)
+            stab = build_realization(
+                plant_stable, geometry_stable, oc.pi_as_stabilizer(gains, 2)
+            )
+            for name in ("A", "B", "C", "D"):
+                assert getattr(real, name).tobytes() == getattr(stab, name).tobytes()
+            written = (
+                np.block([[A, B * ki], [np.zeros((1, 5))]]),
+                np.vstack([kp * B @ RT, RT]),
+                np.block([[C, np.zeros((2, 1))], [np.zeros((1, 4)), ki * np.eye(1)]]),
+                np.vstack([np.zeros((2, 3)), kp * RT]),
+            )
+            for got, want in zip((real.A, real.B, real.C, real.D), written):
+                assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
 def test_multiplier_finite_sector():
-    mult = build_multiplier(KAPPA_A, L_A, 3)
-    assert mult.M.shape == (6, 6)
-    assert np.allclose(mult.M, mult.M.T)
+    M = build_multiplier(KAPPA_A, L_A, 3)
+    assert M.shape == (6, 6)
+    assert np.allclose(M, M.T)
     # sector inequality holds for the linear nonlinearity phi = s v, s in [kappa, L]
     for s in (KAPPA_A, 0.5, L_A):
         v = np.ones(3)
         stacked = np.concatenate([v, s * v])
-        assert stacked @ mult.M @ stacked <= 1e-10
+        assert stacked @ M @ stacked <= 1e-10
 
 
 def test_multiplier_infinite_sector():
-    mult = build_multiplier(KAPPA_A, np.inf, 3)
+    M = build_multiplier(KAPPA_A, np.inf, 3)
     for s in (KAPPA_A, 1.0, 100.0):
         v = np.ones(3)
         stacked = np.concatenate([v, s * v])
-        assert stacked @ mult.M @ stacked <= 1e-10
+        assert stacked @ M @ stacked <= 1e-10
 
 
 def test_multiplier_validation():
@@ -55,9 +80,9 @@ def test_lmi_affinity_and_symmetry(plant_stable, geometry_stable):
     # S(P, alpha) must be symmetric and affine in (P, alpha) to 1e-12
     gains = oc.PiGains.from_scalars(1.0, 1.0, 1)
     real = build_realization(plant_stable, geometry_stable, gains)
-    mult = build_multiplier(KAPPA_A, L_A, real.n_inputs)
-    N1, N2, N3 = assemble_lmi(real, mult)
-    MM = N3.T @ mult.M @ N3
+    M = build_multiplier(KAPPA_A, L_A, real.n_inputs)
+    N1, N2, N3 = assemble_lmi(real)
+    MM = N3.T @ M @ N3
 
     def S(P, alpha):
         return N1.T @ P @ N2 + N2.T @ P @ N1 + alpha * MM
@@ -94,12 +119,12 @@ def test_certificate_eigenvalue_revalidation(plant_stable, geometry_stable):
     cert = oc.verify_stability(plant_stable, geometry_stable, gains, KAPPA_A, L_A)
     assert cert.feasible
     real = build_realization(plant_stable, geometry_stable, gains)
-    mult = build_multiplier(KAPPA_A, L_A, real.n_inputs)
-    N1, N2, N3 = assemble_lmi(real, mult)
+    M = build_multiplier(KAPPA_A, L_A, real.n_inputs)
+    N1, N2, N3 = assemble_lmi(real)
     S = (
         N1.T @ cert.P @ N2
         + N2.T @ cert.P @ N1
-        + cert.alpha * (N3.T @ mult.M @ N3)
+        + cert.alpha * (N3.T @ M @ N3)
     )
     S = 0.5 * (S + S.T)
     assert np.linalg.eigvalsh(S).max() < 0
@@ -129,9 +154,9 @@ def test_grid_search_records(plant_stable, geometry_stable):
 
 def _lmi_data(plant, geometry, kp, ki, kappa=KAPPA_A, lipschitz=L_A):
     real = build_realization(plant, geometry, oc.PiGains.from_scalars(kp, ki, 1))
-    mult = build_multiplier(kappa, lipschitz, real.n_inputs)
-    N1, N2, N3 = assemble_lmi(real, mult)
-    return real, N1, N2, N3.T @ mult.M @ N3
+    M = build_multiplier(kappa, lipschitz, real.n_inputs)
+    N1, N2, N3 = assemble_lmi(real)
+    return real, N1, N2, N3.T @ M @ N3
 
 
 def test_p_terms_vanish_on_frequency_direction(plant_stable, geometry_stable):

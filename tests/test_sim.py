@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import ossctl as oc
-from ossctl.sim import DisturbanceSchedule, SimulationError, _rk4_one_step_maps
+from ossctl.sim import (
+    DisturbanceSchedule,
+    SimulationError,
+    _affine_closed_loop,
+    _rk4_one_step_maps,
+)
 from tests.conftest import D_SEGMENTS
 
 
@@ -70,6 +75,37 @@ def test_affine_and_generic_paths_agree(plant_stable, geometry_stable, quadratic
         for name in ("x", "x_s", "u", "e"):
             gap = np.abs(getattr(fast, name) - getattr(slow, name))
             assert np.max(gap, initial=0.0) < 1e-7
+
+
+@pytest.mark.parametrize("kind", ["pi", "synthesized"])
+def test_affine_map_is_the_generic_derivative(
+    kind, plant_unstable, geometry_unstable, synthesis_result
+):
+    # at random states of s = (x, eta, x_s), the affine path's F s + c0 + E d
+    # and (u, e) = M s + m0 are the plant plus stabilizer_dynamics, which is
+    # what the generic path integrates
+    plant, geometry = plant_unstable, geometry_unstable
+    n, m = plant.n, plant.m
+    rng = np.random.default_rng(32)
+    G = rng.normal(size=(3, 3))
+    obj = oc.quadratic_objective(G @ G.T + np.eye(3), rng.normal(size=3), p=2)
+    if kind == "pi":
+        stab = oc.pi_as_stabilizer(oc.PiGains.from_scalars(2.0, 1.5, m), plant.p)
+    else:
+        stab = synthesis_result[1].stabilizer
+    F, c0, M, m0 = _affine_closed_loop(plant, geometry, obj, stab)
+    assert F.shape == (n + m + stab.order,) * 2
+    for _ in range(20):
+        s = rng.normal(size=F.shape[0])
+        d = rng.normal(size=n)
+        xs_dot, e, u = oc.stabilizer_dynamics(
+            stab, geometry, obj, s[n + m :], s[n : n + m], plant.C @ s[:n]
+        )
+        generic = np.concatenate([plant.A @ s[:n] + plant.B @ u + d, e, xs_dot])
+        affine = F @ s + c0 + np.concatenate([d, np.zeros(m + stab.order)])
+        assert np.linalg.norm(affine - generic) <= 1e-10 * np.linalg.norm(generic)
+        ue = np.concatenate([u, e])
+        assert np.linalg.norm(M @ s + m0 - ue) <= 1e-10 * np.linalg.norm(ue)
 
 
 def test_recorded_input_satisfies_pi_law_cosh(

@@ -9,16 +9,34 @@ from tests.conftest import D_SEGMENTS
 KAPPA_C, L_C = 1.0, 2.0
 
 
-@pytest.fixture(scope="module")
-def synthesis_result(plant_unstable, geometry_unstable):
-    aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
-    return aug, oc.synthesize_stabilizer(aug, geometry_unstable, L_C)
-
-
 def test_loop_transform_parameters(plant_unstable, geometry_unstable):
     aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
     assert aug.center == pytest.approx(1.5)
     assert aug.radius == pytest.approx(0.5)
+
+
+def test_loop_transform_is_the_shifted_open_loop(plant_unstable, geometry_unstable):
+    # on random signals, the transformed plant driven by (w_tilde, u) is the
+    # open loop driven by (w = c z + r w_tilde, u)
+    aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+    ol = synthesis.open_loop(plant_unstable, geometry_unstable)
+    assert (ol.center, ol.radius) == (0.0, 1.0)
+    assert not ol.D11.any() and not ol.D22.any()
+    c, r = aug.center, aug.radius
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        x = rng.normal(size=aug.n_states)
+        wt = rng.normal(size=aug.n_w)
+        u = rng.normal(size=aug.n_u)
+        z = ol.C1 @ x + ol.D12 @ u
+        w = c * z + r * wt
+        pairs = (
+            (aug.A @ x + aug.B1 @ wt + aug.B2 @ u, ol.A @ x + ol.B1 @ w + ol.B2 @ u),
+            (aug.C1 @ x + aug.D11 @ wt + aug.D12 @ u, z),
+            (aug.C2 @ x + aug.D21 @ wt + aug.D22 @ u, ol.C2 @ x + ol.D21 @ w),
+        )
+        for shifted, direct in pairs:
+            assert np.linalg.norm(shifted - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_loop_transform_rejects_infinite_sector(plant_unstable, geometry_unstable):
