@@ -222,7 +222,10 @@ def _bounded_real_feasible(aug: AugmentedPlant, gamma: float, max_sweeps: int):
 
 
 def _reconstruct(aug: AugmentedPlant, X, Y, Ah, Bh, Ch, Dh) -> DynamicStabilizer:
-    """Invert the synthesis change of variables (factor I - XY = M N')."""
+    """Invert the synthesis change of variables (factor I - XY = M N').
+
+    The result K0 is the controller the LMI designed: it is fed
+    sigma0 = sigma - D22 u, the measurement without its feedthrough."""
     ng = aug.n_states
     U, s, Vt = np.linalg.svd(np.eye(ng) - X @ Y)
     if s.min() < 1e-12 * s.max():
@@ -238,26 +241,37 @@ def _reconstruct(aug: AugmentedPlant, X, Y, Ah, Bh, Ch, Dh) -> DynamicStabilizer
         Ah - X @ (aug.A + aug.B2 @ Dk @ aug.C2) @ Y - M @ Bk @ aug.C2 @ Y
         - X @ aug.B2 @ Ck @ N.T
     ) @ NTi
-    # absorb the measurement feedthrough D22 (sigma depends on u through e)
-    nu = aug.n_u
-    well = np.eye(nu) - Dk @ aug.D22
+    return DynamicStabilizer(A_s=Ak, B_s=Bk, C_s=Ck, D_s=Dk, p=aug.p, m=aug.m)
+
+
+def _close_feedthrough(stab: DynamicStabilizer, D: np.ndarray) -> DynamicStabilizer:
+    """stab fed sigma + D u, written as a controller fed sigma.
+
+    With T = (I - D_s D)^-1 the input is u = T (C_s x_s + D_s sigma), so the
+    controller is (A_s + B_s D C2, B_s (I + D D2), C2, D2) with C2 = T C_s
+    and D2 = T D_s.  Passing -D undoes a feedthrough D."""
+    well = np.eye(stab.m) - stab.D_s @ D
     if np.linalg.cond(well) > 1e12:
         raise SynthesisError("controller/measurement feedthrough loop ill-posed")
     T = np.linalg.inv(well)
-    Dk2 = T @ Dk
-    Ck2 = T @ Ck
-    Ak2 = Ak + Bk @ aug.D22 @ Ck2
-    Bk2 = Bk @ (np.eye(aug.n_meas) + aug.D22 @ Dk2)
+    C2 = T @ stab.C_s
+    D2 = T @ stab.D_s
     return DynamicStabilizer(
-        A_s=Ak2, B_s=Bk2, C_s=Ck2, D_s=Dk2, p=aug.p, m=aug.m
+        A_s=stab.A_s + stab.B_s @ D @ C2,
+        B_s=stab.B_s @ (np.eye(D.shape[0]) + D @ D2),
+        C_s=C2,
+        D_s=D2,
+        p=stab.p,
+        m=stab.m,
     )
 
 
 def closed_loop_system(aug: AugmentedPlant, stab: DynamicStabilizer):
     """(A, B, C, D) of the w -> z channel of aug with the stabilizer in
-    feedback on sigma, on the state (aug's state, x_s).  aug.D22 is not
-    read: it is zero on open_loop, and for a loop_transform plant the
-    reconstructed stabilizer is taken to have absorbed it."""
+    feedback on sigma = C2 x + D21 w + D22 u, on the state (aug's state,
+    x_s).  D22 is zero on open_loop; on a loop_transform plant it is the
+    sector shift's path from u through e."""
+    stab = _close_feedthrough(stab, aug.D22)
     Acl = np.block(
         [
             [aug.A + aug.B2 @ stab.D_s @ aug.C2, aug.B2 @ stab.C_s],
@@ -299,7 +313,9 @@ def synthesize_stabilizer(
             f"bounded-real LMI {result.status} at gamma = {_GAMMA:g} "
             f"({result.sweeps} sweeps)"
         )
-    stab = _reconstruct(aug, X, Y, Ah, Bh, Ch, Dh)
+    # the LMI designed K0 for sigma - D22 u; the stabilizer that runs is fed
+    # sigma, and closing it on aug (which reads D22) gives the loop it runs
+    stab = _close_feedthrough(_reconstruct(aug, X, Y, Ah, Bh, Ch, Dh), -aug.D22)
     Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, stab)
     if not is_hurwitz(Acl):
         raise SynthesisError("reconstructed closed loop is not Hurwitz")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,16 +174,110 @@ def test_switch_row_belongs_to_new_segment(plant_stable, geometry_stable, quadra
     assert metrics[1]["settling_time"] is not None
 
 
+def _stepwise(plant, geometry, obj, stab, schedule, t_final, dt, s0):
+    """(t, states, (u, e)) of the affine loop stepped one RK4 map at a time."""
+    F, c0, M, m0 = _affine_closed_loop(plant, geometry, obj, stab)
+    t, rows, s = [0.0], [s0], s0
+    for t0, t1, d in schedule.segments(t_final):
+        k = max(1, int(round((t1 - t0) / dt)))
+        h = (t1 - t0) / k
+        Phi, G = _rk4_one_step_maps(F, h)
+        psi = G @ (c0 + np.concatenate([d, np.zeros(F.shape[0] - d.size)]))
+        t.extend(t0 + h * np.arange(1, k + 1))
+        for _ in range(k):
+            s = Phi @ s + psi
+            rows.append(s)
+    rows = np.array(rows)
+    return np.array(t), rows, rows @ M.T + m0
+
+
+@pytest.mark.parametrize("kind", ["pi", "synthesized"])
+def test_block_map_matches_stepwise_map(
+    kind, plant_stable, geometry_stable, plant_unstable, geometry_unstable,
+    quadratic_obj, synthesis_result,
+):
+    # segments of 1, 255, 256, 257 and 1,000 steps: shorter than a block,
+    # one block less and more a step, and several blocks
+    if kind == "pi":
+        plant, geometry = plant_stable, geometry_stable
+        stab = oc.pi_as_stabilizer(oc.PiGains.from_scalars(2.0, 2.0, 1), plant.p)
+    else:
+        plant, geometry = plant_unstable, geometry_unstable
+        stab = synthesis_result[1].stabilizer
+    dt = 1e-2
+    times = dt * np.cumsum([0, 1, 255, 256, 257])
+    sched = DisturbanceSchedule(
+        times=times, values=np.vstack([D_SEGMENTS, -D_SEGMENTS[:2]])
+    )
+    t_final = times[-1] + 1000 * dt
+    rng = np.random.default_rng(33)
+    x0, eta0, xs0 = (rng.normal(size=k) for k in (plant.n, plant.m, stab.order))
+    trace = oc.simulate(
+        plant, geometry, quadratic_obj, stab, sched, t_final, dt=dt,
+        x0=x0, eta0=eta0, xs0=xs0, compute_references=False,
+    )
+    t, rows, ue = _stepwise(
+        plant, geometry, quadratic_obj, stab, sched, t_final, dt,
+        np.concatenate([x0, eta0, xs0]),
+    )
+    assert t.size == 1 + 1 + 255 + 256 + 257 + 1000
+    assert np.array_equal(trace.t, t)
+    n, m = plant.n, plant.m
+    pairs = (
+        (trace.x, rows[:, :n]),
+        (trace.eta, rows[:, n : n + m]),
+        (trace.x_s, rows[:, n + m :]),
+        (trace.y, rows[:, :n] @ plant.C.T),
+        (trace.u, ue[:, :m]),
+        (trace.e, ue[:, m:]),
+    )
+    for got, want in pairs:
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want), axis=0, initial=0.0)
+        assert np.all(np.abs(got - want) <= 1e-11 * scale)
+
+
+@pytest.mark.filterwarnings("error")
 def test_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
-    # zero-gain-like controller cannot stabilize the unstable plant
+    # zero-gain-like controller cannot stabilize the unstable plant; the
+    # reported time is the first step whose state norm crosses the threshold
     gains = oc.PiGains(K_P=np.zeros((1, 1)), K_I=1e-9 * np.eye(1))
-    sched = DisturbanceSchedule.constant(D_SEGMENTS[0])
-    with pytest.raises(oc.DivergenceError):
+    d = D_SEGMENTS[0]
+    stab = oc.pi_as_stabilizer(gains, plant_unstable.p)
+    F, c0, _, _ = _affine_closed_loop(
+        plant_unstable, geometry_unstable, quadratic_obj, stab
+    )
+    Phi, G = _rk4_one_step_maps(F, 1e-3)
+    psi = G @ (c0 + np.concatenate([d, np.zeros(1)]))
+    s, step = np.zeros(F.shape[0]), 0
+    while np.linalg.norm(s) <= 1e6:
+        s = Phi @ s + psi
+        step += 1
+    sched = DisturbanceSchedule.constant(d)
+    with pytest.raises(oc.DivergenceError, match=rf"at t = {step * 1e-3:.6g}$"):
         oc.simulate(
             plant_unstable, geometry_unstable, quadratic_obj, gains, sched,
             60.0, dt=1e-3, compute_references=False,
             divergence_threshold=1e6,
         )
+
+
+def test_overflowing_block_keeps_a_resting_state(
+    plant_unstable, geometry_unstable, quadratic_obj
+):
+    # at dt = 10 the powers of the unstable loop's map overflow within one
+    # block, while the loop at rest with d = 0 and q = 0 stays at 0: the
+    # flagged block is replayed step by step and no divergence is reported
+    gains = oc.PiGains(K_P=np.zeros((1, 1)), K_I=1e-9 * np.eye(1))
+    sched = DisturbanceSchedule.constant(np.zeros(plant_unstable.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = oc.simulate(
+            plant_unstable, geometry_unstable, quadratic_obj, gains, sched,
+            3000.0, dt=10.0, compute_references=False,
+        )
+    assert trace.t.size == 301
+    assert not trace.x.any() and not trace.eta.any()
 
 
 def test_csv_roundtrip(tmp_path, plant_stable, geometry_stable, quadratic_obj):

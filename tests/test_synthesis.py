@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,35 @@ def test_synthesized_closed_loop_is_hurwitz(synthesis_result):
     aug, result = synthesis_result
     Acl, _, _, _ = closed_loop_system(aug, result.stabilizer)
     assert np.linalg.eigvals(Acl).real.max() < 0
+
+
+def test_running_loop_is_the_designed_loop(
+    plant_unstable, geometry_unstable, monkeypatch
+):
+    # the LMI designs K0 for sigma - D22 u.  The loop simulate runs is
+    # open_loop closed by the synthesized stabilizer, then shifted by
+    # w = c z + r w_tilde; it must be the designed loop closed by K0
+    designed = []
+    reconstruct = synthesis._reconstruct
+
+    def recorded(*args):
+        designed.append(reconstruct(*args))
+        return designed[-1]
+
+    monkeypatch.setattr(synthesis, "_reconstruct", recorded)
+    aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+    stab = oc.synthesize_stabilizer(aug, geometry_unstable, L_C).stabilizer
+    A, B, C, D = closed_loop_system(
+        synthesis.open_loop(plant_unstable, geometry_unstable), stab
+    )
+    c, r = aug.center, aug.radius
+    L = np.linalg.inv(np.eye(D.shape[0]) - c * D)
+    running = (A + c * B @ L @ C, r * B @ L, L @ C, r * L @ D)
+    design = closed_loop_system(
+        replace(aug, D22=np.zeros_like(aug.D22)), designed[0]
+    )
+    for got, want in zip(running, design):
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_certified_gamma_bounds_empirical_gain(synthesis_result):
