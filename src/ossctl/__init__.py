@@ -61,7 +61,6 @@ from .synthesis import (
     SynthesisError,
     SynthesisResult,
     loop_transform,
-    stabilizer_to_dict,
     synthesize_stabilizer,
 )
 

@@ -8,19 +8,16 @@ import numpy as np
 _SQRT2 = np.sqrt(2.0)
 
 
-def numerical_rank(M: np.ndarray, rtol: float | None = None) -> int:
+def numerical_rank(M: np.ndarray) -> int:
     """Rank of M by SVD.
 
     A singular value counts toward the rank iff it exceeds
-    max(M.shape) * eps * sigma_max (the standard convention), unless an
-    explicit relative tolerance is given.
+    max(M.shape) * eps * sigma_max (the standard convention).
     """
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0:
         return 0
-    if rtol is None:
-        rtol = max(M.shape) * np.finfo(float).eps
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > max(M.shape) * np.finfo(float).eps * s[0]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,13 +51,14 @@ def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def is_hurwitz(A: np.ndarray, margin: float = 0.0) -> bool:
-    return bool(np.linalg.eigvals(A).real.max() < -margin)
+def is_hurwitz(A: np.ndarray) -> bool:
+    return bool(np.linalg.eigvals(A).real.max() < 0.0)
 
 
-def hinf_norm(A, B, C, D, tol: float = 1e-6) -> float:
+def hinf_norm(A, B, C, D) -> float:
     """H-infinity norm of a state-space system by bisection on the associated
-    Hamiltonian matrix.  Returns inf if A is not Hurwitz."""
+    Hamiltonian matrix, to a relative width of 1e-6.  Returns inf if A is not
+    Hurwitz."""
     A = np.atleast_2d(A)
     if A.size and np.linalg.eigvals(A).real.max() >= 0:
         return np.inf
@@ -87,7 +85,7 @@ def hinf_norm(A, B, C, D, tol: float = 1e-6) -> float:
         hi *= 2
         if hi > 1e12:
             return np.inf
-    while hi - lo > tol * hi:
+    while hi - lo > 1e-6 * hi:
         mid = 0.5 * (hi + lo)
         if has_imaginary_eig(mid):
             lo = mid

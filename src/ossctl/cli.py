@@ -36,7 +36,7 @@ from .oracle import solve_steady_state
 from .plant import check_detectable, check_full_row_rank_AB, check_stabilizable
 from .scenario import Scenario, load_scenario
 from .sim import convergence_metrics, simulate
-from .synthesis import loop_transform, stabilizer_to_dict, synthesize_stabilizer
+from .synthesis import loop_transform, synthesize_stabilizer
 
 # the stderr prefix of an error, by its exit code
 _LABELS = {
@@ -170,15 +170,28 @@ def cmd_tune(scn: Scenario, out_dir: str, dt: float) -> int:
     return EXIT_OK if n_cert > 0 else EXIT_CERTIFICATION
 
 
-def cmd_synth(scn: Scenario, out_dir: str, dt: float) -> int:
-    geometry = build_kkt_geometry(scn.plant)
+def _synthesize(scn: Scenario, geometry):
+    """The stabilizer synthesized for the scenario's loop-shifted plant."""
     aug = loop_transform(
         scn.plant, geometry, scn.objective.kappa, scn.objective.lipschitz
     )
-    result = synthesize_stabilizer(aug, geometry, scn.objective.lipschitz)
-    payload = stabilizer_to_dict(result.stabilizer, gamma=result.gamma)
-    payload["hinf_achieved"] = result.hinf_achieved
-    payload["loop_margin"] = result.loop_margin
+    return synthesize_stabilizer(aug, geometry, scn.objective.lipschitz)
+
+
+def cmd_synth(scn: Scenario, out_dir: str, dt: float) -> int:
+    result = _synthesize(scn, build_kkt_geometry(scn.plant))
+    stab = result.stabilizer
+    payload = {
+        "A_s": stab.A_s.tolist(),
+        "B_s": stab.B_s.tolist(),
+        "C_s": stab.C_s.tolist(),
+        "D_s": stab.D_s.tolist(),
+        "p": stab.p,
+        "m": stab.m,
+        "gamma": result.gamma,
+        "hinf_achieved": result.hinf_achieved,
+        "loop_margin": result.loop_margin,
+    }
     path = _write_json(out_dir, "stabilizer.json", payload)
     print(f"gamma={result.gamma:.4g} (H-inf {result.hinf_achieved:.4g}) -> {path}")
     return EXIT_OK
@@ -188,12 +201,7 @@ def cmd_simulate(scn: Scenario, out_dir: str, dt: float) -> int:
     geometry = build_kkt_geometry(scn.plant)
     controller = scn.controller
     if controller == "synthesize":
-        aug = loop_transform(
-            scn.plant, geometry, scn.objective.kappa, scn.objective.lipschitz
-        )
-        controller = synthesize_stabilizer(
-            aug, geometry, scn.objective.lipschitz
-        ).stabilizer
+        controller = _synthesize(scn, geometry).stabilizer
     trace = simulate(
         scn.plant,
         geometry,

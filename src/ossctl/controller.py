@@ -1,11 +1,14 @@
 """Feedback law implementations: the gradient-projection error signal, the
-PI controller, and the general dynamic-stabilizer form.
+PI controller, the general dynamic-stabilizer form, and the evaluation of
+the closed loop at one state.
 
-A direct term from e to u (the proportional gain, or the e-columns of D_s)
-makes the input implicit; it is solved by damped Newton whatever the cost.
-A quadratic cost makes the whole loop affine: sim._affine_closed_loop then
-closes the gradient's affine map around the linear closed loop of
-synthesis.closed_loop_system, and no Newton solve runs."""
+Every loop is synthesis.closed_loop_system(open_loop(plant, geometry), stab):
+s' = A s + B w + E d on s = (x, eta, x_s), with w = grad_g(z) and
+z = (y, u) = C s + D w.  A direct term from e to u (the proportional gain,
+or the e-columns of D_s) makes the input implicit; stabilizer_dynamics
+solves it by damped Newton whatever the cost.  A quadratic cost makes the
+whole loop affine: sim._affine_closed_loop then closes the gradient's affine
+map on the same loop, and no Newton solve runs."""
 
 from dataclasses import dataclass
 
@@ -15,7 +18,7 @@ from .errors import AlgebraicLoopError
 from .kkt import KktGeometry
 from .objective import SteadyStateObjective
 
-# Newton on the implicit input equation u = offset + D_e e(y, u)
+# Newton on the implicit input equation u = offset + D_u grad_g(y, u)
 MAX_ITER = 100
 TOL = 1e-10
 
@@ -86,17 +89,9 @@ class DynamicStabilizer:
     def order(self) -> int:
         return self.A_s.shape[0]
 
-    # sigma blocks, in the fixed (y, eta, e) ordering
-    @property
-    def D_s_y(self) -> np.ndarray:
-        return self.D_s[:, : self.p]
-
-    @property
-    def D_s_eta(self) -> np.ndarray:
-        return self.D_s[:, self.p : self.p + self.m]
-
     @property
     def D_s_e(self) -> np.ndarray:
+        """The e-columns of D_s: the direct term from e to u."""
         return self.D_s[:, self.p + self.m :]
 
 
@@ -112,33 +107,32 @@ def error_signal(
 
 
 def _solve_implicit_input(
-    feedthrough: np.ndarray,
+    D_u: np.ndarray,
     offset: np.ndarray,
-    geometry: KktGeometry,
     objective: SteadyStateObjective,
     y: np.ndarray,
     u0: np.ndarray,
-) -> np.ndarray:
-    """Solve u = offset + feedthrough * e(y, u) for u.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, grad_g(y, u)) with u solving u = offset + D_u grad_g(y, u).
 
-    e depends on u through grad_g, so this is an implicit equation whenever
-    the feedthrough is nonzero.  It is solved by damped Newton from u0, with
-    the exact Jacobian I + feedthrough R' hess_g[:, p:] and a backtracking
-    line search on the residual norm.
+    grad_g depends on u, so this is an implicit equation whenever D_u is
+    nonzero.  It is solved by damped Newton from u0, with the exact
+    Jacobian I - D_u hess_g[:, p:] and a backtracking line search on the
+    residual norm.
     """
-    DR = feedthrough @ geometry.R.T
     p = objective.p
 
     def residual(u):
-        return u - offset + DR @ objective.gradient(y, u)
+        w = objective.gradient(y, u)
+        return u - offset - D_u @ w, w
 
     u = u0.copy()
-    F = residual(u)
+    F, w = residual(u)
     for _ in range(MAX_ITER):
         nF = np.linalg.norm(F)
         if nF <= TOL * (1.0 + np.linalg.norm(u)):
-            return u
-        J = np.eye(u.size) + DR @ objective.hessian(y, u)[:, p:]
+            return u, w
+        J = np.eye(u.size) - D_u @ objective.hessian(y, u)[:, p:]
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -146,7 +140,7 @@ def _solve_implicit_input(
         t = 1.0
         for _ in range(40):
             u_new = u + t * step
-            F_new = residual(u_new)
+            F_new, w_new = residual(u_new)
             if np.linalg.norm(F_new) < nF:
                 break
             t *= 0.5
@@ -154,7 +148,7 @@ def _solve_implicit_input(
             raise AlgebraicLoopError(
                 "algebraic loop not well-posed at this state (Newton stagnated)"
             )
-        u, F = u_new, F_new
+        u, F, w = u_new, F_new, w_new
     raise AlgebraicLoopError(
         "algebraic loop not well-posed at this state (iteration limit)"
     )
@@ -172,7 +166,8 @@ def resolve_input(
     eta = np.asarray(eta, dtype=float)
     offset = gains.K_I @ eta
     u0 = offset.copy() if u_prev is None else np.asarray(u_prev, dtype=float)
-    return _solve_implicit_input(gains.K_P, offset, geometry, objective, y, u0)
+    D_u = -gains.K_P @ geometry.R.T
+    return _solve_implicit_input(D_u, offset, objective, y, u0)[0]
 
 
 def pi_dynamics(
@@ -190,29 +185,26 @@ def pi_dynamics(
 
 
 def stabilizer_dynamics(
-    stab: DynamicStabilizer,
-    geometry: KktGeometry,
+    loop: tuple,
     objective: SteadyStateObjective,
-    x_s: np.ndarray,
-    eta: np.ndarray,
-    y: np.ndarray,
+    s: np.ndarray,
+    drift: np.ndarray,
     u_prev: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x_s_dot, eta_dot, u) for the stabilizer driven by sigma = (y, eta, e).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s_dot, u) of the closed loop s' = A s + B w + drift at the state s.
 
-    The e-column of D_s closes the same algebraic loop as the proportional
-    term of the PI law; it is resolved identically.
+    loop = (A, B, C, D) is closed_loop_system(open_loop(plant, geometry),
+    stab), and drift = E d the disturbance on the x rows.  Only the u rows
+    of D are nonzero on open_loop, so y = C_y s and u solves
+    u = C_u s + D_u grad_g(y, u), from u_prev when given.  The eta rows of
+    s_dot are e = -R' grad_g(y, u).
     """
-    x_s = np.asarray(x_s, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    offset = stab.C_s @ x_s + stab.D_s_y @ y + stab.D_s_eta @ eta
-    u0 = offset.copy() if u_prev is None else np.asarray(u_prev, dtype=float)
-    u = _solve_implicit_input(
-        stab.D_s_e, offset, geometry, objective, np.asarray(y, dtype=float), u0
-    )
-    e = error_signal(geometry, objective, y, u)
-    x_s_dot = stab.A_s @ x_s + stab.B_s @ np.concatenate([y, eta, e])
-    return x_s_dot, e, u
+    A, B, C, D = loop
+    p = objective.p
+    z = C @ s
+    u0 = z[p:] if u_prev is None else np.asarray(u_prev, dtype=float)
+    u, w = _solve_implicit_input(D[p:], z[p:], objective, z[:p], u0)
+    return A @ s + B @ w + drift, u
 
 
 def pi_as_stabilizer(gains: PiGains, p: int) -> DynamicStabilizer:

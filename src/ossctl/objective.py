@@ -113,15 +113,11 @@ def cosh_example_objective() -> SteadyStateObjective:
     )
 
 
-def check_gradient_fd(
-    obj: SteadyStateObjective,
-    points: np.ndarray,
-    h: float = 1e-5,
-) -> float:
+def check_gradient_fd(obj: SteadyStateObjective, points: np.ndarray) -> float:
     """Max relative error between the declared gradient and central finite
-    differences over the given sample points (rows are stacked (y, u))."""
-    if h <= 0:
-        raise ObjectiveError("step h must be positive")
+    differences of step h = 1e-5 over the given sample points (rows are
+    stacked (y, u))."""
+    h = 1e-5
     points = np.atleast_2d(np.asarray(points, dtype=float))
     worst = 0.0
     d = obj.p + obj.m

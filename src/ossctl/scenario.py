@@ -36,15 +36,24 @@ def _floats(value, name: str, max_ndim: int = 0, inf_ok: bool = False):
     return float(x) if max_ndim == 0 else x
 
 
+def _count(value, name: str, least: int) -> int:
+    """value as an int when it is a whole JSON number >= least; anything
+    else is a ScenarioError naming the field."""
+    x = _floats(value, name)
+    if x != int(x) or x < least:
+        raise ScenarioError(f"{name}: expected a whole number >= {least}")
+    return int(x)
+
+
 def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"{name}: expected rows/cols/data object") from exc
-    rows = int(_floats(rows, f"{name}.rows"))
-    cols = int(_floats(cols, f"{name}.cols"))
+    rows = _count(rows, f"{name}.rows", 0)
+    cols = _count(cols, f"{name}.cols", 0)
     data = _floats(data, f"{name}.data", 1)
-    if min(rows, cols) < 0 or data.size != rows * cols:
+    if data.size != rows * cols:
         raise ScenarioError(
             f"{name}: data has {data.size} entries, expected {rows} x {cols}"
         )
@@ -184,7 +193,7 @@ def _scenario_from_dict(data: dict) -> Scenario:
     verification = VerificationSettings(
         kp_grid=kp_grid,
         ki_grid=ki_grid,
-        max_sweeps=int(_floats(ver.get("max_sweeps", 4000), "verification.max_sweeps")),
+        max_sweeps=_count(ver.get("max_sweeps", 4000), "verification.max_sweeps", 1),
     )
     return Scenario(
         name=str(data.get("name", "scenario")),

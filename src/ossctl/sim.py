@@ -1,7 +1,10 @@
 """Closed-loop time simulation under piecewise-constant disturbances.
 
-Fixed-step classical Runge-Kutta; the implicit input equation is re-solved
-at every stage.  For quadratic costs the loop is affine, and the RK4 step
+Fixed-step classical Runge-Kutta on one loop, built once per call: the
+open loop closed by the controller (synthesis.closed_loop_system), with the
+state s = (x, eta, x_s).  In general each stage evaluates that loop with
+controller.stabilizer_dynamics, which re-solves the implicit input equation.
+For quadratic costs the loop is affine, and the RK4 step
 reduces to one affine map s+ = Phi s + psi.  Each segment then advances in
 blocks of J = _BLOCK steps: the stacked powers Phi^1..Phi^J and their offsets
 give a whole block of rows from its first state in one matrix product, with
@@ -114,15 +117,15 @@ class Trace:
         )
 
 
-def _affine_closed_loop(plant, geometry, objective, stab):
+def _affine_closed_loop(loop, geometry, objective):
     """(F, c0, M, m0) of the affine closed loop s' = F s + c0 + E d on
     s = (x, eta, x_s), valid when the cost is quadratic.  E injects d into
-    the x block, and the outputs are (u, e) = M s + m0.  The open loop closed
-    by the stabilizer (synthesis.closed_loop_system) is closed once more by
-    the gradient w = H z + q, with H and q the cost's Hessian and gradient
-    at 0; that algebraic loop is solvable iff I - H D is invertible."""
-    p, m = plant.p, plant.m
-    A, B, C, D = closed_loop_system(open_loop(plant, geometry), stab)
+    the x block, and the outputs are (u, e) = M s + m0.  The loop (A, B, C,
+    D) of synthesis.closed_loop_system is closed once more by the gradient
+    w = H z + q, with H and q the cost's Hessian and gradient at 0; that
+    algebraic loop is solvable iff I - H D is invertible."""
+    A, B, C, D = loop
+    p, m = objective.p, objective.m
     H = objective.hessian(np.zeros(p), np.zeros(m))
     q = objective.gradient(np.zeros(p), np.zeros(m))
     try:
@@ -255,45 +258,40 @@ def simulate(
             f"cannot build a time grid of {t_final / dt:.4g} steps: {exc}"
         ) from exc
 
+    loop = closed_loop_system(open_loop(plant, geometry), controller)
     affine = objective.is_quadratic
     if affine:
-        F, c0, M, m0 = _affine_closed_loop(plant, geometry, objective, controller)
+        F, c0, M, m0 = _affine_closed_loop(loop, geometry, objective)
     else:
         u_rec = np.empty((t_arr.size, m))
         e_rec = np.empty((t_arr.size, m))
 
-    def derivative(s_, d_, u_guess):
-        x_ = s_[:n]
+    def derivative(s_, drift, u_guess):
         try:
-            xs_dot, e_, u_ = stabilizer_dynamics(
-                controller, geometry, objective,
-                s_[n + m :], s_[n : n + m], plant.C @ x_, u_guess,
-            )
+            return stabilizer_dynamics(loop, objective, s_, drift, u_guess)
         except OverflowError as exc:
             raise DivergenceError("the cost overflows along the trajectory") from exc
-        x_dot = plant.A @ x_ + plant.B @ u_ + d_
-        return np.concatenate([x_dot, e_, xs_dot]), u_, e_
 
     hist[0] = s
     row = 0
     u = None
     for (_, _, d), (n_steps, h) in zip(segs, steps):
-        d = check_disturbance(plant, d)
+        drift = np.concatenate([check_disturbance(plant, d), np.zeros(m + ns)])
         if affine:
             Phi, G = _rk4_one_step_maps(F, h)
-            psi = G @ (c0 + np.concatenate([d, np.zeros(ns + m)]))
             row = _advance_affine(
-                hist, row, n_steps, Phi, psi, t_arr, divergence_threshold
+                hist, row, n_steps, Phi, G @ (c0 + drift), t_arr,
+                divergence_threshold,
             )
             continue
         for _ in range(n_steps):
-            # the first stage is evaluated at the stored state, so its
-            # (u, e) is that row's
-            k1, u, e_rec[row] = derivative(s, d, u)
-            u_rec[row] = u
-            k2, u, _ = derivative(s + 0.5 * h * k1, d, u)
-            k3, u, _ = derivative(s + 0.5 * h * k2, d, u)
-            k4, u, _ = derivative(s + h * k3, d, u)
+            # the first stage is evaluated at the stored state, so its u and
+            # e (the eta rows of the derivative) are that row's
+            k1, u = derivative(s, drift, u)
+            u_rec[row], e_rec[row] = u, k1[n : n + m]
+            k2, u = derivative(s + 0.5 * h * k1, drift, u)
+            k3, u = derivative(s + 0.5 * h * k2, drift, u)
+            k4, u = derivative(s + h * k3, drift, u)
             s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             row += 1
             # also catches inf and nan
@@ -305,7 +303,8 @@ def simulate(
         ue = hist @ M.T + m0
         u_rec, e_rec = ue[:, :m], ue[:, m:]
     else:
-        _, u_rec[-1], e_rec[-1] = derivative(s, d, u)
+        k1, u_rec[-1] = derivative(s, drift, u)
+        e_rec[-1] = k1[n : n + m]
 
     x_arr = hist[:, :n]
     if compute_references:

@@ -332,16 +332,3 @@ def synthesize_stabilizer(
         loop_margin=_loop_margin(stab, geometry, lipschitz),
     )
 
-
-def stabilizer_to_dict(stab: DynamicStabilizer, gamma: float | None = None) -> dict:
-    out = {
-        "A_s": stab.A_s.tolist(),
-        "B_s": stab.B_s.tolist(),
-        "C_s": stab.C_s.tolist(),
-        "D_s": stab.D_s.tolist(),
-        "p": stab.p,
-        "m": stab.m,
-    }
-    if gamma is not None:
-        out["gamma"] = gamma
-    return out

@@ -199,10 +199,12 @@ def test_criterion_7_equilibrium_correspondence():
         plant, geometry, obj = random_quadratic_instance(rng)
         gains = oc.PiGains.from_scalars(0.5, 0.5, plant.m)
         from ossctl.sim import _affine_closed_loop
+        from ossctl.synthesis import closed_loop_system, open_loop
 
-        F = _affine_closed_loop(
-            plant, geometry, obj, oc.pi_as_stabilizer(gains, plant.p)
-        )[0]
+        loop = closed_loop_system(
+            open_loop(plant, geometry), oc.pi_as_stabilizer(gains, plant.p)
+        )
+        F = _affine_closed_loop(loop, geometry, obj)[0]
         decay = -np.linalg.eigvals(F).real.max()
         if decay < 0.05:  # resample: only convergent loops reach equilibrium
             continue

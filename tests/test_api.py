@@ -60,7 +60,6 @@ PUBLIC_NAMES = [
     "solve_quadratic_closed_form",
     "solve_steady_state",
     "stabilizer_dynamics",
-    "stabilizer_to_dict",
     "synthesize_stabilizer",
     "verify_stability",
 ]

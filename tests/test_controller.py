@@ -3,6 +3,7 @@ import pytest
 
 import ossctl as oc
 from ossctl.controller import ControllerState, pi_as_stabilizer
+from ossctl.synthesis import closed_loop_system, open_loop
 
 
 def test_gain_validation():
@@ -78,10 +79,11 @@ def test_pi_dynamics_integrator(geometry_stable, quadratic_obj):
     assert np.allclose(eta_dot, e)
 
 
-def test_pi_as_stabilizer_matches_pi(geometry_stable, quadratic_obj):
+def test_pi_as_stabilizer_matches_pi(plant_stable, geometry_stable, quadratic_obj):
     gains = oc.PiGains.from_scalars(10.0, 5.0, 1)
     stab = pi_as_stabilizer(gains, p=2)
     assert stab.order == 0
+    loop = closed_loop_system(open_loop(plant_stable, geometry_stable), stab)
     rng = np.random.default_rng(10)
     for _ in range(5):
         eta = rng.normal(size=1)
@@ -89,9 +91,12 @@ def test_pi_as_stabilizer_matches_pi(geometry_stable, quadratic_obj):
         e_pi, u_pi = oc.pi_dynamics(
             gains, geometry_stable, quadratic_obj, ControllerState(eta), y
         )
-        _, e_st, u_st = oc.stabilizer_dynamics(
-            stab, geometry_stable, quadratic_obj, np.zeros(0), eta, y
+        # a plant state with output y; the loop's state is (x, eta)
+        x = np.linalg.lstsq(plant_stable.C, y, rcond=None)[0]
+        s_dot, u_st = oc.stabilizer_dynamics(
+            loop, quadratic_obj, np.concatenate([x, eta]), np.zeros(x.size + 1)
         )
+        e_st = s_dot[x.size :]
         assert np.allclose(u_pi, u_st, atol=1e-10)
         assert np.allclose(e_pi, e_st, atol=1e-10)
 

@@ -75,3 +75,23 @@ def test_unknown_objective_rejected():
     data["objective"] = {"name": "mystery"}
     with pytest.raises(ScenarioError):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rows", 2.5), ("cols", 0.5), ("rows", -1)],
+)
+def test_matrix_dimensions_must_be_whole(field, value):
+    obj = {"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0]}
+    obj[field] = value
+    with pytest.raises(ScenarioError, match=rf"matrix\.{field}: expected a whole"):
+        matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("value", [-5, 0, 0.5, 1.5])
+def test_max_sweeps_must_be_a_positive_whole_number(value):
+    with open(bundled("example_va.json")) as fh:
+        data = json.load(fh)
+    data.setdefault("verification", {})["max_sweeps"] = value
+    with pytest.raises(ScenarioError, match=r"verification\.max_sweeps"):
+        scenario_from_dict(data)

@@ -1,4 +1,8 @@
-from tests.conftest import load_script
+import os
+import subprocess
+import sys
+
+from tests.conftest import SCRIPTS, load_script
 
 
 def test_run_examples_full_va_grid_reports_uncertified_pairs(tmp_path, capsys):
@@ -25,3 +29,18 @@ def test_random_validation_main(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["random_validation.py", "--trials", "3"])
     random_validation.main()
     assert "worst drift" in capsys.readouterr().out
+
+
+def test_traced_benchmark_names_exist():
+    # the traced benchmark replaces ossctl functions under the names their
+    # callers look up; installing it fails if one of those names is gone
+    root = SCRIPTS.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "perfbench"), str(root / "src")]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import tracing; tracing.install(tracing.Recorder())"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

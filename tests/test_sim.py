@@ -10,7 +10,28 @@ from ossctl.sim import (
     _affine_closed_loop,
     _rk4_one_step_maps,
 )
+from ossctl.synthesis import closed_loop_system, open_loop
 from tests.conftest import D_SEGMENTS
+
+
+def _loop(plant, geometry, stab):
+    return closed_loop_system(open_loop(plant, geometry), stab)
+
+
+def _written_out(plant, geometry, obj, stab, s, d, u):
+    """The loop written out at the state s = (x, eta, x_s) and the input u:
+    (s', e, the law's u) from x' = Ax + Bu + d, eta' = e and
+    x_s' = A_s x_s + B_s sigma, with u = C_s x_s + D_s sigma,
+    sigma = (y, eta, e) and e = -R' grad_g(y, u)."""
+    n, m = plant.n, plant.m
+    x, eta, x_s = s[:n], s[n : n + m], s[n + m :]
+    y = plant.C @ x
+    e = -geometry.R.T @ obj.gradient(y, u)
+    sigma = np.concatenate([y, eta, e])
+    s_dot = np.concatenate(
+        [plant.A @ x + plant.B @ u + d, e, stab.A_s @ x_s + stab.B_s @ sigma]
+    )
+    return s_dot, e, stab.C_s @ x_s + stab.D_s @ sigma
 
 
 def test_schedule_validation():
@@ -84,8 +105,8 @@ def test_affine_map_is_the_generic_derivative(
     kind, plant_unstable, geometry_unstable, synthesis_result
 ):
     # at random states of s = (x, eta, x_s), the affine path's F s + c0 + E d
-    # and (u, e) = M s + m0 are the plant plus stabilizer_dynamics, which is
-    # what the generic path integrates
+    # and (u, e) = M s + m0 are the loop written out, with u the solution of
+    # its law, which is affine in u for a quadratic cost
     plant, geometry = plant_unstable, geometry_unstable
     n, m = plant.n, plant.m
     rng = np.random.default_rng(32)
@@ -95,19 +116,51 @@ def test_affine_map_is_the_generic_derivative(
         stab = oc.pi_as_stabilizer(oc.PiGains.from_scalars(2.0, 1.5, m), plant.p)
     else:
         stab = synthesis_result[1].stabilizer
-    F, c0, M, m0 = _affine_closed_loop(plant, geometry, obj, stab)
+    F, c0, M, m0 = _affine_closed_loop(_loop(plant, geometry, stab), geometry, obj)
     assert F.shape == (n + m + stab.order,) * 2
     for _ in range(20):
         s = rng.normal(size=F.shape[0])
         d = rng.normal(size=n)
-        xs_dot, e, u = oc.stabilizer_dynamics(
-            stab, geometry, obj, s[n + m :], s[n : n + m], plant.C @ s[:n]
-        )
-        generic = np.concatenate([plant.A @ s[:n] + plant.B @ u + d, e, xs_dot])
+
+        def law(u):
+            return _written_out(plant, geometry, obj, stab, s, d, u)[2]
+
+        law0 = law(np.zeros(m))
+        J = np.column_stack([law(col) - law0 for col in np.eye(m)])
+        u = np.linalg.solve(np.eye(m) - J, law0)
+        generic, e, _ = _written_out(plant, geometry, obj, stab, s, d, u)
         affine = F @ s + c0 + np.concatenate([d, np.zeros(m + stab.order)])
         assert np.linalg.norm(affine - generic) <= 1e-10 * np.linalg.norm(generic)
         ue = np.concatenate([u, e])
         assert np.linalg.norm(M @ s + m0 - ue) <= 1e-10 * np.linalg.norm(ue)
+
+
+@pytest.mark.parametrize("kind", ["pi", "filtered"])
+def test_stabilizer_dynamics_is_the_written_out_loop(
+    kind, plant_stable, geometry_stable, cosh_obj
+):
+    # the nonlinear path's per-stage evaluation on the closed_loop_system
+    # realization, at random states, is the plant, integrator and stabilizer
+    # written out, and its u solves the implicit law
+    plant, geometry = plant_stable, geometry_stable
+    n, m = plant.n, plant.m
+    if kind == "pi":
+        stab = oc.pi_as_stabilizer(oc.PiGains.from_scalars(10.0, 5.0, m), plant.p)
+    else:
+        stab = _filtered_pi(2.0, 2.0)
+    assert np.any(stab.D_s_e)
+    loop = _loop(plant, geometry, stab)
+    rng = np.random.default_rng(34)
+    u_prev = None
+    for _ in range(20):
+        s = rng.normal(size=n + m + stab.order)
+        d = rng.normal(size=n)
+        drift = np.concatenate([d, np.zeros(m + stab.order)])
+        s_dot, u = oc.stabilizer_dynamics(loop, cosh_obj, s, drift, u_prev)
+        want, _, law = _written_out(plant, geometry, cosh_obj, stab, s, d, u)
+        assert np.linalg.norm(s_dot - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.all(np.abs(u - law) <= 1e-9 * (1.0 + np.abs(law)))
+        u_prev = u
 
 
 def test_recorded_input_satisfies_pi_law_cosh(
@@ -176,7 +229,7 @@ def test_switch_row_belongs_to_new_segment(plant_stable, geometry_stable, quadra
 
 def _stepwise(plant, geometry, obj, stab, schedule, t_final, dt, s0):
     """(t, states, (u, e)) of the affine loop stepped one RK4 map at a time."""
-    F, c0, M, m0 = _affine_closed_loop(plant, geometry, obj, stab)
+    F, c0, M, m0 = _affine_closed_loop(_loop(plant, geometry, stab), geometry, obj)
     t, rows, s = [0.0], [s0], s0
     for t0, t1, d in schedule.segments(t_final):
         k = max(1, int(round((t1 - t0) / dt)))
@@ -245,7 +298,8 @@ def test_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
     d = D_SEGMENTS[0]
     stab = oc.pi_as_stabilizer(gains, plant_unstable.p)
     F, c0, _, _ = _affine_closed_loop(
-        plant_unstable, geometry_unstable, quadratic_obj, stab
+        _loop(plant_unstable, geometry_unstable, stab), geometry_unstable,
+        quadratic_obj,
     )
     Phi, G = _rk4_one_step_maps(F, 1e-3)
     psi = G @ (c0 + np.concatenate([d, np.zeros(1)]))
