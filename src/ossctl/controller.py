@@ -10,9 +10,11 @@ solves it by damped Newton whatever the cost.  A quadratic cost makes the
 whole loop affine: sim._affine_closed_loop then closes the gradient's affine
 map on the same loop, and no Newton solve runs."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import AlgebraicLoopError
 from .kkt import KktGeometry
@@ -128,27 +130,28 @@ def _solve_implicit_input(
 
     u = u0.copy()
     F, w = residual(u)
+    nF = math.sqrt(F @ F)
     for _ in range(MAX_ITER):
-        nF = np.linalg.norm(F)
-        if nF <= TOL * (1.0 + np.linalg.norm(u)):
+        if nF <= TOL * (1.0 + math.sqrt(u @ u)):
             return u, w
-        J = np.eye(u.size) - D_u @ objective.hessian(y, u)[:, p:]
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
+        J = -(D_u @ objective.hessian(y, u)[:, p:])
+        J.flat[:: u.size + 1] += 1.0
+        step, info = dgesv(J, -F, overwrite_a=1)[2:]
+        if info != 0:
             step = -F
         t = 1.0
         for _ in range(40):
             u_new = u + t * step
             F_new, w_new = residual(u_new)
-            if np.linalg.norm(F_new) < nF:
+            nF_new = math.sqrt(F_new @ F_new)
+            if nF_new < nF:
                 break
             t *= 0.5
         else:
             raise AlgebraicLoopError(
                 "algebraic loop not well-posed at this state (Newton stagnated)"
             )
-        u, F, w = u_new, F_new, w_new
+        u, F, w, nF = u_new, F_new, w_new, nF_new
     raise AlgebraicLoopError(
         "algebraic loop not well-posed at this state (iteration limit)"
     )

@@ -16,6 +16,13 @@ which T(w)* M T(w) has a positive eigenvalue, with T(w) the frequency
 response of the linear part stacked over the identity (the KYP argument of
 Rantzer, "On the Kalman-Yakubovich-Popov lemma", SCL 1996).  Pairs neither
 rules out end "stalled" or "undecided" as the solver reports.
+
+A grid search warm-starts each pair's solve from the final iterate of the
+last pair the solver certified, in grid order.  Neighbouring gains pose
+nearly the same inequality, so this about halves the sweeps on a grid.  A
+pair's sweep count therefore depends on the pairs before it, while
+"feasible" still rests on the pair's own certificate and "infeasible" on
+its own witness.
 """
 
 from dataclasses import dataclass
@@ -200,6 +207,20 @@ def verify_stability(
     state), "stalled" or "undecided" (the solver's fixed point or sweep cap,
     with no certificate and no witness).
     """
+    return _decide(plant, geometry, controller, kappa, lipschitz, max_sweeps, None)[0]
+
+
+def _decide(
+    plant: LtiPlant,
+    geometry: KktGeometry,
+    controller: PiGains | DynamicStabilizer,
+    kappa: float,
+    lipschitz: float,
+    max_sweeps: int,
+    start: np.ndarray | None,
+) -> tuple[LmiCertificate, np.ndarray | None]:
+    """verify_stability with the solver started from ``start``; also returns
+    the solver's final iterate (None when the witness decided)."""
     realization = build_realization(plant, geometry, controller)
     nm = realization.n_states
     pm = realization.n_inputs
@@ -247,6 +268,7 @@ def verify_stability(
             margins=[_MARGIN_MAIN, _MARGIN_P],
             max_sweeps=max_sweeps,
             certificate=certificate,
+            start=start,
         )
     eig_S, eig_P = result.certificate_info
     return LmiCertificate(
@@ -258,7 +280,7 @@ def verify_stability(
         feasible=result.feasible,
         status=result.status,
         witness=witness,
-    )
+    ), result.iterate
 
 
 def gain_grid_search(
@@ -273,15 +295,21 @@ def gain_grid_search(
     """Certify every (k_p, k_i) scalar-gain pair on a grid.
 
     Returns one record per pair with the certification outcome; rows are
-    ordered with k_p as the outer loop.
+    ordered with k_p as the outer loop.  Each pair's solve starts from the
+    final iterate of the last pair the solver certified before it (cold for
+    the first); pairs ruled out by the witness, stalled or undecided pass
+    nothing on.
     """
     records = []
+    start = None
     for kp in kp_values:
         for ki in ki_values:
             gains = PiGains.from_scalars(float(kp), float(ki), plant.m)
-            cert = verify_stability(
-                plant, geometry, gains, kappa, lipschitz, max_sweeps=max_sweeps
+            cert, iterate = _decide(
+                plant, geometry, gains, kappa, lipschitz, max_sweeps, start
             )
+            if cert.feasible:
+                start = iterate
             records.append(
                 {
                     "k_p": float(kp),

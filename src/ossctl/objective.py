@@ -99,7 +99,11 @@ def cosh_example_objective() -> SteadyStateObjective:
         )
 
     def hessian(y, u):
-        return np.diag([cosh(y[0] / 2.0) / 4.0, cosh(y[1] / 3.0) / 9.0, 2.0])
+        h = np.zeros((3, 3))
+        h[0, 0] = cosh(y[0] / 2.0) / 4.0
+        h[1, 1] = cosh(y[1] / 3.0) / 9.0
+        h[2, 2] = 2.0
+        return h
 
     return SteadyStateObjective(
         value=value,

@@ -22,9 +22,18 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return {"rows": M.shape[0], "cols": M.shape[1], "data": M.ravel().tolist()}
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _floats(value, name: str, max_ndim: int = 0, inf_ok: bool = False):
     """A JSON number (max_ndim 0) or list of numbers as float(s); anything
-    else, NaN, and inf unless inf_ok, is a ScenarioError naming the field."""
+    else (true and false included), NaN, and inf unless inf_ok, is a
+    ScenarioError naming the field."""
+    if _has_bool(value):
+        raise ScenarioError(f"{name}: expected numbers, got true/false")
     try:
         x = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

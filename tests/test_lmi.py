@@ -1,8 +1,11 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 import ossctl as oc
 import ossctl.lmi as lmi
+from ossctl.cli import main
 from ossctl.lmi import (
     LmiError,
     assemble_lmi,
@@ -212,3 +215,86 @@ def test_infeasible_pair_carries_witness(plant_stable, geometry_stable):
     x = np.linalg.solve(1j * omega * np.eye(real.n_states) - real.A, real.B)
     xi = np.vstack([x, np.eye(real.n_inputs)])
     assert np.linalg.eigvalsh(xi.conj().T @ MM @ xi).max() == pytest.approx(lam, rel=1e-9)
+
+
+VA_GRID = [round(0.2 * k, 1) for k in range(1, 11)]
+
+
+def test_warm_grid_certifies_the_cold_pairs_in_fewer_sweeps(plant_stable, geometry_stable):
+    # on example_va's grid, warm starts change sweep counts but no decision
+    records = oc.gain_grid_search(
+        plant_stable, geometry_stable, VA_GRID, VA_GRID, KAPPA_A, L_A
+    )
+    cold = [
+        oc.verify_stability(
+            plant_stable, geometry_stable, oc.PiGains.from_scalars(kp, ki, 1), KAPPA_A, L_A
+        )
+        for kp in VA_GRID
+        for ki in VA_GRID
+    ]
+    assert [r["status"] for r in records] == [c.status for c in cold]
+    assert sum(r["certified"] for r in records) == 98
+    warm_sweeps = sum(r["sweeps"] for r in records)
+    cold_sweeps = sum(c.sweeps for c in cold)
+    assert warm_sweeps < cold_sweeps
+
+
+def test_grid_starts_only_from_certified_iterates(plant_stable, geometry_stable, monkeypatch):
+    # with the witness off and a 400-sweep cap, (0.2, 1.6..2.0) end undecided;
+    # the pairs after them must still start from (0.2, 1.4)'s iterate
+    calls = []
+    solve = lmi.solve_feasibility
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        calls.append((kwargs["start"], result))
+        return result
+
+    monkeypatch.setattr(lmi, "solve_feasibility", recording)
+    monkeypatch.setattr(lmi, "frequency_witness", lambda *args: None)
+    oc.gain_grid_search(
+        plant_stable, geometry_stable, [0.2, 0.4], [1.2, 1.4, 1.6, 1.8, 2.0],
+        KAPPA_A, L_A, max_sweeps=400,
+    )
+    assert len(calls) == 10
+    assert calls[0][0] is None
+    statuses = [result.status for _, result in calls]
+    assert statuses[:5] == ["feasible", "feasible", "undecided", "undecided", "undecided"]
+    last_certified = None
+    for start, result in calls:
+        assert start is last_certified
+        if result.feasible:
+            last_certified = result.iterate
+    assert calls[-1][0] is not None
+
+
+@pytest.mark.parametrize("kp, ki", [(0.2, 1.6), (0.4, 2.0)])
+def test_restart_from_own_iterate_certifies_at_first_check(
+    plant_stable, geometry_stable, kp, ki
+):
+    # the iterate is returned unscaled and rescaled on entry: a pair started
+    # from its own final iterate is certified at the first check (20 sweeps)
+    gains = oc.PiGains.from_scalars(kp, ki, 1)
+    cold, iterate = lmi._decide(plant_stable, geometry_stable, gains, KAPPA_A, L_A, 4000, None)
+    assert cold.feasible and cold.sweeps > 20
+    warm, _ = lmi._decide(plant_stable, geometry_stable, gains, KAPPA_A, L_A, 4000, iterate)
+    assert warm.feasible and warm.sweeps == 20
+
+
+def test_mis_shaped_start_rejected(plant_stable, geometry_stable):
+    gains = oc.PiGains.from_scalars(1.0, 1.0, 1)
+    cert, iterate = lmi._decide(plant_stable, geometry_stable, gains, KAPPA_A, L_A, 4000, None)
+    assert cert.feasible
+    for bad in (iterate[:-1], np.append(iterate, 0.0), iterate[:, None]):
+        with pytest.raises(ValueError, match="start has shape"):
+            lmi._decide(plant_stable, geometry_stable, gains, KAPPA_A, L_A, 4000, bad)
+
+
+def test_tune_csv_repeats_byte_for_byte(tmp_path):
+    scenario = str(resources.files("ossctl").joinpath("scenarios/example_va.json"))
+    texts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["tune", "--scenario", scenario, "--out", str(out)]) == 0
+        texts.append((out / "tune.csv").read_bytes())
+    assert texts[0] == texts[1]

@@ -95,3 +95,23 @@ def test_max_sweeps_must_be_a_positive_whole_number(value):
     data.setdefault("verification", {})["max_sweeps"] = value
     with pytest.raises(ScenarioError, match=r"verification\.max_sweeps"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rows", True), ("cols", False), ("data", [1.0, True]), ("data", [[1.0], [False]])],
+)
+def test_matrix_booleans_rejected(field, value):
+    # JSON true/false would otherwise read as 1/0
+    obj = {"rows": 1, "cols": 2, "data": [1.0, 2.0]}
+    obj[field] = value
+    with pytest.raises(ScenarioError, match=rf"matrix\.{field}: expected numbers"):
+        matrix_from_json(obj)
+
+
+def test_max_sweeps_boolean_rejected():
+    with open(bundled("example_va.json")) as fh:
+        data = json.load(fh)
+    data.setdefault("verification", {})["max_sweeps"] = True
+    with pytest.raises(ScenarioError, match=r"verification\.max_sweeps: expected numbers"):
+        scenario_from_dict(data)
