@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsyevd
 
 from ._linalg import smat, svec, svec_dim
 
@@ -142,7 +143,11 @@ def solve_feasibility(
         off = q
         for i, n in enumerate(dims):
             d = sdims[i]
-            ev, V = np.linalg.eigh(smat(w[off : off + d], n))
+            ev, V, info = dsyevd(smat(w[off : off + d], n), lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"dsyevd failed on a {n} x {n} cone block (info = {info})"
+                )
             np.clip(ev, 0.0, None, out=ev)
             w[off : off + d] = svec((V * ev) @ V.T)
             off += d

@@ -10,6 +10,11 @@ blocks of J = _BLOCK steps: the stacked powers Phi^1..Phi^J and their offsets
 give a whole block of rows from its first state in one matrix product, with
 one divergence test per block.  This is the same RK4 discretization, so the
 trace agrees with stepping the map one row at a time to rounding.
+
+Trace.to_csv writes the trace in chunks of _CSV_ROWS rows, with one string
+format per chunk; the file is byte-for-byte what np.savetxt writes with
+fmt="%.12g", delimiter="," and CRLF line endings, without a copy of the
+whole trace.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +34,9 @@ from .synthesis import closed_loop_system, open_loop
 
 #: steps advanced by one matrix product on the affine path
 _BLOCK = 256
+
+#: trace rows formatted and written per call in Trace.to_csv
+_CSV_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -87,9 +95,13 @@ class Trace:
         return np.linalg.norm(np.hstack([dy, du]), axis=1)
 
     def to_csv(self, path: str) -> None:
-        """One row per sample, 12 significant digits; the header names each
-        column by its block and 1-based index (t, x1.., xs1.., eta1.., y1..,
-        u1.., e1.., ystar1.., ustar1..)."""
+        """One row per sample, 12 significant digits, CRLF line endings; the
+        header names each column by its block and 1-based index (t, x1..,
+        xs1.., eta1.., y1.., u1.., e1.., ystar1.., ustar1..).
+
+        The rows are written in chunks of _CSV_ROWS, so no copy of the whole
+        trace is made, and the file is byte-for-byte the one np.savetxt
+        writes with fmt="%.12g", delimiter="," and newline="\r\n"."""
         blocks = [
             ("t", self.t[:, None]),
             ("x", self.x),
@@ -106,15 +118,26 @@ class Trace:
             for name, block in blocks
             for i in range(block.shape[1])
         )
-        np.savetxt(
-            path,
-            np.hstack([block for _, block in blocks]),
-            fmt="%.12g",
-            delimiter=",",
-            newline="\r\n",
-            header=header,
-            comments="",
-        )
+        with open(path, "w") as fh:
+            fh.write(header + "\r\n")
+            for start in range(0, self.t.size, _CSV_ROWS):
+                rows = slice(start, start + _CSV_ROWS)
+                chunk = np.hstack([block[rows] for _, block in blocks], dtype=float)
+                fh.write(_csv_rows(chunk))
+
+
+def _csv_rows(chunk: np.ndarray) -> str:
+    """The rows of chunk as np.savetxt writes them with fmt="%.12g",
+    delimiter="," and newline="\r\n", in one format call.  A column that
+    holds the same bit pattern in every row (so -0.0 and 0.0 differ) is
+    formatted once, into the row format itself."""
+    bits = chunk.view(np.int64)
+    const = np.all(bits == bits[0], axis=0)
+    row_fmt = ",".join(
+        "%.12g" % v if c else "%.12g" for v, c in zip(chunk[0].tolist(), const)
+    )
+    values = chunk[:, ~const].ravel().tolist()
+    return ((row_fmt + "\r\n") * chunk.shape[0]) % tuple(values)
 
 
 def _affine_closed_loop(loop, geometry, objective):

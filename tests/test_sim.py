@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 import ossctl as oc
 from ossctl.sim import (
+    _CSV_ROWS,
     DisturbanceSchedule,
     SimulationError,
+    Trace,
     _affine_closed_loop,
     _rk4_one_step_maps,
 )
@@ -334,6 +337,47 @@ def test_overflowing_block_keeps_a_resting_state(
     assert not trace.x.any() and not trace.eta.any()
 
 
+def _savetxt_bytes(trace, path):
+    """The reference bytes for trace.csv: np.savetxt over the whole trace,
+    with the format, delimiter, line ending and header that to_csv keeps."""
+    blocks = [
+        ("t", trace.t[:, None]), ("x", trace.x), ("xs", trace.x_s),
+        ("eta", trace.eta), ("y", trace.y), ("u", trace.u), ("e", trace.e),
+        ("ystar", trace.y_star), ("ustar", trace.u_star),
+    ]
+    header = ",".join(
+        name if name == "t" else f"{name}{i + 1}"
+        for name, block in blocks
+        for i in range(block.shape[1])
+    )
+    np.savetxt(
+        path, np.hstack([block for _, block in blocks]), fmt="%.12g",
+        delimiter=",", newline="\r\n", header=header, comments="",
+    )
+    return path.read_bytes()
+
+
+def _special_trace(rows, ns):
+    """A trace of the given length whose columns hold the values that
+    formatting can get wrong: -0.0 beside 0.0, nan, +-inf, 1e+-300, a
+    subnormal, and constant columns, one of which changes value mid-chunk."""
+    rng = np.random.default_rng(rows)
+    t = 1e-3 * np.arange(rows)
+    x = rng.standard_normal((rows, 4))
+    x[:, 0] = np.where(np.arange(rows) % 3 == 0, -0.0, 0.0)
+    x[:, 1] = np.nan
+    x[:, 2] = np.resize([np.inf, -np.inf, 1e300, -1e-300, 5e-324, 1.0 / 3], rows)
+    x[: rows // 2, 3] = -0.0  # a constant -0.0 that ends mid-trace
+    y_star = np.tile([-2.36154, 1e-300], (rows, 1))
+    y_star[_CSV_ROWS // 2 + 3 :] = [0.1, -0.0]
+    return Trace(
+        t=t, x=x, eta=rng.standard_normal((rows, 1)) * 1e8,
+        y=x[:, :2] @ np.eye(2), u=np.full((rows, 1), np.pi),
+        e=rng.standard_normal((rows, 1)) * 1e-12, y_star=y_star,
+        u_star=np.full((rows, 1), -0.0), x_s=rng.standard_normal((rows, ns)),
+    )
+
+
 def test_csv_roundtrip(tmp_path, plant_stable, geometry_stable, quadratic_obj):
     gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
     sched = DisturbanceSchedule.constant(D_SEGMENTS[0])
@@ -342,6 +386,7 @@ def test_csv_roundtrip(tmp_path, plant_stable, geometry_stable, quadratic_obj):
     )
     path = tmp_path / "trace.csv"
     trace.to_csv(str(path))
+    assert path.read_bytes() == _savetxt_bytes(trace, tmp_path / "ref.csv")
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     assert header == [
@@ -357,6 +402,7 @@ def test_csv_roundtrip(tmp_path, plant_stable, geometry_stable, quadratic_obj):
         sched, 0.1, dt=1e-2, x0=np.ones(4), xs0=np.array([1.0, -2.0]),
     )
     stab.to_csv(str(path))
+    assert path.read_bytes() == _savetxt_bytes(stab, tmp_path / "ref.csv")
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     assert header[:8] == ["t", "x1", "x2", "x3", "x4", "xs1", "xs2", "eta1"]
@@ -364,6 +410,43 @@ def test_csv_roundtrip(tmp_path, plant_stable, geometry_stable, quadratic_obj):
     assert data.shape == (stab.t.size, len(header))
     assert np.allclose(data[:, 5:7], stab.x_s, rtol=1e-11, atol=0.0)
     assert np.allclose(data[:, header.index("u1")], stab.u[:, 0], rtol=1e-11)
+
+
+@pytest.mark.parametrize("ns", [0, 2])
+@pytest.mark.parametrize(
+    "rows", [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1]
+)
+def test_csv_bytes_equal_savetxt(tmp_path, rows, ns):
+    trace = _special_trace(rows, ns)
+    trace.to_csv(str(tmp_path / "trace.csv"))
+    written = (tmp_path / "trace.csv").read_bytes()
+    assert written == _savetxt_bytes(trace, tmp_path / "ref.csv")
+    lines = written.split(b"\r\n")
+    assert len(lines) == rows + 2 and lines[-1] == b""
+    x1 = [line.split(b",")[1] for line in lines[1:-1]]
+    assert x1 == [b"-0" if i % 3 == 0 else b"0" for i in range(rows)]
+
+
+def test_csv_writes_without_a_whole_trace_copy(tmp_path):
+    # 50,000 rows x 18 columns are 7.2 MB as one float array; the chunked
+    # writer must stay far below that
+    rows = 50_000
+    rng = np.random.default_rng(0)
+    trace = Trace(
+        t=1e-3 * np.arange(rows), x=rng.standard_normal((rows, 4)),
+        eta=rng.standard_normal((rows, 1)), y=rng.standard_normal((rows, 2)),
+        u=rng.standard_normal((rows, 1)), e=rng.standard_normal((rows, 1)),
+        y_star=np.full((rows, 2), 0.5), u_star=np.full((rows, 1), -1.0),
+        x_s=rng.standard_normal((rows, 5)),
+    )
+    full = rows * 18 * 8
+    tracemalloc.start()
+    try:
+        trace.to_csv(str(tmp_path / "trace.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 4, f"to_csv peaked at {peak} bytes"
 
 
 def test_equilibrium_is_invariant(plant_stable, geometry_stable, quadratic_obj):
