@@ -52,7 +52,7 @@ def main() -> None:
         sched = oc.DisturbanceSchedule.constant(d)
         trace = oc.simulate(
             plant, geo, obj, gains, sched, 1.0, dt=1e-3,
-            x0=ref.x_star, eta0=eta0, compute_references=False,
+            x0=ref.x_star, eta0=eta0,
         )
         drift = np.linalg.norm(trace.x[-1] - ref.x_star) + np.linalg.norm(
             trace.eta[-1] - eta0

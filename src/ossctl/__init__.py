@@ -5,13 +5,9 @@ loop, and fall back to dynamic-stabilizer synthesis when needed."""
 from ._linalg import hinf_norm, is_hurwitz, numerical_rank
 from .controller import (
     AlgebraicLoopError,
-    ControllerState,
     DynamicStabilizer,
     PiGains,
-    error_signal,
     pi_as_stabilizer,
-    pi_dynamics,
-    resolve_input,
     stabilizer_dynamics,
 )
 from .errors import OssctlError

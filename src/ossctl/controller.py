@@ -1,6 +1,6 @@
-"""Feedback law implementations: the gradient-projection error signal, the
-PI controller, the general dynamic-stabilizer form, and the evaluation of
-the closed loop at one state.
+"""Feedback laws: PI gains, the dynamic-stabilizer form that a PI law
+embeds in as its zero-order case, and the evaluation of the closed loop at
+one state.
 
 Every loop is synthesis.closed_loop_system(open_loop(plant, geometry), stab):
 s' = A s + B w + E d on s = (x, eta, x_s), with w = grad_g(z) and
@@ -50,16 +50,6 @@ class PiGains:
         return self.K_I.shape[0]
 
 
-@dataclass
-class ControllerState:
-    eta: np.ndarray
-
-    def __post_init__(self):
-        self.eta = np.asarray(self.eta, dtype=float)
-        if not np.all(np.isfinite(self.eta)):
-            raise ValueError("integrator state must be finite")
-
-
 @dataclass(frozen=True)
 class DynamicStabilizer:
     """u is generated by a linear system driven by sigma = (y, eta, e)."""
@@ -95,17 +85,6 @@ class DynamicStabilizer:
     def D_s_e(self) -> np.ndarray:
         """The e-columns of D_s: the direct term from e to u."""
         return self.D_s[:, self.p + self.m :]
-
-
-def error_signal(
-    geometry: KktGeometry,
-    objective: SteadyStateObjective,
-    y: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """e = -R' grad_g(y, u): the component of the cost gradient along the
-    feasible directions, which the integrator drives to zero."""
-    return -(geometry.R.T @ objective.gradient(y, u))
 
 
 def _solve_implicit_input(
@@ -157,34 +136,23 @@ def _solve_implicit_input(
     )
 
 
-def resolve_input(
+# No command calls pi_dynamics: simulate runs a PI law through
+# pi_as_stabilizer and stabilizer_dynamics.  It stays until the benchmark
+# traces that path (ROADMAP item 1), because perfbench/tracing.py wraps
+# sim.pi_dynamics.
+def pi_dynamics(
     gains: PiGains,
     geometry: KktGeometry,
     objective: SteadyStateObjective,
     eta: np.ndarray,
     y: np.ndarray,
-    u_prev: np.ndarray | None = None,
-) -> np.ndarray:
-    """u satisfying u = K_I eta + K_P e(y, u)."""
-    eta = np.asarray(eta, dtype=float)
-    offset = gains.K_I @ eta
-    u0 = offset.copy() if u_prev is None else np.asarray(u_prev, dtype=float)
-    D_u = -gains.K_P @ geometry.R.T
-    return _solve_implicit_input(D_u, offset, objective, y, u0)[0]
-
-
-def pi_dynamics(
-    gains: PiGains,
-    geometry: KktGeometry,
-    objective: SteadyStateObjective,
-    state: ControllerState,
-    y: np.ndarray,
-    u_prev: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(eta_dot, u) for the PI law: eta_dot = e, u = K_I eta + K_P e."""
-    u = resolve_input(gains, geometry, objective, state.eta, y, u_prev)
-    e = error_signal(geometry, objective, y, u)
-    return e, u
+    """(eta_dot, u) for the PI law: eta_dot = e = -R' grad_g(y, u) and
+    u = K_I eta + K_P e."""
+    RT = geometry.R.T
+    offset = gains.K_I @ eta
+    u, w = _solve_implicit_input(-gains.K_P @ RT, offset, objective, y, offset)
+    return -(RT @ w), u
 
 
 def stabilizer_dynamics(

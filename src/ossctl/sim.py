@@ -23,7 +23,8 @@ import numpy as np
 
 from .controller import PiGains, pi_as_stabilizer, stabilizer_dynamics
 
-# unused here, but perfbench/tracing.py wraps sim.pi_dynamics when it installs
+# unused here: perfbench/tracing.py wraps sim.pi_dynamics when it installs,
+# until the benchmark traces stabilizer_dynamics instead (ROADMAP item 1)
 from .controller import pi_dynamics  # noqa: F401
 from .errors import AlgebraicLoopError, DivergenceError, SimulationError
 from .kkt import KktGeometry
@@ -37,6 +38,9 @@ _BLOCK = 256
 
 #: trace rows formatted and written per call in Trace.to_csv
 _CSV_ROWS = 1024
+
+#: a state whose norm exceeds this (or is not finite) has diverged
+_DIVERGENCE_NORM = 1e9
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class Trace:
     u_star: np.ndarray
     x_s: np.ndarray
     segment_starts: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    references: list = field(default_factory=list)
+    references: list[OptimizerResult] = field(default_factory=list)
 
     def tracking_error(self) -> np.ndarray:
         """||(y, u) - (y*, u*)|| at each sample."""
@@ -146,17 +150,20 @@ def _affine_closed_loop(loop, geometry, objective):
     the x block, and the outputs are (u, e) = M s + m0.  The loop (A, B, C,
     D) of synthesis.closed_loop_system is closed once more by the gradient
     w = H z + q, with H and q the cost's Hessian and gradient at 0; that
-    algebraic loop is solvable iff I - H D is invertible."""
+    algebraic loop is taken as well-posed when I - H D is finite and its
+    condition number is at most 1e12."""
     A, B, C, D = loop
     p, m = objective.p, objective.m
     H = objective.hessian(np.zeros(p), np.zeros(m))
     q = objective.gradient(np.zeros(p), np.zeros(m))
-    try:
-        Li = np.linalg.inv(np.eye(p + m) - H @ D)
-    except np.linalg.LinAlgError as exc:
+    L = np.eye(p + m) - H @ D
+    # cond raises on a non-finite L, which an overflowing gain gives
+    if not np.isfinite(L).all() or np.linalg.cond(L) > 1e12:
         raise AlgebraicLoopError(
-            "algebraic loop singular for this quadratic cost"
-        ) from exc
+            "algebraic loop ill-posed for this quadratic cost"
+            " (I - H D is not finite or its condition number is above 1e12)"
+        )
+    Li = np.linalg.inv(L)
     # the gradient w = Ws s + w0, and e = -R' w
     Ws = Li @ H @ C
     w0 = Li @ q
@@ -177,11 +184,11 @@ def _rk4_one_step_maps(F: np.ndarray, dt: float):
     return Phi, G
 
 
-def _advance_affine(hist, row, n_steps, Phi, psi, t, threshold):
+def _advance_affine(hist, row, n_steps, Phi, psi, t):
     """Fill hist[row+1 : row+1+n_steps] by the map s+ = Phi s + psi from
     hist[row], one block of rows per matrix product.
 
-    A block with a row whose norm is above threshold (or not finite) is
+    A block with a row whose norm is above _DIVERGENCE_NORM (or not finite) is
     replayed one step at a time from its first state, so DivergenceError
     names the first row that crosses.  If none does (a power of Phi can
     overflow while the state stays 0), the replayed rows are kept."""
@@ -200,10 +207,10 @@ def _advance_affine(hist, row, n_steps, Phi, psi, t, threshold):
             k = min(J, end - row)
             blk = hist[row + 1 : row + 1 + k]
             blk[:] = P[:k] @ s + o[:k]
-            if not np.all(np.linalg.norm(blk, axis=1) <= threshold):
+            if not np.all(np.linalg.norm(blk, axis=1) <= _DIVERGENCE_NORM):
                 for i in range(k):
                     s = Phi @ s + psi
-                    if not np.linalg.norm(s) <= threshold:
+                    if not np.linalg.norm(s) <= _DIVERGENCE_NORM:
                         raise DivergenceError(
                             f"state diverged at t = {t[row + 1 + i]:.6g}"
                         )
@@ -232,18 +239,16 @@ def simulate(
     x0: np.ndarray | None = None,
     eta0: np.ndarray | None = None,
     xs0: np.ndarray | None = None,
-    divergence_threshold: float = 1e9,
-    compute_references: bool = True,
 ) -> Trace:
-    """Integrate the closed loop and (optionally) attach per-segment optimizer
-    references computed by the independent oracle.
+    """Integrate the closed loop and attach per-segment optimizer references
+    computed by the independent oracle.
 
     controller is either PiGains or a DynamicStabilizer; a PI law runs as its
     zero-order stabilizer, so the state is s = (x, eta, x_s) in both cases,
     the order of synthesis.closed_loop_system.
     """
-    if dt <= 0:
-        raise SimulationError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise SimulationError("dt must be positive and finite")
     n, m = plant.n, plant.m
     if isinstance(controller, PiGains):
         controller = pi_as_stabilizer(controller, plant.p)
@@ -257,13 +262,12 @@ def simulate(
     s = np.concatenate(s)
 
     segs = list(schedule.segments(t_final))
-    references: list[OptimizerResult | None] = [None] * len(segs)
-    if compute_references:
-        w_warm = None
-        for i, (_, _, d) in enumerate(segs):
-            ref = solve_steady_state(plant, geometry, objective, d, w0=w_warm)
-            w_warm = geometry.Q.T @ np.concatenate([ref.x_star, ref.u_star])
-            references[i] = ref
+    references = []
+    w_warm = None
+    for _, _, d in segs:
+        ref = solve_steady_state(plant, geometry, objective, d, w0=w_warm)
+        w_warm = geometry.Q.T @ np.concatenate([ref.x_star, ref.u_star])
+        references.append(ref)
 
     try:
         steps = [_segment_steps(t0, t1, dt) for t0, t1, _ in segs]
@@ -302,10 +306,7 @@ def simulate(
         drift = np.concatenate([check_disturbance(plant, d), np.zeros(m + ns)])
         if affine:
             Phi, G = _rk4_one_step_maps(F, h)
-            row = _advance_affine(
-                hist, row, n_steps, Phi, G @ (c0 + drift), t_arr,
-                divergence_threshold,
-            )
+            row = _advance_affine(hist, row, n_steps, Phi, G @ (c0 + drift), t_arr)
             continue
         for _ in range(n_steps):
             # the first stage is evaluated at the stored state, so its u and
@@ -318,7 +319,7 @@ def simulate(
             s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             row += 1
             # also catches inf and nan
-            if not np.linalg.norm(s) <= divergence_threshold:
+            if not np.linalg.norm(s) <= _DIVERGENCE_NORM:
                 raise DivergenceError(f"state diverged at t = {t_arr[row]:.6g}")
             hist[row] = s
 
@@ -330,13 +331,6 @@ def simulate(
         e_rec[-1] = k1[n : n + m]
 
     x_arr = hist[:, :n]
-    if compute_references:
-        ystar = np.array([r.y_star for r in references])[ref_idx]
-        ustar = np.array([r.u_star for r in references])[ref_idx]
-    else:
-        ystar = np.zeros((t_arr.size, plant.p))
-        ustar = np.zeros((t_arr.size, m))
-
     return Trace(
         t=t_arr,
         x=x_arr,
@@ -344,8 +338,8 @@ def simulate(
         y=x_arr @ plant.C.T,
         u=u_rec,
         e=e_rec,
-        y_star=ystar,
-        u_star=ustar,
+        y_star=np.array([r.y_star for r in references])[ref_idx],
+        u_star=np.array([r.u_star for r in references])[ref_idx],
         x_s=hist[:, n + m :],
         segment_starts=np.array([seg[0] for seg in segs]),
         references=references,

@@ -215,19 +215,19 @@ def test_criterion_7_equilibrium_correspondence():
         t_final = min(400.0, max(20.0, 16.0 / decay))
         trace = oc.simulate(
             plant, geometry, obj, gains, schedule, t_final,
-            dt=1e-3, compute_references=False,
+            dt=1e-3,
         )
         final = np.concatenate([trace.y[-1], trace.u[-1]])
         assert np.linalg.norm(final - ref.yu()) < 1e-4
-        # converse: the optimal equilibrium is a rest point of the dynamics
+        # converse: the optimal equilibrium s = (x*, eta*) is a rest point
+        # of the loop: both its x rows and its eta rows (e) vanish
         eta_star = np.linalg.solve(gains.K_I, ref.u_star)
-        e_dot, u = oc.pi_dynamics(
-            gains, geometry, obj, oc.ControllerState(eta_star),
-            plant.C @ ref.x_star,
+        s_dot, _ = oc.stabilizer_dynamics(
+            loop, obj, np.concatenate([ref.x_star, eta_star]),
+            np.concatenate([d, np.zeros(plant.m)]),
         )
-        x_dot = plant.A @ ref.x_star + plant.B @ u + d
-        assert np.linalg.norm(x_dot) < 1e-7
-        assert np.linalg.norm(e_dot) < 1e-7
+        assert np.linalg.norm(s_dot[: plant.n]) < 1e-7
+        assert np.linalg.norm(s_dot[plant.n :]) < 1e-7
 
 
 # -- criterion 8: oracle equivalence ----------------------------------------

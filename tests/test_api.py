@@ -1,4 +1,7 @@
+import inspect
 import types
+
+import pytest
 
 import ossctl
 
@@ -8,7 +11,6 @@ PUBLIC_NAMES = [
     "AffineBlock",
     "AlgebraicLoopError",
     "AugmentedPlant",
-    "ControllerState",
     "DisturbanceSchedule",
     "DivergenceError",
     "DynamicStabilizer",
@@ -42,7 +44,6 @@ PUBLIC_NAMES = [
     "check_stabilizable",
     "convergence_metrics",
     "cosh_example_objective",
-    "error_signal",
     "gain_grid_search",
     "hinf_norm",
     "is_hurwitz",
@@ -51,9 +52,7 @@ PUBLIC_NAMES = [
     "loop_transform",
     "numerical_rank",
     "pi_as_stabilizer",
-    "pi_dynamics",
     "quadratic_objective",
-    "resolve_input",
     "scenario_from_dict",
     "simulate",
     "solve_feasibility",
@@ -63,6 +62,27 @@ PUBLIC_NAMES = [
     "synthesize_stabilizer",
     "verify_stability",
 ]
+
+# The parameters of the entry points that take options. An option added to
+# or removed from one of them must be added to or removed from here too.
+PARAMETERS = {
+    "simulate": [
+        "plant", "geometry", "objective", "controller", "schedule", "t_final",
+        "dt", "x0", "eta0", "xs0",
+    ],
+    "verify_stability": [
+        "plant", "geometry", "controller", "kappa", "lipschitz", "max_sweeps",
+    ],
+    "gain_grid_search": [
+        "plant", "geometry", "kp_values", "ki_values", "kappa", "lipschitz",
+        "max_sweeps",
+    ],
+    "synthesize_stabilizer": ["aug", "geometry", "lipschitz", "max_sweeps"],
+    "solve_feasibility": [
+        "blocks", "q", "nonneg", "margins", "max_sweeps", "check_every",
+        "certificate", "start",
+    ],
+}
 
 
 def test_public_names():
@@ -75,3 +95,9 @@ def test_public_names():
         and not isinstance(getattr(ossctl, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_parameter_names(name):
+    signature = inspect.signature(getattr(ossctl, name))
+    assert list(signature.parameters) == PARAMETERS[name]

@@ -339,14 +339,36 @@ def _huge_disturbance(data, tmp_path):
     data["disturbance"]["values"][1][0] = 1e300
 
 
-def _singular_quadratic_loop(data, tmp_path):
+def _singular_quadratic_loop(data, tmp_path, k_p=-1.505199322349037):
     # 1 + k_p R'H_u = 0 exactly: the affine loop has no input solution
-    data["controller"]["k_p"] = -1.505199322349037
+    data["controller"]["k_p"] = k_p
     data["simulation"]["t_final"] = 0.05
+
+
+def _singular_loop_one_ulp_up(data, tmp_path):
+    # invertible, but cond(I - H D) is far above 1e12
+    _singular_quadratic_loop(data, tmp_path, -1.5051993223490368)
+
+
+def _singular_loop_one_ulp_down(data, tmp_path):
+    _singular_quadratic_loop(data, tmp_path, -1.5051993223490372)
+
+
+def _overflowing_quadratic_loop(data, tmp_path):
+    # k_p R'H_u overflows, so I - H D is not finite
+    _singular_quadratic_loop(data, tmp_path, 1.7e308)
 
 
 def _negative_dt(data, tmp_path):
     return ["--dt", "-1"]
+
+
+def _infinite_dt(data, tmp_path):
+    return ["--dt", "inf"]
+
+
+def _nan_dt(data, tmp_path):
+    return ["--dt", "nan"]
 
 
 def _out_below_file(data, tmp_path):
@@ -362,11 +384,16 @@ def _out_below_file(data, tmp_path):
         ("verify", "va", _huge_k_p, EXIT_BAD_INPUT, "error: "),
         ("simulate", "va", _zero_t_final, EXIT_BAD_INPUT, "error: "),
         ("simulate", "va", _negative_dt, EXIT_BAD_INPUT, "error: "),
+        ("simulate", "va", _infinite_dt, EXIT_BAD_INPUT, "error: "),
+        ("simulate", "va", _nan_dt, EXIT_BAD_INPUT, "error: "),
         ("simulate", "va", _huge_t_final, EXIT_BAD_INPUT, "error: "),
         ("analyze", "va", _out_below_file, EXIT_BAD_INPUT, "error: "),
         ("simulate", "vb", _far_initial_state, EXIT_DIVERGENCE, "divergence: "),
         ("simulate", "vb", _huge_disturbance, EXIT_ASSUMPTION, "assumption failure: "),
         ("simulate", "va", _singular_quadratic_loop, EXIT_ASSUMPTION, "assumption failure: "),
+        ("simulate", "va", _singular_loop_one_ulp_up, EXIT_ASSUMPTION, "assumption failure: "),
+        ("simulate", "va", _singular_loop_one_ulp_down, EXIT_ASSUMPTION, "assumption failure: "),
+        ("simulate", "va", _overflowing_quadratic_loop, EXIT_ASSUMPTION, "assumption failure: "),
     ],
 )
 def test_runtime_error_exit_code(tmp_path, capsys, command, name, mutate, code, prefix):

@@ -7,6 +7,7 @@ import pytest
 import ossctl as oc
 from ossctl.sim import (
     _CSV_ROWS,
+    _DIVERGENCE_NORM,
     DisturbanceSchedule,
     SimulationError,
     Trace,
@@ -93,7 +94,7 @@ def test_affine_and_generic_paths_agree(plant_stable, geometry_stable, quadratic
         fast, slow = (
             oc.simulate(
                 plant_stable, geometry_stable, obj, controller, sched, 2.0,
-                dt=1e-3, compute_references=False,
+                dt=1e-3,
             )
             for obj in (quadratic_obj, hidden)
         )
@@ -175,7 +176,7 @@ def test_recorded_input_satisfies_pi_law_cosh(
     sched = DisturbanceSchedule(times=[0.0, 0.1], values=D_SEGMENTS[:2].tolist())
     trace = oc.simulate(
         plant_stable, geometry_stable, cosh_obj, gains, sched, 0.2,
-        dt=1e-2, compute_references=False,
+        dt=1e-2,
     )
     assert np.min(np.abs(trace.t - 0.1)) < 1e-12
     law = trace.eta @ gains.K_I.T + trace.e @ gains.K_P.T
@@ -194,7 +195,7 @@ def test_segment_boundaries_on_step_grid(plant_stable, geometry_stable, quadrati
     )
     trace = oc.simulate(
         plant_stable, geometry_stable, quadratic_obj, gains, sched, 2.0,
-        dt=1e-2, compute_references=False,
+        dt=1e-2,
     )
     for t_switch in (0.5, 1.25):
         assert np.min(np.abs(trace.t - t_switch)) < 1e-12
@@ -270,7 +271,7 @@ def test_block_map_matches_stepwise_map(
     x0, eta0, xs0 = (rng.normal(size=k) for k in (plant.n, plant.m, stab.order))
     trace = oc.simulate(
         plant, geometry, quadratic_obj, stab, sched, t_final, dt=dt,
-        x0=x0, eta0=eta0, xs0=xs0, compute_references=False,
+        x0=x0, eta0=eta0, xs0=xs0,
     )
     t, rows, ue = _stepwise(
         plant, geometry, quadratic_obj, stab, sched, t_final, dt,
@@ -307,15 +308,14 @@ def test_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
     Phi, G = _rk4_one_step_maps(F, 1e-3)
     psi = G @ (c0 + np.concatenate([d, np.zeros(1)]))
     s, step = np.zeros(F.shape[0]), 0
-    while np.linalg.norm(s) <= 1e6:
+    while np.linalg.norm(s) <= _DIVERGENCE_NORM:
         s = Phi @ s + psi
         step += 1
     sched = DisturbanceSchedule.constant(d)
     with pytest.raises(oc.DivergenceError, match=rf"at t = {step * 1e-3:.6g}$"):
         oc.simulate(
             plant_unstable, geometry_unstable, quadratic_obj, gains, sched,
-            60.0, dt=1e-3, compute_references=False,
-            divergence_threshold=1e6,
+            60.0, dt=1e-3,
         )
 
 
@@ -331,7 +331,7 @@ def test_overflowing_block_keeps_a_resting_state(
         warnings.simplefilter("error")
         trace = oc.simulate(
             plant_unstable, geometry_unstable, quadratic_obj, gains, sched,
-            3000.0, dt=10.0, compute_references=False,
+            3000.0, dt=10.0,
         )
     assert trace.t.size == 301
     assert not trace.x.any() and not trace.eta.any()
@@ -460,7 +460,7 @@ def test_equilibrium_is_invariant(plant_stable, geometry_stable, quadratic_obj):
     sched = DisturbanceSchedule.constant(d)
     trace = oc.simulate(
         plant_stable, geometry_stable, quadratic_obj, gains, sched, 1.0,
-        dt=1e-3, x0=ref.x_star, eta0=eta0, compute_references=False,
+        dt=1e-3, x0=ref.x_star, eta0=eta0,
     )
     assert np.linalg.norm(trace.x[-1] - ref.x_star) < 1e-8
     assert np.linalg.norm(trace.eta[-1] - eta0) < 1e-8

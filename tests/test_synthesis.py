@@ -154,7 +154,7 @@ def test_stabilizer_equilibrium_matches_oracle(
         sched = oc.DisturbanceSchedule.constant(d)
         trace = oc.simulate(
             plant_unstable, geometry_unstable, quadratic_obj,
-            result.stabilizer, sched, 200.0, dt=1e-3, compute_references=False,
+            result.stabilizer, sched, 200.0, dt=1e-3,
         )
         final = np.concatenate([trace.y[-1], trace.u[-1]])
         assert np.linalg.norm(final - ref.yu()) < 1e-3
