@@ -15,10 +15,7 @@ from .kkt import KktError, KktGeometry, build_kkt_geometry, kkt_residual
 from .lmi import (
     LmiCertificate,
     LmiError,
-    RealizationH,
-    assemble_lmi,
     build_multiplier,
-    build_realization,
     gain_grid_search,
     verify_stability,
 )
@@ -43,7 +40,7 @@ from .plant import (
     check_stabilizable,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
-from .sdp import AffineBlock, FeasibilityResult, solve_feasibility
+from .sdp import FeasibilityResult, solve_feasibility
 from .sim import (
     DisturbanceSchedule,
     DivergenceError,
@@ -53,10 +50,9 @@ from .sim import (
     simulate,
 )
 from .synthesis import (
-    AugmentedPlant,
     SynthesisError,
     SynthesisResult,
-    loop_transform,
+    closed_loop,
     synthesize_stabilizer,
 )
 

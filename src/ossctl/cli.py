@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 bad input, 2 assumption failure, 3 certification
 failure, 4 synthesis failure, 5 divergence.  Each error class in
 ossctl.errors carries its code; main() prints one "<label>: <message>" line
-to stderr and returns that code.  An unreadable scenario or an unwritable
+to stderr and returns that code.  A command line argparse rejects is bad
+input too (--help still exits 0).  An unreadable scenario or an unwritable
 --out directory (OSError) is bad input too; --out is created before the
 scenario loads, so an unwritable one fails before any work is done.
 Certification failure is the decision of verify and tune, not an error.
@@ -36,7 +37,7 @@ from .oracle import solve_steady_state
 from .plant import check_detectable, check_full_row_rank_AB, check_stabilizable
 from .scenario import Scenario, load_scenario
 from .sim import convergence_metrics, simulate
-from .synthesis import loop_transform, synthesize_stabilizer
+from .synthesis import synthesize_stabilizer
 
 # the stderr prefix of an error, by its exit code
 _LABELS = {
@@ -171,11 +172,10 @@ def cmd_tune(scn: Scenario, out_dir: str, dt: float) -> int:
 
 
 def _synthesize(scn: Scenario, geometry):
-    """The stabilizer synthesized for the scenario's loop-shifted plant."""
-    aug = loop_transform(
+    """The stabilizer synthesized for the scenario's plant and sector."""
+    return synthesize_stabilizer(
         scn.plant, geometry, scn.objective.kappa, scn.objective.lipschitz
     )
-    return synthesize_stabilizer(aug, geometry, scn.objective.lipschitz)
 
 
 def cmd_synth(scn: Scenario, out_dir: str, dt: float) -> int:
@@ -232,8 +232,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its syntax errors raised as bad input, not printed as a
+    usage message with exit status 2."""
+
+    def error(self, message):
+        raise OssctlError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ossctl",
         description="Optimal steady-state control: analyze, certify, synthesize, simulate.",
     )
@@ -241,8 +249,8 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--dt", type=float, default=None, help="override time step")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         os.makedirs(args.out, exist_ok=True)
         scn = load_scenario(args.scenario)
         # every decision rests on an explicit finiteness check, so numpy's

@@ -2,7 +2,7 @@
 embeds in as its zero-order case, and the evaluation of the closed loop at
 one state.
 
-Every loop is synthesis.closed_loop_system(open_loop(plant, geometry), stab):
+Every loop is synthesis.closed_loop(plant, geometry, controller):
 s' = A s + B w + E d on s = (x, eta, x_s), with w = grad_g(z) and
 z = (y, u) = C s + D w.  A direct term from e to u (the proportional gain,
 or the e-columns of D_s) makes the input implicit; stabilizer_dynamics
@@ -164,8 +164,8 @@ def stabilizer_dynamics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(s_dot, u) of the closed loop s' = A s + B w + drift at the state s.
 
-    loop = (A, B, C, D) is closed_loop_system(open_loop(plant, geometry),
-    stab), and drift = E d the disturbance on the x rows.  Only the u rows
+    loop = (A, B, C, D) is synthesis.closed_loop(plant, geometry,
+    controller), and drift = E d the disturbance on the x rows.  Only the u rows
     of D are nonzero on open_loop, so y = C_y s and u solves
     u = C_u s + D_u grad_g(y, u), from u_prev when given.  The eta rows of
     s_dot are e = -R' grad_g(y, u).

@@ -4,10 +4,13 @@ dynamic stabilizer.
 The gradient nonlinearity is treated as a sector-bounded uncertainty
 (sector [kappa, L] from strong convexity and gradient Lipschitz-ness), and
 a circle-criterion style matrix inequality is solved for a Lyapunov
-certificate.  One deviation from the textbook statement is deliberate: the
-Lyapunov matrix is constrained positive definite here, since with P left
-free the inequality alone does not rule out unstable loops (a concrete
-counterexample lives in the test suite).
+certificate.  The loop is synthesis.closed_loop, with its input read as
+w = +grad_g(z) and its output z = (y, u), the same sign as in every other
+layer; on the sector's members (z, w)' M (z, w) >= 0.  One deviation from
+the textbook statement is deliberate: the Lyapunov matrix is constrained
+positive definite here, since with P left free the inequality alone does
+not rule out unstable loops (a concrete counterexample lives in the test
+suite).
 
 A pair is decided both ways.  "feasible" rests on an eigenvalue-checked
 certificate (P, alpha) from the splitting solver.  "infeasible" rests on a
@@ -30,12 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import smat, svec_dim
-from .controller import DynamicStabilizer, PiGains, pi_as_stabilizer
+from .controller import DynamicStabilizer, PiGains
 from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
-from .sdp import AffineBlock, FeasibilityResult, solve_feasibility
-from .synthesis import closed_loop_system, open_loop
+from .sdp import FeasibilityResult, solve_feasibility
+from .synthesis import closed_loop
 
 # default strict-feasibility shifts: O(1) on the main inequality (valid by
 # homogeneity in (P, alpha)), small on P > 0 so the P block does not distort
@@ -51,28 +54,6 @@ _WITNESS_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class RealizationH:
-    """State-space data of the linear part seen by the gradient nonlinearity.
-
-    States (x, eta, x_s); input w = -grad_g; outputs z = (y, u), matching
-    the multiplier's signal layout.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-
-@dataclass(frozen=True)
 class LmiCertificate:
     P: np.ndarray
     alpha: float
@@ -85,62 +66,29 @@ class LmiCertificate:
     witness: tuple[float, float] | None = None
 
 
-def build_realization(
-    plant: LtiPlant,
-    geometry: KktGeometry,
-    controller: PiGains | DynamicStabilizer,
-) -> RealizationH:
-    """The open loop closed by the controller (a PI law as its zero-order
-    stabilizer), with the cost gradient pulled out as the external input.
-    The multiplier reads that input as w = -grad_g, hence the sign of B, D."""
-    if isinstance(controller, PiGains):
-        controller = pi_as_stabilizer(controller, plant.p)
-    A, B, C, D = closed_loop_system(open_loop(plant, geometry), controller)
-    return RealizationH(A=A, B=-B, C=C, D=-D)
-
-
 def build_multiplier(kappa: float, lipschitz: float, size: int) -> np.ndarray:
-    """Sector multiplier M for a gradient in sector [kappa, L] on R^size.
+    """Sector multiplier M for a gradient w = grad_g(z) in sector [kappa, L]
+    on R^size: (z, w)' M (z, w) = 2 (w - kappa z)' (L z - w) >= 0.
 
     For L = inf the quadratic form degenerates to the one-sided (monotone
-    plus kappa) version.
+    plus kappa) version, 2 (w - kappa z)' z >= 0.
     """
     if kappa < 0:
         raise LmiError("kappa must be nonnegative")
     if lipschitz <= 0:
         raise LmiError("lipschitz must be positive (possibly inf)")
     if np.isinf(lipschitz):
-        core = np.array([[-2.0 * kappa, -1.0], [-1.0, 0.0]])
+        core = np.array([[-2.0 * kappa, 1.0], [1.0, 0.0]])
     else:
         if kappa > lipschitz:
             raise LmiError("kappa must not exceed lipschitz")
         core = np.array(
             [
-                [-2.0 * kappa * lipschitz, -(kappa + lipschitz)],
-                [-(kappa + lipschitz), -2.0],
+                [-2.0 * kappa * lipschitz, kappa + lipschitz],
+                [kappa + lipschitz, -2.0],
             ]
         )
     return np.kron(core, np.eye(size))
-
-
-def assemble_lmi(
-    realization: RealizationH,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Selector matrices (N1, N2, N3) of the inequality
-
-        N1' P N2 + N2' P N1 + alpha N3' M N3 < 0.
-    """
-    nm = realization.n_states
-    pm = realization.n_inputs
-    N1 = np.hstack([np.eye(nm), np.zeros((nm, pm))])
-    N2 = np.hstack([realization.A, realization.B])
-    N3 = np.vstack(
-        [
-            np.hstack([realization.C, realization.D]),
-            np.hstack([np.zeros((pm, nm)), np.eye(pm)]),
-        ]
-    )
-    return N1, N2, N3
 
 
 def _sector_form_max(xi: np.ndarray, MM: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,21 +97,19 @@ def _sector_form_max(xi: np.ndarray, MM: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.linalg.eigvalsh(H)[..., -1], np.linalg.norm(H, axis=(-2, -1))
 
 
-def _xi(realization: RealizationH, omegas: np.ndarray) -> np.ndarray:
+def _xi(A: np.ndarray, B: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """Stacked xi(w) = [(jwI - A)^-1 B; I]; w = inf gives [0; I]."""
-    nm, pm = realization.n_states, realization.n_inputs
+    nm, pm = B.shape
     xi = np.zeros((omegas.size, nm + pm, pm), dtype=complex)
     xi[:, nm:] = np.eye(pm)
     finite = np.isfinite(omegas)
     jw = 1j * omegas[finite, None, None] * np.eye(nm)
-    xi[finite, :nm] = np.linalg.solve(
-        jw - realization.A, np.broadcast_to(realization.B, (jw.shape[0], nm, pm))
-    )
+    xi[finite, :nm] = np.linalg.solve(jw - A, np.broadcast_to(B, (jw.shape[0], nm, pm)))
     return xi
 
 
 def frequency_witness(
-    realization: RealizationH, MM: np.ndarray
+    A: np.ndarray, B: np.ndarray, MM: np.ndarray
 ) -> tuple[float, float] | None:
     """A frequency w at which the sector inequality has no solution, as
     (w, lambda_max(xi* MM xi)), or None if the screened grid shows none.
@@ -178,14 +124,14 @@ def frequency_witness(
     omegas = np.append(_WITNESS_OMEGAS, np.inf)
     with np.errstate(all="ignore"):
         try:
-            lam, scale = _sector_form_max(_xi(realization, omegas), MM)
+            lam, scale = _sector_form_max(_xi(A, B, omegas), MM)
         except np.linalg.LinAlgError:  # jw is an eigenvalue of A
             return None
         hits = np.flatnonzero(lam > _WITNESS_RTOL * scale)
         if hits.size == 0:
             return None
         omega = omegas[hits[np.argmax(lam[hits])]]
-        lam, scale = _sector_form_max(_xi(realization, np.array([omega]))[0], MM)
+        lam, scale = _sector_form_max(_xi(A, B, np.array([omega]))[0], MM)
     if not lam > _WITNESS_RTOL * scale:
         return None
     return float(omega), float(lam)
@@ -221,11 +167,13 @@ def _decide(
 ) -> tuple[LmiCertificate, np.ndarray | None]:
     """verify_stability with the solver started from ``start``; also returns
     the solver's final iterate (None when the witness decided)."""
-    realization = build_realization(plant, geometry, controller)
-    nm = realization.n_states
-    pm = realization.n_inputs
+    A, B, C, D = closed_loop(plant, geometry, controller)
+    nm, pm = B.shape
     M = build_multiplier(kappa, lipschitz, pm)
-    N1, N2, N3 = assemble_lmi(realization)
+    # selector matrices of N1' P N2 + N2' P N1 + alpha N3' M N3 < 0 on (x, w)
+    N1 = np.hstack([np.eye(nm), np.zeros((nm, pm))])
+    N2 = np.hstack([A, B])
+    N3 = np.vstack([np.hstack([C, D]), np.hstack([np.zeros((pm, nm)), np.eye(pm)])])
     with np.errstate(over="ignore", invalid="ignore"):
         MM = N3.T @ M @ N3
     if not (np.isfinite(N2).all() and np.isfinite(MM).all()):
@@ -255,14 +203,14 @@ def _decide(
         )
         return ok, (eig_S, eig_P)
 
-    witness = frequency_witness(realization, MM)
+    witness = frequency_witness(A, B, MM)
     if witness is not None:
         # no candidate is searched for; report the trivial one, (P, alpha) = 0
         v0 = np.zeros(q)
         result = FeasibilityResult("infeasible", v0, 0, certificate(v0)[1])
     else:
         result = solve_feasibility(
-            [AffineBlock(nm + pm, S_main), AffineBlock(nm, S_pos)],
+            [S_main, S_pos],
             q,
             nonneg=(dP,),
             margins=[_MARGIN_MAIN, _MARGIN_P],

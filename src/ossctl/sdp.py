@@ -2,7 +2,8 @@
 
 Problems are posed as: find v in R^q such that S_i(v) < 0 (negative
 definite) for every affine matrix-valued block S_i, optionally with some
-components of v constrained nonnegative.  Strict feasibility is encoded by
+components of v constrained nonnegative.  A block is the callable
+v -> S_i(v) itself; its side length is read from S_i(0).  Strict feasibility is encoded by
 shifting each block by a margin times the identity and splitting between
 
   * the affine set  { (v, Z_1..Z_k) : svec(Z_i) = -svec(S_i(v)) - margin_i svec(I) }
@@ -34,18 +35,6 @@ _STALL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class AffineBlock:
-    """One matrix inequality S(v) < 0.
-
-    ``matrix`` maps v (length q) to the symmetric matrix S(v); it must be
-    affine in v.  ``dim`` is the side length of S(v).
-    """
-
-    dim: int
-    matrix: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class FeasibilityResult:
     # "feasible" | "stalled" | "undecided" from solve_feasibility; a caller
     # that rules a problem out before splitting reports "infeasible"
@@ -63,7 +52,7 @@ class FeasibilityResult:
 
 
 def solve_feasibility(
-    blocks: Sequence[AffineBlock],
+    blocks: Sequence[Callable[[np.ndarray], np.ndarray]],
     q: int,
     nonneg: Sequence[int] = (),
     margins: Sequence[float] | None = None,
@@ -75,6 +64,7 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Run the splitting until a candidate passes the certificate check.
 
+    Each block maps v (length q) to a symmetric matrix S(v), affinely in v.
     certificate(v) -> (ok, info) validates a candidate against the original
     (unshifted, unscaled) inequalities; it is consulted every ``check_every``
     sweeps and at termination.
@@ -87,8 +77,6 @@ def solve_feasibility(
     certificate rejects it -- strong evidence of infeasibility at the given
     margins), "undecided" (sweep cap hit).
     """
-    dims = [b.dim for b in blocks]
-    sdims = [svec_dim(n) for n in dims]
     if margins is None:
         margins = [1.0] * len(blocks)
     if len(margins) != len(blocks):
@@ -97,16 +85,20 @@ def solve_feasibility(
     # matrix representation of each affine block, by probing unit vectors
     A_list = []
     s0_list = []
+    dims = []
     zeros = np.zeros(q)
     for blk in blocks:
-        s0 = svec(blk.matrix(zeros))
+        S0 = blk(zeros)
+        dims.append(S0.shape[0])
+        s0 = svec(S0)
         cols = np.empty((q, s0.size))
         for j in range(q):
             e = np.zeros(q)
             e[j] = 1.0
-            cols[j] = svec(blk.matrix(e)) - s0
+            cols[j] = svec(blk(e)) - s0
         A_list.append(cols.T)
         s0_list.append(s0)
+    sdims = [svec_dim(n) for n in dims]
 
     # column scaling keeps the affine projection well conditioned when the
     # decision variables enter at very different magnitudes

@@ -1,7 +1,7 @@
 """Closed-loop time simulation under piecewise-constant disturbances.
 
 Fixed-step classical Runge-Kutta on one loop, built once per call: the
-open loop closed by the controller (synthesis.closed_loop_system), with the
+loop the controller closes on the plant (synthesis.closed_loop), with the
 state s = (x, eta, x_s).  In general each stage evaluates that loop with
 controller.stabilizer_dynamics, which re-solves the implicit input equation.
 For quadratic costs the loop is affine, and the RK4 step
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import PiGains, pi_as_stabilizer, stabilizer_dynamics
+from .controller import stabilizer_dynamics
 
 # unused here: perfbench/tracing.py wraps sim.pi_dynamics when it installs,
 # until the benchmark traces stabilizer_dynamics instead (ROADMAP item 1)
@@ -31,7 +31,7 @@ from .kkt import KktGeometry
 from .objective import SteadyStateObjective
 from .oracle import OptimizerResult, solve_steady_state
 from .plant import LtiPlant, check_disturbance
-from .synthesis import closed_loop_system, open_loop
+from .synthesis import closed_loop
 
 #: steps advanced by one matrix product on the affine path
 _BLOCK = 256
@@ -148,7 +148,7 @@ def _affine_closed_loop(loop, geometry, objective):
     """(F, c0, M, m0) of the affine closed loop s' = F s + c0 + E d on
     s = (x, eta, x_s), valid when the cost is quadratic.  E injects d into
     the x block, and the outputs are (u, e) = M s + m0.  The loop (A, B, C,
-    D) of synthesis.closed_loop_system is closed once more by the gradient
+    D) of synthesis.closed_loop is closed once more by the gradient
     w = H z + q, with H and q the cost's Hessian and gradient at 0; that
     algebraic loop is taken as well-posed when I - H D is finite and its
     condition number is at most 1e12."""
@@ -245,14 +245,13 @@ def simulate(
 
     controller is either PiGains or a DynamicStabilizer; a PI law runs as its
     zero-order stabilizer, so the state is s = (x, eta, x_s) in both cases,
-    the order of synthesis.closed_loop_system.
+    the order of synthesis.closed_loop.
     """
     if not 0 < dt < np.inf:
         raise SimulationError("dt must be positive and finite")
     n, m = plant.n, plant.m
-    if isinstance(controller, PiGains):
-        controller = pi_as_stabilizer(controller, plant.p)
-    ns = controller.order
+    loop = closed_loop(plant, geometry, controller)
+    ns = loop[0].shape[0] - n - m
     s = []
     for v, size in ((x0, n), (eta0, m), (xs0, ns)):
         v = np.zeros(size) if v is None else np.asarray(v, dtype=float)
@@ -285,7 +284,6 @@ def simulate(
             f"cannot build a time grid of {t_final / dt:.4g} steps: {exc}"
         ) from exc
 
-    loop = closed_loop_system(open_loop(plant, geometry), controller)
     affine = objective.is_quadratic
     if affine:
         F, c0, M, m0 = _affine_closed_loop(loop, geometry, objective)

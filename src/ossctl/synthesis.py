@@ -1,6 +1,6 @@
 """Dynamic stabilizer synthesis for plants where no PI gain certifies, and
-the one plant-with-controller interconnection (open_loop closed by
-closed_loop_system) that the LMI and simulation layers reuse.
+the one plant-with-controller interconnection, closed_loop, that the LMI,
+synthesis and simulation layers all read.
 
 The gradient nonlinearity in sector [kappa, L] is loop-shifted to the
 symmetric sector [-1, 1] (center c = (L+kappa)/2, radius r = (L-kappa)/2)
@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import hinf_norm, is_hurwitz, smat, svec_dim
-from .controller import DynamicStabilizer
+from .controller import DynamicStabilizer, PiGains, pi_as_stabilizer
 from .errors import SynthesisError
 from .kkt import KktGeometry
 from .plant import LtiPlant
-from .sdp import AffineBlock, solve_feasibility
+from .sdp import solve_feasibility
 
 #: the one gain level solved for; any certified level below one suffices
 _GAMMA = 0.99
@@ -28,8 +28,7 @@ _GAMMA = 0.99
 
 @dataclass(frozen=True)
 class AugmentedPlant:
-    """Generalized plant: open_loop (center 0, radius 1), or its shift by
-    loop_transform.
+    """Generalized plant: open_loop, or its sector shift by loop_transform.
 
     Channels: w (the nonlinearity output, dimension p+m: grad_g, or its
     shifted form w_tilde), z (its input), y_meas = sigma = (y, eta, e),
@@ -45,30 +44,8 @@ class AugmentedPlant:
     C2: np.ndarray
     D21: np.ndarray
     D22: np.ndarray
-    center: float
-    radius: float
     p: int
     m: int
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_w(self) -> int:
-        return self.B1.shape[1]
-
-    @property
-    def n_z(self) -> int:
-        return self.C1.shape[0]
-
-    @property
-    def n_meas(self) -> int:
-        return self.C2.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.B2.shape[1]
 
 
 @dataclass(frozen=True)
@@ -80,10 +57,10 @@ class SynthesisResult:
 
 
 def open_loop(plant: LtiPlant, geometry: KktGeometry) -> AugmentedPlant:
-    """The generalized plant of the loop before any sector shift (center 0,
-    radius 1): inputs w = grad_g and u, outputs z = (y, u) and
-    sigma = (y, eta, e) with e = -R' w, state (x, eta).  Every closed loop
-    is this plant closed by a stabilizer (closed_loop_system)."""
+    """The generalized plant of the loop before any sector shift: inputs
+    w = grad_g and u, outputs z = (y, u) and sigma = (y, eta, e) with
+    e = -R' w, state (x, eta).  Every closed loop is this plant closed by a
+    stabilizer (closed_loop_system)."""
     n, m, p = plant.n, plant.m, plant.p
     RT = geometry.R.T
     ng = n + m
@@ -104,8 +81,6 @@ def open_loop(plant: LtiPlant, geometry: KktGeometry) -> AugmentedPlant:
         ),
         D21=np.vstack([np.zeros((p, nw)), np.zeros((m, nw)), -RT]),
         D22=np.zeros((p + 2 * m, m)),
-        center=0.0,
-        radius=1.0,
         p=p,
         m=m,
     )
@@ -135,8 +110,6 @@ def loop_transform(
         C2=o.C2 + c * (o.D21 @ o.C1),
         D21=r * o.D21,
         D22=c * (o.D21 @ o.D12),
-        center=c,
-        radius=r,
     )
 
 
@@ -151,8 +124,9 @@ def _bounded_real_feasible(aug: AugmentedPlant, gamma: float, max_sweeps: int):
     Ap, B1, B2 = aug.A, aug.B1, aug.B2
     C1, D11, D12 = aug.C1, aug.D11, aug.D12
     C2, D21 = aug.C2, aug.D21
-    ng, nw, nz = aug.n_states, aug.n_w, aug.n_z
-    ny, nu = aug.n_meas, aug.n_u
+    ng, nw = B1.shape
+    nz, nu = D12.shape
+    ny = C2.shape[0]
     dS = svec_dim(ng)
     q = 2 * dS + ng * ng + ng * ny + nu * ng + nu * ny
 
@@ -208,10 +182,7 @@ def _bounded_real_feasible(aug: AugmentedPlant, gamma: float, max_sweeps: int):
         return ok, (l_synth, l_couple)
 
     result = solve_feasibility(
-        [
-            AffineBlock(2 * ng + nw + nz, S_synth),
-            AffineBlock(2 * ng, S_couple),
-        ],
+        [S_synth, S_couple],
         q,
         margins=[1e-3, 1e-3],
         max_sweeps=max_sweeps,
@@ -226,7 +197,7 @@ def _reconstruct(aug: AugmentedPlant, X, Y, Ah, Bh, Ch, Dh) -> DynamicStabilizer
 
     The result K0 is the controller the LMI designed: it is fed
     sigma0 = sigma - D22 u, the measurement without its feedthrough."""
-    ng = aug.n_states
+    ng = aug.A.shape[0]
     U, s, Vt = np.linalg.svd(np.eye(ng) - X @ Y)
     if s.min() < 1e-12 * s.max():
         raise SynthesisError("controller reconstruction singular (I - XY)")
@@ -284,6 +255,17 @@ def closed_loop_system(aug: AugmentedPlant, stab: DynamicStabilizer):
     return Acl, Bcl, Ccl, Dcl
 
 
+def closed_loop(
+    plant: LtiPlant, geometry: KktGeometry, controller: PiGains | DynamicStabilizer
+):
+    """(A, B, C, D) of the loop the controller closes on the plant: input
+    w = grad_g, output z = (y, u), state (x, eta, x_s).  A PI law closes it
+    as its zero-order stabilizer."""
+    if isinstance(controller, PiGains):
+        controller = pi_as_stabilizer(controller, plant.p)
+    return closed_loop_system(open_loop(plant, geometry), controller)
+
+
 def _loop_margin(stab: DynamicStabilizer, geometry: KktGeometry, lipschitz: float) -> float:
     """Positive iff the e-channel algebraic loop is provably well-posed for
     every gradient in the sector: ||D_e|| L ||R||^2 < 1 is sufficient since
@@ -294,12 +276,14 @@ def _loop_margin(stab: DynamicStabilizer, geometry: KktGeometry, lipschitz: floa
 
 
 def synthesize_stabilizer(
-    aug: AugmentedPlant,
+    plant: LtiPlant,
     geometry: KktGeometry,
+    kappa: float,
     lipschitz: float,
     max_sweeps: int = 6000,
 ) -> SynthesisResult:
-    """Solve the bounded-real LMI once, at gamma = 0.99.
+    """Solve the bounded-real LMI of the loop-shifted plant
+    (loop_transform) once, at gamma = 0.99.
 
     Feasibility is monotone in gamma and only a level below one certifies
     the loop by small gain, so one solve decides.  The reconstructed
@@ -307,6 +291,7 @@ def synthesize_stabilizer(
     Hurwitz, its actual H-infinity norm must not exceed gamma, and the
     e-channel algebraic loop must stay well posed over the whole sector.
     """
+    aug = loop_transform(plant, geometry, kappa, lipschitz)
     result, (X, Y, Ah, Bh, Ch, Dh) = _bounded_real_feasible(aug, _GAMMA, max_sweeps)
     if not result.feasible:
         raise SynthesisError(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ossctl as oc
+import ossctl.synthesis as synthesis
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -50,8 +51,8 @@ def geometry_unstable(plant_unstable):
 def synthesis_result(plant_unstable, geometry_unstable):
     """(loop-transformed plant, synthesis result) of example_vc: plant_unstable
     and the sector [1, 2]."""
-    aug = oc.loop_transform(plant_unstable, geometry_unstable, 1.0, 2.0)
-    return aug, oc.synthesize_stabilizer(aug, geometry_unstable, 2.0)
+    aug = synthesis.loop_transform(plant_unstable, geometry_unstable, 1.0, 2.0)
+    return aug, oc.synthesize_stabilizer(plant_unstable, geometry_unstable, 1.0, 2.0)
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +64,23 @@ def quadratic_obj():
 @pytest.fixture(scope="session")
 def cosh_obj():
     return oc.cosh_example_objective()
+
+
+def sector_lmi(plant, geometry, controller, kappa, lipschitz):
+    """(A, B, MM, S) of the sector LMI on the loop oc.closed_loop builds:
+    its (A, B), the sector form MM on (x, w), and S(P, alpha), the form
+    2 x' P (A x + B w) + alpha (x, w)' MM (x, w) as a matrix.  S < 0 with
+    P > 0 and alpha >= 0 certifies the loop."""
+    A, B, C, D = oc.closed_loop(plant, geometry, controller)
+    nm, pm = B.shape
+    zw = np.block([[C, D], [np.zeros((pm, nm)), np.eye(pm)]])  # (x, w) -> (z, w)
+    MM = zw.T @ oc.build_multiplier(kappa, lipschitz, pm) @ zw
+
+    def S(P, alpha):
+        PAB = np.vstack([P @ np.hstack([A, B]), np.zeros((pm, nm + pm))])
+        return PAB + PAB.T + alpha * MM
+
+    return A, B, MM, S
 
 
 def load_script(name):

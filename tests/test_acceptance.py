@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 import ossctl as oc
-from ossctl.lmi import assemble_lmi, build_multiplier, build_realization
-from tests.conftest import D_SEGMENTS, random_quadratic_instance
+from tests.conftest import D_SEGMENTS, random_quadratic_instance, sector_lmi
 
 GRID_VA = [round(0.2 * k, 1) for k in range(1, 11)]
 GRID_VC = [10.0 ** k for k in range(-3, 4)]
@@ -54,16 +53,11 @@ def test_criterion_2_certification_sweep(plant_stable, geometry_stable):
         )
         if cert.feasible:
             # certificate re-validation by eigenvalue check
-            real = build_realization(
-                plant_stable, geometry_stable, oc.PiGains.from_scalars(kp, ki, 1)
+            _, _, _, S_of = sector_lmi(
+                plant_stable, geometry_stable, oc.PiGains.from_scalars(kp, ki, 1),
+                1.0 / 9.0, 1.0,
             )
-            M = build_multiplier(1.0 / 9.0, 1.0, real.n_inputs)
-            N1, N2, N3 = assemble_lmi(real)
-            S = (
-                N1.T @ cert.P @ N2
-                + N2.T @ cert.P @ N1
-                + cert.alpha * (N3.T @ M @ N3)
-            )
+            S = S_of(cert.P, cert.alpha)
             assert np.linalg.eigvalsh(0.5 * (S + S.T)).max() < 0
         else:
             failures.append((kp, ki))
@@ -162,8 +156,7 @@ def test_criterion_5_unstable_grid_negative(plant_unstable, geometry_unstable):
 def test_criterion_6_synthesis(
     plant_unstable, geometry_unstable, quadratic_obj, vb_trace
 ):
-    aug = oc.loop_transform(plant_unstable, geometry_unstable, 1.0, 2.0)
-    result = oc.synthesize_stabilizer(aug, geometry_unstable, 2.0)
+    result = oc.synthesize_stabilizer(plant_unstable, geometry_unstable, 1.0, 2.0)
     assert result.gamma < 1.0
     # segment lengths stretched relative to the original figure so the slow
     # certified loop actually settles (see ledger)
@@ -199,11 +192,8 @@ def test_criterion_7_equilibrium_correspondence():
         plant, geometry, obj = random_quadratic_instance(rng)
         gains = oc.PiGains.from_scalars(0.5, 0.5, plant.m)
         from ossctl.sim import _affine_closed_loop
-        from ossctl.synthesis import closed_loop_system, open_loop
 
-        loop = closed_loop_system(
-            open_loop(plant, geometry), oc.pi_as_stabilizer(gains, plant.p)
-        )
+        loop = oc.closed_loop(plant, geometry, gains)
         F = _affine_closed_loop(loop, geometry, obj)[0]
         decay = -np.linalg.eigvals(F).real.max()
         if decay < 0.05:  # resample: only convergent loops reach equilibrium
@@ -279,16 +269,10 @@ def test_criterion_9_gradient_fd(cosh_obj):
 
 
 def test_criterion_9_lmi_affinity(plant_stable, geometry_stable):
-    real = build_realization(
-        plant_stable, geometry_stable, oc.PiGains.from_scalars(1.0, 1.0, 1)
+    _, _, _, S = sector_lmi(
+        plant_stable, geometry_stable, oc.PiGains.from_scalars(1.0, 1.0, 1),
+        1.0 / 9.0, 1.0,
     )
-    M = build_multiplier(1.0 / 9.0, 1.0, real.n_inputs)
-    N1, N2, N3 = assemble_lmi(real)
-    MM = N3.T @ M @ N3
-
-    def S(P, a):
-        return N1.T @ P @ N2 + N2.T @ P @ N1 + a * MM
-
     rng = np.random.default_rng(20)
     P1 = rng.normal(size=(5, 5))
     P1 += P1.T

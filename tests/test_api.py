@@ -8,9 +8,7 @@ import ossctl
 # The public surface of the package. A name added to or removed from
 # ossctl/__init__.py must be added to or removed from this list too.
 PUBLIC_NAMES = [
-    "AffineBlock",
     "AlgebraicLoopError",
-    "AugmentedPlant",
     "DisturbanceSchedule",
     "DivergenceError",
     "DynamicStabilizer",
@@ -26,7 +24,6 @@ PUBLIC_NAMES = [
     "OssctlError",
     "PiGains",
     "PlantError",
-    "RealizationH",
     "Scenario",
     "ScenarioError",
     "SimulationError",
@@ -34,14 +31,13 @@ PUBLIC_NAMES = [
     "SynthesisError",
     "SynthesisResult",
     "Trace",
-    "assemble_lmi",
     "build_kkt_geometry",
     "build_multiplier",
-    "build_realization",
     "check_detectable",
     "check_full_row_rank_AB",
     "check_gradient_fd",
     "check_stabilizable",
+    "closed_loop",
     "convergence_metrics",
     "cosh_example_objective",
     "gain_grid_search",
@@ -49,7 +45,6 @@ PUBLIC_NAMES = [
     "is_hurwitz",
     "kkt_residual",
     "load_scenario",
-    "loop_transform",
     "numerical_rank",
     "pi_as_stabilizer",
     "quadratic_objective",
@@ -77,7 +72,10 @@ PARAMETERS = {
         "plant", "geometry", "kp_values", "ki_values", "kappa", "lipschitz",
         "max_sweeps",
     ],
-    "synthesize_stabilizer": ["aug", "geometry", "lipschitz", "max_sweeps"],
+    "synthesize_stabilizer": [
+        "plant", "geometry", "kappa", "lipschitz", "max_sweeps",
+    ],
+    "closed_loop": ["plant", "geometry", "controller"],
     "solve_feasibility": [
         "blocks", "q", "nonneg", "margins", "max_sweeps", "check_every",
         "certificate", "start",

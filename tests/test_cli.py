@@ -209,6 +209,37 @@ def test_missing_scenario_is_bad_input(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate"],
+        ["simulate", "--dt", "abc"],
+        ["simulate", "--dt", "-inf"],
+        ["simulate", "--no-such-option"],
+        ["no-such-command"],
+    ],
+    ids=["no_scenario", "dt_not_a_number", "dt_minus_inf", "unknown_option",
+         "unknown_command"],
+)
+def test_command_line_syntax_error_is_bad_input(tmp_path, capsys, args):
+    # argparse's own usage message and exit status 2 would read as an
+    # assumption failure; a bad command line is bad input, in one line
+    scenario = [] if args == ["simulate"] else ["--scenario", bundled("example_va.json")]
+    out = tmp_path / "out"
+    assert run(args + scenario + ["--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ossctl")
+
+
 def test_synth_example_vc(tmp_path):
     code = run(["synth", "--scenario", bundled("example_vc.json"), "--out", str(tmp_path)])
     assert code == EXIT_OK

@@ -3,7 +3,6 @@ import pytest
 
 import ossctl as oc
 from ossctl.controller import pi_as_stabilizer, pi_dynamics
-from ossctl.synthesis import closed_loop_system, open_loop
 
 
 def test_gain_validation():
@@ -24,16 +23,10 @@ def _pi_at(loop, plant, objective, eta, y):
     return s_dot[x.size :], u
 
 
-def _pi_loop(plant, geometry, gains):
-    return closed_loop_system(
-        open_loop(plant, geometry), pi_as_stabilizer(gains, plant.p)
-    )
-
-
 def test_input_fixed_point_quadratic(plant_stable, geometry_stable, quadratic_obj):
     # u = K_I eta + K_P e, with e = -R' grad_g(y, u) the error signal
     gains = oc.PiGains.from_scalars(10.0, 5.0, 1)
-    loop = _pi_loop(plant_stable, geometry_stable, gains)
+    loop = oc.closed_loop(plant_stable, geometry_stable, gains)
     rng = np.random.default_rng(7)
     eta = rng.normal(size=1)
     y = rng.normal(size=2)
@@ -44,7 +37,7 @@ def test_input_fixed_point_quadratic(plant_stable, geometry_stable, quadratic_ob
 
 def test_input_fixed_point_cosh(plant_stable, geometry_stable, cosh_obj):
     gains = oc.PiGains.from_scalars(10.0, 5.0, 1)
-    loop = _pi_loop(plant_stable, geometry_stable, gains)
+    loop = oc.closed_loop(plant_stable, geometry_stable, gains)
     rng = np.random.default_rng(8)
     for _ in range(10):
         eta = rng.normal(size=1)
@@ -57,7 +50,7 @@ def test_input_fixed_point_cosh(plant_stable, geometry_stable, cosh_obj):
 def test_input_without_proportional_term(plant_stable, geometry_stable, cosh_obj):
     # with K_P = 0 there is no algebraic loop: u = K_I eta exactly
     gains = oc.PiGains(K_P=np.zeros((1, 1)), K_I=2.0 * np.eye(1))
-    loop = _pi_loop(plant_stable, geometry_stable, gains)
+    loop = oc.closed_loop(plant_stable, geometry_stable, gains)
     eta = np.array([0.7])
     _, u = _pi_at(loop, plant_stable, cosh_obj, eta, np.zeros(2))
     assert np.allclose(u, 2.0 * eta)
@@ -67,7 +60,7 @@ def test_quadratic_and_newton_paths_agree(plant_stable, geometry_stable, quadrat
     # the Newton solve of a quadratic loop matches its affine closed form,
     # u = (I + K_P R'H_u)^-1 (K_I eta - K_P R'(H_y y + q))
     gains = oc.PiGains.from_scalars(3.0, 2.0, 1)
-    loop = _pi_loop(plant_stable, geometry_stable, gains)
+    loop = oc.closed_loop(plant_stable, geometry_stable, gains)
     H, q = np.diag([2.0, 1.0, 1.0]), np.zeros(3)  # the quadratic_obj fixture
     RT = geometry_stable.R.T
     rng = np.random.default_rng(9)
@@ -90,7 +83,7 @@ def test_pi_as_stabilizer_matches_pi(
     gains = oc.PiGains.from_scalars(10.0, 5.0, 1)
     stab = pi_as_stabilizer(gains, p=2)
     assert stab.order == 0
-    loop = closed_loop_system(open_loop(plant_stable, geometry_stable), stab)
+    loop = oc.closed_loop(plant_stable, geometry_stable, stab)
     rng = np.random.default_rng(10)
     for obj in (quadratic_obj, cosh_obj):
         for _ in range(5):

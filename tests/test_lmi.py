@@ -6,70 +6,78 @@ import pytest
 import ossctl as oc
 import ossctl.lmi as lmi
 from ossctl.cli import main
-from ossctl.lmi import (
-    LmiError,
-    assemble_lmi,
-    build_multiplier,
-    build_realization,
-    frequency_witness,
-)
+from ossctl.lmi import LmiError, build_multiplier, frequency_witness
+from tests.conftest import sector_lmi
 
 KAPPA_A, L_A = 1.0 / 9.0, 1.0
 
 
 def test_realization_shapes(plant_stable, geometry_stable):
     gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
-    real = build_realization(plant_stable, geometry_stable, gains)
-    assert real.A.shape == (5, 5)
-    assert real.B.shape == (5, 3)
-    assert real.C.shape == (3, 5)
-    assert real.D.shape == (3, 3)
+    A, B, C, D = oc.closed_loop(plant_stable, geometry_stable, gains)
+    assert A.shape == (5, 5)
+    assert B.shape == (5, 3)
+    assert C.shape == (3, 5)
+    assert D.shape == (3, 3)
     # integrator rows of the state matrix are zero
-    assert np.allclose(real.A[4:, :], 0.0)
+    assert np.allclose(A[4:, :], 0.0)
 
 
 def test_pi_realization_is_its_stabilizer_realization(plant_stable, geometry_stable):
     # a PI law and its zero-order stabilizer close the same loop, bit for bit,
-    # over example_va's grid; and that loop is the PI loop written out
+    # over example_va's grid; and that loop is the PI loop written out, with
+    # input w = grad_g: x' = A x + B u, eta' = e, u = k_i eta + k_p e, and
+    # e = -R' w
     grid = [round(0.2 * k, 1) for k in range(1, 11)]
     RT = geometry_stable.R.T
     A, B, C = plant_stable.A, plant_stable.B, plant_stable.C
     for kp in grid:
         for ki in grid:
             gains = oc.PiGains.from_scalars(kp, ki, 1)
-            real = build_realization(plant_stable, geometry_stable, gains)
-            stab = build_realization(
+            pi = oc.closed_loop(plant_stable, geometry_stable, gains)
+            stab = oc.closed_loop(
                 plant_stable, geometry_stable, oc.pi_as_stabilizer(gains, 2)
             )
-            for name in ("A", "B", "C", "D"):
-                assert getattr(real, name).tobytes() == getattr(stab, name).tobytes()
+            for got, want in zip(pi, stab):
+                assert got.tobytes() == want.tobytes()
             written = (
                 np.block([[A, B * ki], [np.zeros((1, 5))]]),
-                np.vstack([kp * B @ RT, RT]),
+                np.vstack([-kp * B @ RT, -RT]),
                 np.block([[C, np.zeros((2, 1))], [np.zeros((1, 4)), ki * np.eye(1)]]),
-                np.vstack([np.zeros((2, 3)), kp * RT]),
+                np.vstack([np.zeros((2, 3)), -kp * RT]),
             )
-            for got, want in zip((real.A, real.B, real.C, real.D), written):
+            for got, want in zip(pi, written):
                 assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
+def _sector_form(M, s):
+    """(z, w)' M (z, w) on the linear gradient w = s z, at z = (1, 1, 1)."""
+    z = np.ones(3)
+    zw = np.concatenate([z, s * z])
+    return zw @ M @ zw
 
 
 def test_multiplier_finite_sector():
     M = build_multiplier(KAPPA_A, L_A, 3)
     assert M.shape == (6, 6)
     assert np.allclose(M, M.T)
-    # sector inequality holds for the linear nonlinearity phi = s v, s in [kappa, L]
-    for s in (KAPPA_A, 0.5, L_A):
-        v = np.ones(3)
-        stacked = np.concatenate([v, s * v])
-        assert stacked @ M @ stacked <= 1e-10
+    # the form is nonnegative on the sector's linear members w = s z, zero
+    # at both of its ends, and negative outside it
+    for s in np.linspace(KAPPA_A, L_A, 9):
+        assert _sector_form(M, s) >= -1e-12
+    for s in (KAPPA_A, L_A):
+        assert _sector_form(M, s) == pytest.approx(0.0, abs=1e-12)
+    for s in (KAPPA_A / 2, 2 * L_A):
+        assert _sector_form(M, s) < -1e-3
 
 
 def test_multiplier_infinite_sector():
     M = build_multiplier(KAPPA_A, np.inf, 3)
-    for s in (KAPPA_A, 1.0, 100.0):
-        v = np.ones(3)
-        stacked = np.concatenate([v, s * v])
-        assert stacked @ M @ stacked <= 1e-10
+    for s in (KAPPA_A, 0.5, 1.0, 100.0, 1e6):
+        assert _sector_form(M, s) >= -1e-12
+    assert _sector_form(M, KAPPA_A) == pytest.approx(0.0, abs=1e-12)
+    for s in (0.0, KAPPA_A / 2, 0.9 * KAPPA_A):
+        assert _sector_form(M, s) < -1e-3
 
 
 def test_multiplier_validation():
@@ -82,14 +90,7 @@ def test_multiplier_validation():
 def test_lmi_affinity_and_symmetry(plant_stable, geometry_stable):
     # S(P, alpha) must be symmetric and affine in (P, alpha) to 1e-12
     gains = oc.PiGains.from_scalars(1.0, 1.0, 1)
-    real = build_realization(plant_stable, geometry_stable, gains)
-    M = build_multiplier(KAPPA_A, L_A, real.n_inputs)
-    N1, N2, N3 = assemble_lmi(real)
-    MM = N3.T @ M @ N3
-
-    def S(P, alpha):
-        return N1.T @ P @ N2 + N2.T @ P @ N1 + alpha * MM
-
+    _, _, _, S = sector_lmi(plant_stable, geometry_stable, gains, KAPPA_A, L_A)
     rng = np.random.default_rng(12)
     P1 = rng.normal(size=(5, 5))
     P1 = P1 + P1.T
@@ -121,14 +122,8 @@ def test_certificate_eigenvalue_revalidation(plant_stable, geometry_stable):
     gains = oc.PiGains.from_scalars(1.0, 1.0, 1)
     cert = oc.verify_stability(plant_stable, geometry_stable, gains, KAPPA_A, L_A)
     assert cert.feasible
-    real = build_realization(plant_stable, geometry_stable, gains)
-    M = build_multiplier(KAPPA_A, L_A, real.n_inputs)
-    N1, N2, N3 = assemble_lmi(real)
-    S = (
-        N1.T @ cert.P @ N2
-        + N2.T @ cert.P @ N1
-        + cert.alpha * (N3.T @ M @ N3)
-    )
+    _, _, _, S_of = sector_lmi(plant_stable, geometry_stable, gains, KAPPA_A, L_A)
+    S = S_of(cert.P, cert.alpha)
     S = 0.5 * (S + S.T)
     assert np.linalg.eigvalsh(S).max() < 0
     assert np.linalg.eigvalsh(cert.P).min() > 0
@@ -155,26 +150,23 @@ def test_grid_search_records(plant_stable, geometry_stable):
     }
 
 
-def _lmi_data(plant, geometry, kp, ki, kappa=KAPPA_A, lipschitz=L_A):
-    real = build_realization(plant, geometry, oc.PiGains.from_scalars(kp, ki, 1))
-    M = build_multiplier(kappa, lipschitz, real.n_inputs)
-    N1, N2, N3 = assemble_lmi(real)
-    return real, N1, N2, N3.T @ M @ N3
+def _lmi_data(plant, geometry, kp, ki):
+    return sector_lmi(plant, geometry, oc.PiGains.from_scalars(kp, ki, 1), KAPPA_A, L_A)
 
 
 def test_p_terms_vanish_on_frequency_direction(plant_stable, geometry_stable):
     # on xi = [(jwI - A)^-1 B w; w] the P terms cancel for every symmetric P,
-    # which is what makes a positive xi* (N3' M N3) xi a witness
-    real, N1, N2, _ = _lmi_data(plant_stable, geometry_stable, 0.2, 1.8)
+    # which is what makes a positive xi* MM xi a witness
+    A, B, _, S = _lmi_data(plant_stable, geometry_stable, 0.2, 1.8)
     rng = np.random.default_rng(21)
-    nm = real.n_states
+    nm, pm = B.shape
     for omega in (1e-3, 0.7, 1.8, 40.0):
         P = rng.normal(size=(nm, nm))
         P = P + P.T
-        w = rng.normal(size=real.n_inputs) + 1j * rng.normal(size=real.n_inputs)
-        x = np.linalg.solve(1j * omega * np.eye(nm) - real.A, real.B @ w)
+        w = rng.normal(size=pm) + 1j * rng.normal(size=pm)
+        x = np.linalg.solve(1j * omega * np.eye(nm) - A, B @ w)
         xi = np.concatenate([x, w])
-        L0 = N1.T @ P @ N2 + N2.T @ P @ N1
+        L0 = S(P, 0.0)
         assert abs(xi.conj() @ L0 @ xi) < 1e-12 * np.linalg.norm(L0) * (xi.conj() @ xi).real
 
 
@@ -189,8 +181,8 @@ def test_witness_fires_on_no_dr_certified_pair(plant_stable, geometry_stable, mo
     monkeypatch.undo()
     not_certified = []
     for r in records:
-        real, _, _, MM = _lmi_data(plant_stable, geometry_stable, r["k_p"], r["k_i"])
-        witness = frequency_witness(real, MM)
+        A, B, MM, _ = _lmi_data(plant_stable, geometry_stable, r["k_p"], r["k_i"])
+        witness = frequency_witness(A, B, MM)
         if r["certified"]:
             assert witness is None, (r["k_p"], r["k_i"], witness)
         else:
@@ -211,9 +203,9 @@ def test_infeasible_pair_carries_witness(plant_stable, geometry_stable):
     assert 1.0 < omega < 3.0
     assert lam > 0
     # the witness matches a direct evaluation at its frequency
-    real, _, _, MM = _lmi_data(plant_stable, geometry_stable, 0.2, 2.0)
-    x = np.linalg.solve(1j * omega * np.eye(real.n_states) - real.A, real.B)
-    xi = np.vstack([x, np.eye(real.n_inputs)])
+    A, B, MM, _ = _lmi_data(plant_stable, geometry_stable, 0.2, 2.0)
+    x = np.linalg.solve(1j * omega * np.eye(A.shape[0]) - A, B)
+    xi = np.vstack([x, np.eye(B.shape[1])])
     assert np.linalg.eigvalsh(xi.conj().T @ MM @ xi).max() == pytest.approx(lam, rel=1e-9)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import ossctl as oc
 from ossctl._linalg import smat, svec
-from ossctl.sdp import AffineBlock, solve_feasibility
+from ossctl.sdp import solve_feasibility
 
 
 def lyapunov_blocks(a):
@@ -19,7 +19,7 @@ def lyapunov_blocks(a):
         ok = 2.0 * a * v[0] < -1e-10 and v[0] > 1e-10
         return ok, (2.0 * a * v[0], v[0])
 
-    return [AffineBlock(1, S_main), AffineBlock(1, S_pos)], certificate
+    return [S_main, S_pos], certificate
 
 
 def test_scalar_lyapunov_feasible():
@@ -62,7 +62,7 @@ def test_matrix_lyapunov_feasible():
         return ok, None
 
     res = solve_feasibility(
-        [AffineBlock(3, S_main), AffineBlock(3, S_pos)],
+        [S_main, S_pos],
         q=d,
         margins=[1.0, 1e-2],
         certificate=cert,
@@ -83,7 +83,7 @@ def test_nonneg_constraint_respected():
         return (v[0] >= 0 and v[0] < 1.0 - 1e-10), None
 
     res = solve_feasibility(
-        [AffineBlock(1, S_main)], q=1, nonneg=(0,), margins=[0.1], certificate=cert
+        [S_main], q=1, nonneg=(0,), margins=[0.1], certificate=cert
     )
     assert res.feasible
     assert res.v[0] >= 0
@@ -92,7 +92,7 @@ def test_nonneg_constraint_respected():
 def test_margin_count_validated():
     with pytest.raises(ValueError):
         solve_feasibility(
-            [AffineBlock(1, lambda v: np.array([[v[0]]]))],
+            [lambda v: np.array([[v[0]]])],
             q=1,
             margins=[1.0, 1.0],
             certificate=lambda v: (False, None),

@@ -14,12 +14,7 @@ from ossctl.sim import (
     _affine_closed_loop,
     _rk4_one_step_maps,
 )
-from ossctl.synthesis import closed_loop_system, open_loop
 from tests.conftest import D_SEGMENTS
-
-
-def _loop(plant, geometry, stab):
-    return closed_loop_system(open_loop(plant, geometry), stab)
 
 
 def _written_out(plant, geometry, obj, stab, s, d, u):
@@ -120,7 +115,8 @@ def test_affine_map_is_the_generic_derivative(
         stab = oc.pi_as_stabilizer(oc.PiGains.from_scalars(2.0, 1.5, m), plant.p)
     else:
         stab = synthesis_result[1].stabilizer
-    F, c0, M, m0 = _affine_closed_loop(_loop(plant, geometry, stab), geometry, obj)
+    loop = oc.closed_loop(plant, geometry, stab)
+    F, c0, M, m0 = _affine_closed_loop(loop, geometry, obj)
     assert F.shape == (n + m + stab.order,) * 2
     for _ in range(20):
         s = rng.normal(size=F.shape[0])
@@ -143,7 +139,7 @@ def test_affine_map_is_the_generic_derivative(
 def test_stabilizer_dynamics_is_the_written_out_loop(
     kind, plant_stable, geometry_stable, cosh_obj
 ):
-    # the nonlinear path's per-stage evaluation on the closed_loop_system
+    # the nonlinear path's per-stage evaluation on the closed_loop
     # realization, at random states, is the plant, integrator and stabilizer
     # written out, and its u solves the implicit law
     plant, geometry = plant_stable, geometry_stable
@@ -153,7 +149,7 @@ def test_stabilizer_dynamics_is_the_written_out_loop(
     else:
         stab = _filtered_pi(2.0, 2.0)
     assert np.any(stab.D_s_e)
-    loop = _loop(plant, geometry, stab)
+    loop = oc.closed_loop(plant, geometry, stab)
     rng = np.random.default_rng(34)
     u_prev = None
     for _ in range(20):
@@ -233,7 +229,8 @@ def test_switch_row_belongs_to_new_segment(plant_stable, geometry_stable, quadra
 
 def _stepwise(plant, geometry, obj, stab, schedule, t_final, dt, s0):
     """(t, states, (u, e)) of the affine loop stepped one RK4 map at a time."""
-    F, c0, M, m0 = _affine_closed_loop(_loop(plant, geometry, stab), geometry, obj)
+    loop = oc.closed_loop(plant, geometry, stab)
+    F, c0, M, m0 = _affine_closed_loop(loop, geometry, obj)
     t, rows, s = [0.0], [s0], s0
     for t0, t1, d in schedule.segments(t_final):
         k = max(1, int(round((t1 - t0) / dt)))
@@ -302,7 +299,7 @@ def test_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
     d = D_SEGMENTS[0]
     stab = oc.pi_as_stabilizer(gains, plant_unstable.p)
     F, c0, _, _ = _affine_closed_loop(
-        _loop(plant_unstable, geometry_unstable, stab), geometry_unstable,
+        oc.closed_loop(plant_unstable, geometry_unstable, stab), geometry_unstable,
         quadratic_obj,
     )
     Phi, G = _rk4_one_step_maps(F, 1e-3)

@@ -5,31 +5,36 @@ import pytest
 
 import ossctl as oc
 import ossctl.synthesis as synthesis
-from ossctl.synthesis import SynthesisError, closed_loop_system
+from ossctl.synthesis import SynthesisError, closed_loop_system, loop_transform
 from tests.conftest import D_SEGMENTS
 
 KAPPA_C, L_C = 1.0, 2.0
+# the sector's center and radius: w = c z + r w_tilde
+C_C, R_C = 0.5 * (L_C + KAPPA_C), 0.5 * (L_C - KAPPA_C)
 
 
 def test_loop_transform_parameters(plant_unstable, geometry_unstable):
-    aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
-    assert aug.center == pytest.approx(1.5)
-    assert aug.radius == pytest.approx(0.5)
+    # [1, 2] shifts by the center 1.5 and scales the uncertainty by 0.5
+    aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+    ol = synthesis.open_loop(plant_unstable, geometry_unstable)
+    assert (C_C, R_C) == (1.5, 0.5)
+    assert np.array_equal(aug.A, ol.A + 1.5 * (ol.B1 @ ol.C1))
+    assert np.array_equal(aug.B1, 0.5 * ol.B1)
+    assert np.array_equal(aug.D21, 0.5 * ol.D21)
 
 
 def test_loop_transform_is_the_shifted_open_loop(plant_unstable, geometry_unstable):
     # on random signals, the transformed plant driven by (w_tilde, u) is the
     # open loop driven by (w = c z + r w_tilde, u)
-    aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+    aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
     ol = synthesis.open_loop(plant_unstable, geometry_unstable)
-    assert (ol.center, ol.radius) == (0.0, 1.0)
     assert not ol.D11.any() and not ol.D22.any()
-    c, r = aug.center, aug.radius
+    c, r = C_C, R_C
     rng = np.random.default_rng(31)
     for _ in range(10):
-        x = rng.normal(size=aug.n_states)
-        wt = rng.normal(size=aug.n_w)
-        u = rng.normal(size=aug.n_u)
+        x = rng.normal(size=aug.A.shape[0])
+        wt = rng.normal(size=aug.B1.shape[1])
+        u = rng.normal(size=aug.B2.shape[1])
         z = ol.C1 @ x + ol.D12 @ u
         w = c * z + r * wt
         pairs = (
@@ -43,13 +48,12 @@ def test_loop_transform_is_the_shifted_open_loop(plant_unstable, geometry_unstab
 
 def test_loop_transform_rejects_infinite_sector(plant_unstable, geometry_unstable):
     with pytest.raises(SynthesisError):
-        oc.loop_transform(plant_unstable, geometry_unstable, 1.0 / 9.0, np.inf)
+        loop_transform(plant_unstable, geometry_unstable, 1.0 / 9.0, np.inf)
 
 
 def test_sector_edge_maps_to_edge():
     # phi(v) = kappa v maps to exactly -v after the transformation
-    c = 0.5 * (L_C + KAPPA_C)
-    r = 0.5 * (L_C - KAPPA_C)
+    c, r = C_C, R_C
     v = np.linspace(-3, 3, 7)
     assert np.allclose((KAPPA_C * v - c * v) / r, -v)
     assert np.allclose((L_C * v - c * v) / r, v)
@@ -57,8 +61,7 @@ def test_sector_edge_maps_to_edge():
 
 def test_transformed_gradient_is_contractive(quadratic_obj):
     # sampled incremental bound: ||phi~(a) - phi~(b)|| <= ||a - b||
-    c = 0.5 * (L_C + KAPPA_C)
-    r = 0.5 * (L_C - KAPPA_C)
+    c, r = C_C, R_C
     rng = np.random.default_rng(14)
 
     def phi(z):
@@ -98,12 +101,12 @@ def test_running_loop_is_the_designed_loop(
         return designed[-1]
 
     monkeypatch.setattr(synthesis, "_reconstruct", recorded)
-    aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
-    stab = oc.synthesize_stabilizer(aug, geometry_unstable, L_C).stabilizer
-    A, B, C, D = closed_loop_system(
-        synthesis.open_loop(plant_unstable, geometry_unstable), stab
-    )
-    c, r = aug.center, aug.radius
+    stab = oc.synthesize_stabilizer(
+        plant_unstable, geometry_unstable, KAPPA_C, L_C
+    ).stabilizer
+    A, B, C, D = oc.closed_loop(plant_unstable, geometry_unstable, stab)
+    aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+    c, r = C_C, R_C
     L = np.linalg.inv(np.eye(D.shape[0]) - c * D)
     running = (A + c * B @ L @ C, r * B @ L, L @ C, r * L @ D)
     design = closed_loop_system(
@@ -163,7 +166,7 @@ def test_stabilizer_equilibrium_matches_oracle(
 def test_pi_as_stabilizer_small_gain(plant_stable, geometry_stable):
     # a certified PI loop on the stable plant passes the small-gain analysis
     gamma = oc.hinf_norm(*closed_loop_system(
-        oc.loop_transform(plant_stable, geometry_stable, 1.0 / 9.0, 1.0),
+        loop_transform(plant_stable, geometry_stable, 1.0 / 9.0, 1.0),
         oc.pi_as_stabilizer(oc.PiGains.from_scalars(0.2, 0.2, 1), plant_stable.p),
     ))
     assert gamma < 1.0
@@ -173,8 +176,7 @@ def test_near_linear_sector_synthesis():
     # trivial stable plant with a nearly degenerate sector
     plant = oc.LtiPlant(A=np.array([[-1.0]]), B=np.array([[1.0]]), C=np.array([[1.0]]))
     geometry = oc.build_kkt_geometry(plant)
-    aug = oc.loop_transform(plant, geometry, 1.0 - 1e-3, 1.0)
-    result = oc.synthesize_stabilizer(aug, geometry, 1.0)
+    result = oc.synthesize_stabilizer(plant, geometry, 1.0 - 1e-3, 1.0)
     assert result.gamma < 1.0
     assert result.hinf_achieved < 0.1
 
@@ -189,13 +191,13 @@ def test_synthesis_makes_one_solve(plant_unstable, geometry_unstable, monkeypatc
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(synthesis, "solve_feasibility", counted)
-    aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
-    result = oc.synthesize_stabilizer(aug, geometry_unstable, L_C)
+    result = oc.synthesize_stabilizer(plant_unstable, geometry_unstable, KAPPA_C, L_C)
     assert len(calls) == 1
     assert result.gamma < 1.0
 
 
 def test_undecided_solve_raises_with_status(plant_unstable, geometry_unstable):
-    aug = oc.loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
     with pytest.raises(SynthesisError, match=r"undecided at gamma = 0.99 \(5 sweeps\)"):
-        oc.synthesize_stabilizer(aug, geometry_unstable, L_C, max_sweeps=5)
+        oc.synthesize_stabilizer(
+            plant_unstable, geometry_unstable, KAPPA_C, L_C, max_sweeps=5
+        )
