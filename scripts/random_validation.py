@@ -46,12 +46,13 @@ def main() -> None:
         plant, geo, obj = random_instance(rng)
         d = rng.normal(size=plant.n)
         ref = oc.solve_quadratic_closed_form(plant, geo, obj, d)
-        gains = oc.PiGains.from_scalars(1.0, 1.0, plant.m)
+        K_I = np.eye(plant.m)
+        pi = oc.DynamicStabilizer.pi(np.eye(plant.m), K_I, plant.p)
         # start at the optimal equilibrium; it must be invariant
-        eta0 = np.linalg.solve(gains.K_I, ref.u_star)
+        eta0 = np.linalg.solve(K_I, ref.u_star)
         sched = oc.DisturbanceSchedule.constant(d)
         trace = oc.simulate(
-            plant, geo, obj, gains, sched, 1.0, dt=1e-3,
+            plant, geo, obj, pi, sched, 1.0, dt=1e-3,
             x0=ref.x_star, eta0=eta0,
         )
         drift = np.linalg.norm(trace.x[-1] - ref.x_star) + np.linalg.norm(

@@ -1,14 +1,14 @@
-"""Feedback laws: PI gains, the dynamic-stabilizer form that a PI law
-embeds in as its zero-order case, and the evaluation of the closed loop at
-one state.
+"""Feedback laws: the dynamic stabilizer, with a PI law as its zero-order
+case (DynamicStabilizer.pi), and the evaluation of the closed loop at one
+state.
 
 Every loop is synthesis.closed_loop(plant, geometry, controller):
 s' = A s + B w + E d on s = (x, eta, x_s), with w = grad_g(z) and
-z = (y, u) = C s + D w.  A direct term from e to u (the proportional gain,
-or the e-columns of D_s) makes the input implicit; stabilizer_dynamics
-solves it by damped Newton whatever the cost.  A quadratic cost makes the
-whole loop affine: sim._affine_closed_loop then closes the gradient's affine
-map on the same loop, and no Newton solve runs."""
+z = (y, u) = C s + D w.  A direct term from e to u (the proportional gain
+of a PI law, or in general the e-columns of D_s) makes the input implicit;
+stabilizer_dynamics solves it by damped Newton whatever the cost.  A
+quadratic cost makes the whole loop affine: sim._affine_closed_loop then
+closes the gradient's affine map on the same loop, and no Newton solve runs."""
 
 import math
 from dataclasses import dataclass
@@ -17,37 +17,11 @@ import numpy as np
 from scipy.linalg.lapack import dgesv
 
 from .errors import AlgebraicLoopError
-from .kkt import KktGeometry
 from .objective import SteadyStateObjective
 
 # Newton on the implicit input equation u = offset + D_u grad_g(y, u)
 MAX_ITER = 100
 TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PiGains:
-    K_P: np.ndarray
-    K_I: np.ndarray
-
-    def __post_init__(self):
-        KP = np.atleast_2d(np.asarray(self.K_P, dtype=float))
-        KI = np.atleast_2d(np.asarray(self.K_I, dtype=float))
-        object.__setattr__(self, "K_P", KP)
-        object.__setattr__(self, "K_I", KI)
-        m = KI.shape[0]
-        if KI.shape != (m, m) or KP.shape != (m, m):
-            raise ValueError("K_P and K_I must be square of equal size")
-        if np.linalg.cond(KI) > 1e12:
-            raise ValueError("K_I must be invertible (condition number < 1e12)")
-
-    @classmethod
-    def from_scalars(cls, k_p: float, k_i: float, m: int) -> "PiGains":
-        return cls(K_P=k_p * np.eye(m), K_I=k_i * np.eye(m))
-
-    @property
-    def m(self) -> int:
-        return self.K_I.shape[0]
 
 
 @dataclass(frozen=True)
@@ -76,6 +50,27 @@ class DynamicStabilizer:
             raise ValueError(f"C_s must be {self.m}x{ns}")
         if self.D_s.shape != (self.m, nsig):
             raise ValueError(f"D_s must be {self.m}x{nsig}")
+
+    @classmethod
+    def pi(cls, K_P, K_I, p: int) -> "DynamicStabilizer":
+        """The PI law u = K_I eta + K_P e as the zero-order stabilizer with
+        D_s = [0, K_I, K_P].  K_P and K_I are m x m, and K_I must be
+        invertible (condition number at most 1e12)."""
+        KP = np.atleast_2d(np.asarray(K_P, dtype=float))
+        KI = np.atleast_2d(np.asarray(K_I, dtype=float))
+        m = KI.shape[0]
+        if KI.shape != (m, m) or KP.shape != (m, m):
+            raise ValueError("K_P and K_I must be square of equal size")
+        if np.linalg.cond(KI) > 1e12:
+            raise ValueError("K_I must be invertible (condition number < 1e12)")
+        return cls(
+            A_s=np.zeros((0, 0)),
+            B_s=np.zeros((0, p + 2 * m)),
+            C_s=np.zeros((m, 0)),
+            D_s=np.hstack([np.zeros((m, p)), KI, KP]),
+            p=p,
+            m=m,
+        )
 
     @property
     def order(self) -> int:
@@ -136,25 +131,6 @@ def _solve_implicit_input(
     )
 
 
-# No command calls pi_dynamics: simulate runs a PI law through
-# pi_as_stabilizer and stabilizer_dynamics.  It stays until the benchmark
-# traces that path (ROADMAP item 1), because perfbench/tracing.py wraps
-# sim.pi_dynamics.
-def pi_dynamics(
-    gains: PiGains,
-    geometry: KktGeometry,
-    objective: SteadyStateObjective,
-    eta: np.ndarray,
-    y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(eta_dot, u) for the PI law: eta_dot = e = -R' grad_g(y, u) and
-    u = K_I eta + K_P e."""
-    RT = geometry.R.T
-    offset = gains.K_I @ eta
-    u, w = _solve_implicit_input(-gains.K_P @ RT, offset, objective, y, offset)
-    return -(RT @ w), u
-
-
 def stabilizer_dynamics(
     loop: tuple,
     objective: SteadyStateObjective,
@@ -177,16 +153,3 @@ def stabilizer_dynamics(
     u, w = _solve_implicit_input(D[p:], z[p:], objective, z[:p], u0)
     return A @ s + B @ w + drift, u
 
-
-def pi_as_stabilizer(gains: PiGains, p: int) -> DynamicStabilizer:
-    """Embed a PI law as a (zero-order) dynamic stabilizer; trajectories
-    coincide exactly."""
-    m = gains.m
-    return DynamicStabilizer(
-        A_s=np.zeros((0, 0)),
-        B_s=np.zeros((0, p + 2 * m)),
-        C_s=np.zeros((m, 0)),
-        D_s=np.hstack([np.zeros((m, p)), gains.K_I, gains.K_P]),
-        p=p,
-        m=m,
-    )

@@ -1,5 +1,5 @@
-"""Absolute-stability certificate for the loop closed by a PI law or a
-dynamic stabilizer.
+"""Absolute-stability certificate for the loop closed by a dynamic
+stabilizer (a PI law is its zero-order case).
 
 The gradient nonlinearity is treated as a sector-bounded uncertainty
 (sector [kappa, L] from strong convexity and gradient Lipschitz-ness), and
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import smat, svec_dim
-from .controller import DynamicStabilizer, PiGains
+from .controller import DynamicStabilizer
 from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
@@ -140,7 +140,7 @@ def frequency_witness(
 def verify_stability(
     plant: LtiPlant,
     geometry: KktGeometry,
-    controller: PiGains | DynamicStabilizer,
+    controller: DynamicStabilizer,
     kappa: float,
     lipschitz: float,
     max_sweeps: int = 4000,
@@ -159,7 +159,7 @@ def verify_stability(
 def _decide(
     plant: LtiPlant,
     geometry: KktGeometry,
-    controller: PiGains | DynamicStabilizer,
+    controller: DynamicStabilizer,
     kappa: float,
     lipschitz: float,
     max_sweeps: int,
@@ -250,11 +250,12 @@ def gain_grid_search(
     """
     records = []
     start = None
+    I = np.eye(plant.m)
     for kp in kp_values:
         for ki in ki_values:
-            gains = PiGains.from_scalars(float(kp), float(ki), plant.m)
+            pi = DynamicStabilizer.pi(float(kp) * I, float(ki) * I, plant.p)
             cert, iterate = _decide(
-                plant, geometry, gains, kappa, lipschitz, max_sweeps, start
+                plant, geometry, pi, kappa, lipschitz, max_sweeps, start
             )
             if cert.feasible:
                 start = iterate

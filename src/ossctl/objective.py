@@ -30,7 +30,6 @@ class SteadyStateObjective:
     m: int
     kappa: float
     lipschitz: float
-    name: str = "objective"
     is_quadratic: bool = False
 
     def __post_init__(self):
@@ -46,7 +45,7 @@ class SteadyStateObjective:
         return self.value(z[: self.p], z[self.p :])
 
 
-def quadratic_objective(H: np.ndarray, q: np.ndarray, p: int, name: str = "quadratic") -> SteadyStateObjective:
+def quadratic_objective(H: np.ndarray, q: np.ndarray, p: int) -> SteadyStateObjective:
     """g(z) = 0.5 z' H z + q' z with z = (y, u); H symmetric PSD."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     q = np.asarray(q, dtype=float).ravel()
@@ -80,7 +79,6 @@ def quadratic_objective(H: np.ndarray, q: np.ndarray, p: int, name: str = "quadr
         m=m,
         kappa=float(max(ev[0], 0.0)),
         lipschitz=float(ev[-1]),
-        name=name,
         is_quadratic=True,
     )
 
@@ -113,7 +111,6 @@ def cosh_example_objective() -> SteadyStateObjective:
         m=1,
         kappa=1.0 / 9.0,
         lipschitz=np.inf,
-        name="cosh_example",
     )
 
 

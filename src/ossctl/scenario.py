@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import DynamicStabilizer, PiGains
+from .controller import DynamicStabilizer
 from .errors import ScenarioError
 from .objective import SteadyStateObjective, cosh_example_objective, quadratic_objective
 from .plant import LtiPlant
@@ -90,7 +90,7 @@ class Scenario:
     name: str
     plant: LtiPlant
     objective: SteadyStateObjective
-    controller: object  # PiGains | DynamicStabilizer | "synthesize"
+    controller: object  # DynamicStabilizer | "synthesize"
     schedule: DisturbanceSchedule
     simulation: SimulationSettings
     verification: VerificationSettings
@@ -123,12 +123,14 @@ def _build_controller(obj: dict, p: int, m: int):
     kind = obj.get("type")
     if kind == "pi":
         if "K_P" in obj:
-            return PiGains(
-                K_P=matrix_from_json(obj["K_P"], "controller.K_P"),
-                K_I=matrix_from_json(obj["K_I"], "controller.K_I"),
+            return DynamicStabilizer.pi(
+                matrix_from_json(obj["K_P"], "controller.K_P"),
+                matrix_from_json(obj["K_I"], "controller.K_I"),
+                p,
             )
         k_p = _floats(obj["k_p"], "controller.k_p")
-        return PiGains.from_scalars(k_p, _floats(obj["k_i"], "controller.k_i"), m)
+        k_i = _floats(obj["k_i"], "controller.k_i")
+        return DynamicStabilizer.pi(k_p * np.eye(m), k_i * np.eye(m), p)
     if kind == "stabilizer":
         return DynamicStabilizer(
             A_s=matrix_from_json(obj["A_s"], "controller.A_s"),

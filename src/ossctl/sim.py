@@ -22,10 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import stabilizer_dynamics
-
-# unused here: perfbench/tracing.py wraps sim.pi_dynamics when it installs,
-# until the benchmark traces stabilizer_dynamics instead (ROADMAP item 1)
-from .controller import pi_dynamics  # noqa: F401
 from .errors import AlgebraicLoopError, DivergenceError, SimulationError
 from .kkt import KktGeometry
 from .objective import SteadyStateObjective
@@ -41,6 +37,10 @@ _CSV_ROWS = 1024
 
 #: a state whose norm exceeds this (or is not finite) has diverged
 _DIVERGENCE_NORM = 1e9
+
+# nothing here calls this name: only perfbench/tracing.py looks it up, and
+# it goes when the benchmark traces stabilizer_dynamics (ROADMAP item 1)
+pi_dynamics = stabilizer_dynamics
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ class Trace:
     y_star: np.ndarray
     u_star: np.ndarray
     x_s: np.ndarray
-    segment_starts: np.ndarray = field(default_factory=lambda: np.array([0.0]))
+    #: the first row of each segment; the row at a switch starts the new one
+    segment_rows: np.ndarray = field(default_factory=lambda: np.array([0]))
     references: list[OptimizerResult] = field(default_factory=list)
 
     def tracking_error(self) -> np.ndarray:
@@ -243,9 +244,8 @@ def simulate(
     """Integrate the closed loop and attach per-segment optimizer references
     computed by the independent oracle.
 
-    controller is either PiGains or a DynamicStabilizer; a PI law runs as its
-    zero-order stabilizer, so the state is s = (x, eta, x_s) in both cases,
-    the order of synthesis.closed_loop.
+    The state is s = (x, eta, x_s), the order of synthesis.closed_loop; a
+    PI law is a zero-order stabilizer, with no x_s.
     """
     if not 0 < dt < np.inf:
         raise SimulationError("dt must be positive and finite")
@@ -339,7 +339,7 @@ def simulate(
         y_star=np.array([r.y_star for r in references])[ref_idx],
         u_star=np.array([r.u_star for r in references])[ref_idx],
         x_s=hist[:, n + m :],
-        segment_starts=np.array([seg[0] for seg in segs]),
+        segment_rows=np.cumsum([0] + [k for k, _ in steps[:-1]]),
         references=references,
     )
 
@@ -353,14 +353,11 @@ def convergence_metrics(trace: Trace) -> list[dict]:
     """
     err = trace.tracking_error()
     out = []
-    starts = list(trace.segment_starts) + [trace.t[-1] + 1.0]
-    for i in range(len(trace.segment_starts)):
-        mask = (trace.t >= starts[i] - 1e-12) & (trace.t < starts[i + 1] - 1e-12)
-        idx = np.where(mask)[0]
-        if i == len(trace.segment_starts) - 1:
-            idx = np.where(trace.t >= starts[i] - 1e-12)[0]
-        seg_err = err[idx]
-        seg_t = trace.t[idx]
+    bounds = list(trace.segment_rows) + [trace.t.size]
+    for i in range(len(trace.segment_rows)):
+        rows = slice(bounds[i], bounds[i + 1])
+        seg_err = err[rows]
+        seg_t = trace.t[rows]
         initial = seg_err[0]
         terminal = seg_err[-1]
         band = 0.02 * max(initial, 1e-300)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import hinf_norm, is_hurwitz, smat, svec_dim
-from .controller import DynamicStabilizer, PiGains, pi_as_stabilizer
+from .controller import DynamicStabilizer
 from .errors import SynthesisError
 from .kkt import KktGeometry
 from .plant import LtiPlant
@@ -24,6 +24,9 @@ from .sdp import solve_feasibility
 
 #: the one gain level solved for; any certified level below one suffices
 _GAMMA = 0.99
+
+#: sweep cap of the bounded-real LMI's DR solve
+_MAX_SWEEPS = 6000
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def loop_transform(
     )
 
 
-def _bounded_real_feasible(aug: AugmentedPlant, gamma: float, max_sweeps: int):
+def _bounded_real_feasible(aug: AugmentedPlant, gamma: float):
     """Solve the output-feedback synthesis LMI at a fixed gain level.
 
     Decision variables: symmetric (X, Y) plus the transformed controller
@@ -185,7 +188,7 @@ def _bounded_real_feasible(aug: AugmentedPlant, gamma: float, max_sweeps: int):
         [S_synth, S_couple],
         q,
         margins=[1e-3, 1e-3],
-        max_sweeps=max_sweeps,
+        max_sweeps=_MAX_SWEEPS,
         check_every=25,
         certificate=certificate,
     )
@@ -255,14 +258,9 @@ def closed_loop_system(aug: AugmentedPlant, stab: DynamicStabilizer):
     return Acl, Bcl, Ccl, Dcl
 
 
-def closed_loop(
-    plant: LtiPlant, geometry: KktGeometry, controller: PiGains | DynamicStabilizer
-):
+def closed_loop(plant: LtiPlant, geometry: KktGeometry, controller: DynamicStabilizer):
     """(A, B, C, D) of the loop the controller closes on the plant: input
-    w = grad_g, output z = (y, u), state (x, eta, x_s).  A PI law closes it
-    as its zero-order stabilizer."""
-    if isinstance(controller, PiGains):
-        controller = pi_as_stabilizer(controller, plant.p)
+    w = grad_g, output z = (y, u), state (x, eta, x_s)."""
     return closed_loop_system(open_loop(plant, geometry), controller)
 
 
@@ -280,7 +278,6 @@ def synthesize_stabilizer(
     geometry: KktGeometry,
     kappa: float,
     lipschitz: float,
-    max_sweeps: int = 6000,
 ) -> SynthesisResult:
     """Solve the bounded-real LMI of the loop-shifted plant
     (loop_transform) once, at gamma = 0.99.
@@ -292,7 +289,7 @@ def synthesize_stabilizer(
     e-channel algebraic loop must stay well posed over the whole sector.
     """
     aug = loop_transform(plant, geometry, kappa, lipschitz)
-    result, (X, Y, Ah, Bh, Ch, Dh) = _bounded_real_feasible(aug, _GAMMA, max_sweeps)
+    result, (X, Y, Ah, Bh, Ch, Dh) = _bounded_real_feasible(aug, _GAMMA)
     if not result.feasible:
         raise SynthesisError(
             f"bounded-real LMI {result.status} at gamma = {_GAMMA:g} "

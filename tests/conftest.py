@@ -66,6 +66,11 @@ def cosh_obj():
     return oc.cosh_example_objective()
 
 
+def scalar_pi(k_p, k_i):
+    """The PI law u = k_i eta + k_p e for the test plants (p = 2, m = 1)."""
+    return oc.DynamicStabilizer.pi(k_p * np.eye(1), k_i * np.eye(1), p=2)
+
+
 def sector_lmi(plant, geometry, controller, kappa, lipschitz):
     """(A, B, MM, S) of the sector LMI on the loop oc.closed_loop builds:
     its (A, B), the sector form MM on (x, w), and S(P, alpha), the form

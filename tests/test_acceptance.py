@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import ossctl as oc
-from tests.conftest import D_SEGMENTS, random_quadratic_instance, sector_lmi
+from tests.conftest import D_SEGMENTS, random_quadratic_instance, scalar_pi, sector_lmi
 
 GRID_VA = [round(0.2 * k, 1) for k in range(1, 11)]
 GRID_VC = [10.0 ** k for k in range(-3, 4)]
@@ -47,14 +47,14 @@ def test_criterion_2_certification_sweep(plant_stable, geometry_stable):
         cert = oc.verify_stability(
             plant_stable,
             geometry_stable,
-            oc.PiGains.from_scalars(kp, ki, 1),
+            scalar_pi(kp, ki),
             1.0 / 9.0,
             1.0,
         )
         if cert.feasible:
             # certificate re-validation by eigenvalue check
             _, _, _, S_of = sector_lmi(
-                plant_stable, geometry_stable, oc.PiGains.from_scalars(kp, ki, 1),
+                plant_stable, geometry_stable, scalar_pi(kp, ki),
                 1.0 / 9.0, 1.0,
             )
             S = S_of(cert.P, cert.alpha)
@@ -77,7 +77,7 @@ def vb_trace(plant_stable, geometry_stable, cosh_obj):
         plant_stable,
         geometry_stable,
         cosh_obj,
-        oc.PiGains.from_scalars(10.0, 5.0, 1),
+        scalar_pi(10.0, 5.0),
         schedule,
         15.0,
         dt=1e-3,
@@ -121,7 +121,7 @@ def test_criterion_4_modified_multiplier_infeasible(plant_stable, geometry_stabl
         cert = oc.verify_stability(
             plant_stable,
             geometry_stable,
-            oc.PiGains.from_scalars(kp, ki, 1),
+            scalar_pi(kp, ki),
             1.0 / 9.0,
             np.inf,
             max_sweeps=1200,
@@ -190,10 +190,11 @@ def test_criterion_7_equilibrium_correspondence():
     count = 0
     while count < 50:
         plant, geometry, obj = random_quadratic_instance(rng)
-        gains = oc.PiGains.from_scalars(0.5, 0.5, plant.m)
+        K_I = 0.5 * np.eye(plant.m)
+        pi = oc.DynamicStabilizer.pi(0.5 * np.eye(plant.m), K_I, plant.p)
         from ossctl.sim import _affine_closed_loop
 
-        loop = oc.closed_loop(plant, geometry, gains)
+        loop = oc.closed_loop(plant, geometry, pi)
         F = _affine_closed_loop(loop, geometry, obj)[0]
         decay = -np.linalg.eigvals(F).real.max()
         if decay < 0.05:  # resample: only convergent loops reach equilibrium
@@ -204,14 +205,14 @@ def test_criterion_7_equilibrium_correspondence():
         schedule = oc.DisturbanceSchedule.constant(d)
         t_final = min(400.0, max(20.0, 16.0 / decay))
         trace = oc.simulate(
-            plant, geometry, obj, gains, schedule, t_final,
+            plant, geometry, obj, pi, schedule, t_final,
             dt=1e-3,
         )
         final = np.concatenate([trace.y[-1], trace.u[-1]])
         assert np.linalg.norm(final - ref.yu()) < 1e-4
         # converse: the optimal equilibrium s = (x*, eta*) is a rest point
         # of the loop: both its x rows and its eta rows (e) vanish
-        eta_star = np.linalg.solve(gains.K_I, ref.u_star)
+        eta_star = np.linalg.solve(K_I, ref.u_star)
         s_dot, _ = oc.stabilizer_dynamics(
             loop, obj, np.concatenate([ref.x_star, eta_star]),
             np.concatenate([d, np.zeros(plant.m)]),
@@ -270,7 +271,7 @@ def test_criterion_9_gradient_fd(cosh_obj):
 
 def test_criterion_9_lmi_affinity(plant_stable, geometry_stable):
     _, _, _, S = sector_lmi(
-        plant_stable, geometry_stable, oc.PiGains.from_scalars(1.0, 1.0, 1),
+        plant_stable, geometry_stable, scalar_pi(1.0, 1.0),
         1.0 / 9.0, 1.0,
     )
     rng = np.random.default_rng(20)

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "OptimizerResult",
     "OracleError",
     "OssctlError",
-    "PiGains",
     "PlantError",
     "Scenario",
     "ScenarioError",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "kkt_residual",
     "load_scenario",
     "numerical_rank",
-    "pi_as_stabilizer",
     "quadratic_objective",
     "scenario_from_dict",
     "simulate",
@@ -72,9 +70,7 @@ PARAMETERS = {
         "plant", "geometry", "kp_values", "ki_values", "kappa", "lipschitz",
         "max_sweeps",
     ],
-    "synthesize_stabilizer": [
-        "plant", "geometry", "kappa", "lipschitz", "max_sweeps",
-    ],
+    "synthesize_stabilizer": ["plant", "geometry", "kappa", "lipschitz"],
     "closed_loop": ["plant", "geometry", "controller"],
     "solve_feasibility": [
         "blocks", "q", "nonneg", "margins", "max_sweeps", "check_every",

@@ -269,6 +269,22 @@ def _zero_k_i(data):
     data["controller"] = {"type": "pi", "k_p": 2.0, "k_i": 0.0}
 
 
+def _singular_K_I_matrix(data):
+    data["controller"] = {
+        "type": "pi",
+        "K_P": matrix_to_json(np.eye(1)),
+        "K_I": matrix_to_json(np.zeros((1, 1))),
+    }
+
+
+def _unequal_K_P_K_I(data):
+    data["controller"] = {
+        "type": "pi",
+        "K_P": matrix_to_json(np.eye(2)),
+        "K_I": matrix_to_json(np.eye(1)),
+    }
+
+
 def _schedule_not_at_zero(data):
     data["disturbance"]["times"] = [1.0]
 
@@ -311,6 +327,8 @@ def _zero_in_ki_grid(data):
         _non_square_A,
         _kappa_above_L,
         _zero_k_i,
+        _singular_K_I_matrix,
+        _unequal_K_P_K_I,
         _schedule_not_at_zero,
         _indefinite_H,
         _missing_H,

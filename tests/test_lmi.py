@@ -7,14 +7,14 @@ import ossctl as oc
 import ossctl.lmi as lmi
 from ossctl.cli import main
 from ossctl.lmi import LmiError, build_multiplier, frequency_witness
-from tests.conftest import sector_lmi
+from tests.conftest import scalar_pi, sector_lmi
 
 KAPPA_A, L_A = 1.0 / 9.0, 1.0
 
 
 def test_realization_shapes(plant_stable, geometry_stable):
-    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
-    A, B, C, D = oc.closed_loop(plant_stable, geometry_stable, gains)
+    pi = scalar_pi(2.0, 2.0)
+    A, B, C, D = oc.closed_loop(plant_stable, geometry_stable, pi)
     assert A.shape == (5, 5)
     assert B.shape == (5, 3)
     assert C.shape == (3, 5)
@@ -24,29 +24,22 @@ def test_realization_shapes(plant_stable, geometry_stable):
 
 
 def test_pi_realization_is_its_stabilizer_realization(plant_stable, geometry_stable):
-    # a PI law and its zero-order stabilizer close the same loop, bit for bit,
-    # over example_va's grid; and that loop is the PI loop written out, with
-    # input w = grad_g: x' = A x + B u, eta' = e, u = k_i eta + k_p e, and
-    # e = -R' w
+    # over example_va's grid, the loop a PI law closes as a zero-order
+    # stabilizer is the PI loop written out, with input w = grad_g:
+    # x' = A x + B u, eta' = e, u = k_i eta + k_p e, and e = -R' w
     grid = [round(0.2 * k, 1) for k in range(1, 11)]
     RT = geometry_stable.R.T
     A, B, C = plant_stable.A, plant_stable.B, plant_stable.C
     for kp in grid:
         for ki in grid:
-            gains = oc.PiGains.from_scalars(kp, ki, 1)
-            pi = oc.closed_loop(plant_stable, geometry_stable, gains)
-            stab = oc.closed_loop(
-                plant_stable, geometry_stable, oc.pi_as_stabilizer(gains, 2)
-            )
-            for got, want in zip(pi, stab):
-                assert got.tobytes() == want.tobytes()
+            loop = oc.closed_loop(plant_stable, geometry_stable, scalar_pi(kp, ki))
             written = (
                 np.block([[A, B * ki], [np.zeros((1, 5))]]),
                 np.vstack([-kp * B @ RT, -RT]),
                 np.block([[C, np.zeros((2, 1))], [np.zeros((1, 4)), ki * np.eye(1)]]),
                 np.vstack([np.zeros((2, 3)), -kp * RT]),
             )
-            for got, want in zip(pi, written):
+            for got, want in zip(loop, written):
                 assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
 
 
@@ -89,8 +82,8 @@ def test_multiplier_validation():
 
 def test_lmi_affinity_and_symmetry(plant_stable, geometry_stable):
     # S(P, alpha) must be symmetric and affine in (P, alpha) to 1e-12
-    gains = oc.PiGains.from_scalars(1.0, 1.0, 1)
-    _, _, _, S = sector_lmi(plant_stable, geometry_stable, gains, KAPPA_A, L_A)
+    pi = scalar_pi(1.0, 1.0)
+    _, _, _, S = sector_lmi(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
     rng = np.random.default_rng(12)
     P1 = rng.normal(size=(5, 5))
     P1 = P1 + P1.T
@@ -107,7 +100,7 @@ def test_verify_certifies_example_gain(plant_stable, geometry_stable):
     cert = oc.verify_stability(
         plant_stable,
         geometry_stable,
-        oc.PiGains.from_scalars(2.0, 2.0, 1),
+        scalar_pi(2.0, 2.0),
         KAPPA_A,
         L_A,
     )
@@ -119,10 +112,10 @@ def test_verify_certifies_example_gain(plant_stable, geometry_stable):
 
 
 def test_certificate_eigenvalue_revalidation(plant_stable, geometry_stable):
-    gains = oc.PiGains.from_scalars(1.0, 1.0, 1)
-    cert = oc.verify_stability(plant_stable, geometry_stable, gains, KAPPA_A, L_A)
+    pi = scalar_pi(1.0, 1.0)
+    cert = oc.verify_stability(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
     assert cert.feasible
-    _, _, _, S_of = sector_lmi(plant_stable, geometry_stable, gains, KAPPA_A, L_A)
+    _, _, _, S_of = sector_lmi(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
     S = S_of(cert.P, cert.alpha)
     S = 0.5 * (S + S.T)
     assert np.linalg.eigvalsh(S).max() < 0
@@ -132,9 +125,9 @@ def test_certificate_eigenvalue_revalidation(plant_stable, geometry_stable):
 def test_unstable_loop_not_certified(plant_unstable, geometry_unstable):
     # this loop has a closed-loop eigenvalue in the right half plane; any
     # sound certificate search must fail on it
-    gains = oc.PiGains.from_scalars(1.0, 1.0, 1)
+    pi = scalar_pi(1.0, 1.0)
     cert = oc.verify_stability(
-        plant_unstable, geometry_unstable, gains, 1.0, 2.0, max_sweeps=1500
+        plant_unstable, geometry_unstable, pi, 1.0, 2.0, max_sweeps=1500
     )
     assert not cert.feasible
 
@@ -151,7 +144,7 @@ def test_grid_search_records(plant_stable, geometry_stable):
 
 
 def _lmi_data(plant, geometry, kp, ki):
-    return sector_lmi(plant, geometry, oc.PiGains.from_scalars(kp, ki, 1), KAPPA_A, L_A)
+    return sector_lmi(plant, geometry, scalar_pi(kp, ki), KAPPA_A, L_A)
 
 
 def test_p_terms_vanish_on_frequency_direction(plant_stable, geometry_stable):
@@ -194,7 +187,7 @@ def test_witness_fires_on_no_dr_certified_pair(plant_stable, geometry_stable, mo
 
 def test_infeasible_pair_carries_witness(plant_stable, geometry_stable):
     cert = oc.verify_stability(
-        plant_stable, geometry_stable, oc.PiGains.from_scalars(0.2, 2.0, 1), KAPPA_A, L_A
+        plant_stable, geometry_stable, scalar_pi(0.2, 2.0), KAPPA_A, L_A
     )
     assert cert.status == "infeasible"
     assert not cert.feasible
@@ -219,7 +212,7 @@ def test_warm_grid_certifies_the_cold_pairs_in_fewer_sweeps(plant_stable, geomet
     )
     cold = [
         oc.verify_stability(
-            plant_stable, geometry_stable, oc.PiGains.from_scalars(kp, ki, 1), KAPPA_A, L_A
+            plant_stable, geometry_stable, scalar_pi(kp, ki), KAPPA_A, L_A
         )
         for kp in VA_GRID
         for ki in VA_GRID
@@ -266,20 +259,20 @@ def test_restart_from_own_iterate_certifies_at_first_check(
 ):
     # the iterate is returned unscaled and rescaled on entry: a pair started
     # from its own final iterate is certified at the first check (20 sweeps)
-    gains = oc.PiGains.from_scalars(kp, ki, 1)
-    cold, iterate = lmi._decide(plant_stable, geometry_stable, gains, KAPPA_A, L_A, 4000, None)
+    pi = scalar_pi(kp, ki)
+    cold, iterate = lmi._decide(plant_stable, geometry_stable, pi, KAPPA_A, L_A, 4000, None)
     assert cold.feasible and cold.sweeps > 20
-    warm, _ = lmi._decide(plant_stable, geometry_stable, gains, KAPPA_A, L_A, 4000, iterate)
+    warm, _ = lmi._decide(plant_stable, geometry_stable, pi, KAPPA_A, L_A, 4000, iterate)
     assert warm.feasible and warm.sweeps == 20
 
 
 def test_mis_shaped_start_rejected(plant_stable, geometry_stable):
-    gains = oc.PiGains.from_scalars(1.0, 1.0, 1)
-    cert, iterate = lmi._decide(plant_stable, geometry_stable, gains, KAPPA_A, L_A, 4000, None)
+    pi = scalar_pi(1.0, 1.0)
+    cert, iterate = lmi._decide(plant_stable, geometry_stable, pi, KAPPA_A, L_A, 4000, None)
     assert cert.feasible
     for bad in (iterate[:-1], np.append(iterate, 0.0), iterate[:, None]):
         with pytest.raises(ValueError, match="start has shape"):
-            lmi._decide(plant_stable, geometry_stable, gains, KAPPA_A, L_A, 4000, bad)
+            lmi._decide(plant_stable, geometry_stable, pi, KAPPA_A, L_A, 4000, bad)
 
 
 def test_tune_csv_repeats_byte_for_byte(tmp_path):

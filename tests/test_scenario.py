@@ -38,7 +38,8 @@ def test_bundled_scenarios_load():
 
 def test_va_scenario_contents():
     scn = oc.load_scenario(bundled("example_va.json"))
-    assert isinstance(scn.controller, oc.PiGains)
+    assert isinstance(scn.controller, oc.DynamicStabilizer)
+    assert scn.controller.order == 0
     assert scn.objective.kappa == pytest.approx(1.0 / 9.0)
     assert scn.objective.lipschitz == pytest.approx(1.0)
     assert len(scn.verification.kp_grid) == 10
@@ -46,10 +47,10 @@ def test_va_scenario_contents():
 
 def test_vb_scenario_contents():
     scn = oc.load_scenario(bundled("example_vb.json"))
-    assert scn.objective.name == "cosh_example"
+    assert not scn.objective.is_quadratic
     assert np.isinf(scn.objective.lipschitz)
-    assert np.allclose(scn.controller.K_P, 10.0 * np.eye(1))
-    assert np.allclose(scn.controller.K_I, 5.0 * np.eye(1))
+    # D_s = [0, K_I, K_P] on sigma = (y, eta, e)
+    assert np.allclose(scn.controller.D_s, [[0.0, 0.0, 5.0, 10.0]])
     assert np.allclose(scn.schedule.times, [0.0, 5.0, 10.0])
 
 

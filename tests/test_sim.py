@@ -14,7 +14,7 @@ from ossctl.sim import (
     _affine_closed_loop,
     _rk4_one_step_maps,
 )
-from tests.conftest import D_SEGMENTS
+from tests.conftest import D_SEGMENTS, scalar_pi
 
 
 def _written_out(plant, geometry, obj, stab, s, d, u):
@@ -84,7 +84,7 @@ def test_affine_and_generic_paths_agree(plant_stable, geometry_stable, quadratic
         lipschitz=quadratic_obj.lipschitz,
     )
     # PI (no stabilizer state) and a second-order stabilizer
-    controllers = (oc.PiGains.from_scalars(2.0, 2.0, 1), _filtered_pi(2.0, 2.0))
+    controllers = (scalar_pi(2.0, 2.0), _filtered_pi(2.0, 2.0))
     for controller, ns in zip(controllers, (0, 2)):
         fast, slow = (
             oc.simulate(
@@ -112,7 +112,7 @@ def test_affine_map_is_the_generic_derivative(
     G = rng.normal(size=(3, 3))
     obj = oc.quadratic_objective(G @ G.T + np.eye(3), rng.normal(size=3), p=2)
     if kind == "pi":
-        stab = oc.pi_as_stabilizer(oc.PiGains.from_scalars(2.0, 1.5, m), plant.p)
+        stab = scalar_pi(2.0, 1.5)
     else:
         stab = synthesis_result[1].stabilizer
     loop = oc.closed_loop(plant, geometry, stab)
@@ -145,7 +145,7 @@ def test_stabilizer_dynamics_is_the_written_out_loop(
     plant, geometry = plant_stable, geometry_stable
     n, m = plant.n, plant.m
     if kind == "pi":
-        stab = oc.pi_as_stabilizer(oc.PiGains.from_scalars(10.0, 5.0, m), plant.p)
+        stab = scalar_pi(10.0, 5.0)
     else:
         stab = _filtered_pi(2.0, 2.0)
     assert np.any(stab.D_s_e)
@@ -168,14 +168,15 @@ def test_recorded_input_satisfies_pi_law_cosh(
 ):
     # every row's (u, e), including the switching row and the final one, is
     # the solution of the implicit input equation at that row's state
-    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
+    K_P, K_I = 2.0 * np.eye(1), 2.0 * np.eye(1)
+    pi = oc.DynamicStabilizer.pi(K_P, K_I, 2)
     sched = DisturbanceSchedule(times=[0.0, 0.1], values=D_SEGMENTS[:2].tolist())
     trace = oc.simulate(
-        plant_stable, geometry_stable, cosh_obj, gains, sched, 0.2,
+        plant_stable, geometry_stable, cosh_obj, pi, sched, 0.2,
         dt=1e-2,
     )
     assert np.min(np.abs(trace.t - 0.1)) < 1e-12
-    law = trace.eta @ gains.K_I.T + trace.e @ gains.K_P.T
+    law = trace.eta @ K_I.T + trace.e @ K_P.T
     assert np.all(np.abs(trace.u - law) <= 1e-9 * (1.0 + np.abs(law)))
     grad = np.array(
         [cosh_obj.gradient(y, u) for y, u in zip(trace.y, trace.u)]
@@ -185,12 +186,12 @@ def test_recorded_input_satisfies_pi_law_cosh(
 
 
 def test_segment_boundaries_on_step_grid(plant_stable, geometry_stable, quadratic_obj):
-    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
+    pi = scalar_pi(2.0, 2.0)
     sched = DisturbanceSchedule(
         times=[0.0, 0.5, 1.25], values=D_SEGMENTS.tolist()
     )
     trace = oc.simulate(
-        plant_stable, geometry_stable, quadratic_obj, gains, sched, 2.0,
+        plant_stable, geometry_stable, quadratic_obj, pi, sched, 2.0,
         dt=1e-2,
     )
     for t_switch in (0.5, 1.25):
@@ -198,10 +199,10 @@ def test_segment_boundaries_on_step_grid(plant_stable, geometry_stable, quadrati
 
 
 def test_tracking_converges_quadratic(plant_stable, geometry_stable, quadratic_obj):
-    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
+    pi = scalar_pi(2.0, 2.0)
     sched = DisturbanceSchedule.constant(D_SEGMENTS[0])
     trace = oc.simulate(
-        plant_stable, geometry_stable, quadratic_obj, gains, sched, 20.0, dt=1e-3
+        plant_stable, geometry_stable, quadratic_obj, pi, sched, 20.0, dt=1e-3
     )
     assert trace.tracking_error()[-1] < 1e-6
     metrics = oc.convergence_metrics(trace)
@@ -210,21 +211,35 @@ def test_tracking_converges_quadratic(plant_stable, geometry_stable, quadratic_o
 
 
 def test_switch_row_belongs_to_new_segment(plant_stable, geometry_stable, quadratic_obj):
-    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
-    sched = DisturbanceSchedule(times=[0.0, 5.0], values=D_SEGMENTS[:2].tolist())
-    trace = oc.simulate(
-        plant_stable, geometry_stable, quadratic_obj, gains, sched, 10.0, dt=1e-2
-    )
-    k = int(np.argmin(np.abs(trace.t - 5.0)))
-    ref = trace.references[1]
-    assert np.array_equal(trace.y_star[k], ref.y_star)
-    switch_error = np.linalg.norm(
-        np.concatenate([trace.y[k] - ref.y_star, trace.u[k] - ref.u_star])
-    )
-    metrics = oc.convergence_metrics(trace)
-    assert metrics[1]["t_start"] == pytest.approx(5.0)
-    assert metrics[1]["initial_error"] == pytest.approx(switch_error, rel=1e-12)
-    assert metrics[1]["settling_time"] is not None
+    # (switch time, t_final, dt); at the long horizon one ulp of t is larger
+    # than 1e-12, so only the row index tells which segment a row is in
+    cases = [(5.0, 10.0, 1e-2), (20005.549999999985, 20015.549999999985, 0.25)]
+    pi = scalar_pi(2.0, 2.0)
+    for t_switch, t_final, dt in cases:
+        sched = DisturbanceSchedule(
+            times=[0.0, t_switch], values=D_SEGMENTS[:2].tolist()
+        )
+        trace = oc.simulate(
+            plant_stable, geometry_stable, quadratic_obj, pi, sched, t_final, dt=dt
+        )
+        k = int(np.argmin(np.abs(trace.t - t_switch)))
+        refs = trace.references
+        assert np.array_equal(trace.y_star[k], refs[1].y_star)
+        assert np.array_equal(trace.y_star[k - 1], refs[0].y_star)
+
+        def error(row, ref):
+            return np.linalg.norm(
+                np.concatenate([trace.y[row] - ref.y_star, trace.u[row] - ref.u_star])
+            )
+
+        metrics = oc.convergence_metrics(trace)
+        assert metrics[0]["t_end"] == trace.t[k - 1]
+        terminal, initial = error(k - 1, refs[0]), error(k, refs[1])
+        assert metrics[0]["terminal_error"] == pytest.approx(terminal, rel=1e-12)
+        assert metrics[0]["settling_time"] is not None
+        assert metrics[1]["t_start"] == trace.t[k] == pytest.approx(t_switch)
+        assert metrics[1]["initial_error"] == pytest.approx(initial, rel=1e-12)
+        assert metrics[1]["settling_time"] is not None
 
 
 def _stepwise(plant, geometry, obj, stab, schedule, t_final, dt, s0):
@@ -254,7 +269,7 @@ def test_block_map_matches_stepwise_map(
     # one block less and more a step, and several blocks
     if kind == "pi":
         plant, geometry = plant_stable, geometry_stable
-        stab = oc.pi_as_stabilizer(oc.PiGains.from_scalars(2.0, 2.0, 1), plant.p)
+        stab = scalar_pi(2.0, 2.0)
     else:
         plant, geometry = plant_unstable, geometry_unstable
         stab = synthesis_result[1].stabilizer
@@ -295,11 +310,10 @@ def test_block_map_matches_stepwise_map(
 def test_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
     # zero-gain-like controller cannot stabilize the unstable plant; the
     # reported time is the first step whose state norm crosses the threshold
-    gains = oc.PiGains(K_P=np.zeros((1, 1)), K_I=1e-9 * np.eye(1))
+    pi = scalar_pi(0.0, 1e-9)
     d = D_SEGMENTS[0]
-    stab = oc.pi_as_stabilizer(gains, plant_unstable.p)
     F, c0, _, _ = _affine_closed_loop(
-        oc.closed_loop(plant_unstable, geometry_unstable, stab), geometry_unstable,
+        oc.closed_loop(plant_unstable, geometry_unstable, pi), geometry_unstable,
         quadratic_obj,
     )
     Phi, G = _rk4_one_step_maps(F, 1e-3)
@@ -311,7 +325,7 @@ def test_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
     sched = DisturbanceSchedule.constant(d)
     with pytest.raises(oc.DivergenceError, match=rf"at t = {step * 1e-3:.6g}$"):
         oc.simulate(
-            plant_unstable, geometry_unstable, quadratic_obj, gains, sched,
+            plant_unstable, geometry_unstable, quadratic_obj, pi, sched,
             60.0, dt=1e-3,
         )
 
@@ -322,12 +336,12 @@ def test_overflowing_block_keeps_a_resting_state(
     # at dt = 10 the powers of the unstable loop's map overflow within one
     # block, while the loop at rest with d = 0 and q = 0 stays at 0: the
     # flagged block is replayed step by step and no divergence is reported
-    gains = oc.PiGains(K_P=np.zeros((1, 1)), K_I=1e-9 * np.eye(1))
+    pi = scalar_pi(0.0, 1e-9)
     sched = DisturbanceSchedule.constant(np.zeros(plant_unstable.n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = oc.simulate(
-            plant_unstable, geometry_unstable, quadratic_obj, gains, sched,
+            plant_unstable, geometry_unstable, quadratic_obj, pi, sched,
             3000.0, dt=10.0,
         )
     assert trace.t.size == 301
@@ -376,10 +390,10 @@ def _special_trace(rows, ns):
 
 
 def test_csv_roundtrip(tmp_path, plant_stable, geometry_stable, quadratic_obj):
-    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
+    pi = scalar_pi(2.0, 2.0)
     sched = DisturbanceSchedule.constant(D_SEGMENTS[0])
     trace = oc.simulate(
-        plant_stable, geometry_stable, quadratic_obj, gains, sched, 0.1, dt=1e-2
+        plant_stable, geometry_stable, quadratic_obj, pi, sched, 0.1, dt=1e-2
     )
     path = tmp_path / "trace.csv"
     trace.to_csv(str(path))
@@ -448,15 +462,16 @@ def test_csv_writes_without_a_whole_trace_copy(tmp_path):
 
 def test_equilibrium_is_invariant(plant_stable, geometry_stable, quadratic_obj):
     # starting at (x*, eta* = K_I^{-1} u*) the loop stays put
-    gains = oc.PiGains.from_scalars(2.0, 2.0, 1)
+    K_I = 2.0 * np.eye(1)
+    pi = oc.DynamicStabilizer.pi(2.0 * np.eye(1), K_I, 2)
     d = D_SEGMENTS[0]
     ref = oc.solve_quadratic_closed_form(
         plant_stable, geometry_stable, quadratic_obj, d
     )
-    eta0 = np.linalg.solve(gains.K_I, ref.u_star)
+    eta0 = np.linalg.solve(K_I, ref.u_star)
     sched = DisturbanceSchedule.constant(d)
     trace = oc.simulate(
-        plant_stable, geometry_stable, quadratic_obj, gains, sched, 1.0,
+        plant_stable, geometry_stable, quadratic_obj, pi, sched, 1.0,
         dt=1e-3, x0=ref.x_star, eta0=eta0,
     )
     assert np.linalg.norm(trace.x[-1] - ref.x_star) < 1e-8

@@ -163,11 +163,11 @@ def test_stabilizer_equilibrium_matches_oracle(
         assert np.linalg.norm(final - ref.yu()) < 1e-3
 
 
-def test_pi_as_stabilizer_small_gain(plant_stable, geometry_stable):
+def test_pi_stabilizer_small_gain(plant_stable, geometry_stable):
     # a certified PI loop on the stable plant passes the small-gain analysis
     gamma = oc.hinf_norm(*closed_loop_system(
         loop_transform(plant_stable, geometry_stable, 1.0 / 9.0, 1.0),
-        oc.pi_as_stabilizer(oc.PiGains.from_scalars(0.2, 0.2, 1), plant_stable.p),
+        oc.DynamicStabilizer.pi(0.2 * np.eye(1), 0.2 * np.eye(1), plant_stable.p),
     ))
     assert gamma < 1.0
 
@@ -196,8 +196,9 @@ def test_synthesis_makes_one_solve(plant_unstable, geometry_unstable, monkeypatc
     assert result.gamma < 1.0
 
 
-def test_undecided_solve_raises_with_status(plant_unstable, geometry_unstable):
+def test_undecided_solve_raises_with_status(
+    plant_unstable, geometry_unstable, monkeypatch
+):
+    monkeypatch.setattr(synthesis, "_MAX_SWEEPS", 5)
     with pytest.raises(SynthesisError, match=r"undecided at gamma = 0.99 \(5 sweeps\)"):
-        oc.synthesize_stabilizer(
-            plant_unstable, geometry_unstable, KAPPA_C, L_C, max_sweeps=5
-        )
+        oc.synthesize_stabilizer(plant_unstable, geometry_unstable, KAPPA_C, L_C)
