@@ -41,7 +41,7 @@ def run_va(out_dir: str, quick: bool) -> None:
     )
     for r in records:
         if not r["certified"]:
-            print(f"  not certified: k_P={r['k_p']}, k_I={r['k_i']} ({r['status']})")
+            print(f"  not certified: k_P={r['k_P']}, k_I={r['k_I']} ({r['status']})")
 
 
 def run_vb(out_dir: str, quick: bool) -> None:

@@ -47,6 +47,9 @@ _LABELS = {
     EXIT_DIVERGENCE: "divergence",
 }
 
+# certificate.json's names for the two numbers of an infeasibility witness
+_WITNESS_KEYS = {"frequency": ("omega", "lambda"), "member": ("kappa", "max_re_eig")}
+
 
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
     path = os.path.join(out_dir, name)
@@ -114,7 +117,6 @@ def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
         scn.controller,
         scn.objective.kappa,
         scn.objective.lipschitz,
-        max_sweeps=scn.verification.max_sweeps,
     )
     report = {
         "scenario": scn.name,
@@ -123,11 +125,10 @@ def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
         "alpha": cert.alpha,
         "eig_S_max": cert.eig_S_max,
         "eig_P_min": cert.eig_P_min,
-        "sweeps": cert.sweeps,
         "witness": (
             None
             if cert.witness is None
-            else {"omega": cert.witness[0], "lambda": cert.witness[1]}
+            else dict(zip(("kind", *_WITNESS_KEYS[cert.witness[0]]), cert.witness))
         ),
         "P": cert.P.tolist(),
     }
@@ -139,31 +140,17 @@ def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
 def cmd_tune(scn: Scenario, out_dir: str, dt: float) -> int:
     if not scn.verification.kp_grid or not scn.verification.ki_grid:
         raise ScenarioError("tune requires verification.kp_grid and .ki_grid")
-    records = gain_grid_search(
+    rows = gain_grid_search(
         scn.plant,
         build_kkt_geometry(scn.plant),
         scn.verification.kp_grid,
         scn.verification.ki_grid,
         scn.objective.kappa,
         scn.objective.lipschitz,
-        max_sweeps=scn.verification.max_sweeps,
     )
-    rows = [
-        {
-            "k_P": r["k_p"],
-            "k_I": r["k_i"],
-            "certified": r["certified"],
-            "status": r["status"],
-            "margin": -r["eig_S_max"],
-            "sweeps": r["sweeps"],
-        }
-        for r in records
-    ]
     path = os.path.join(out_dir, "tune.csv")
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["k_P", "k_I", "certified", "status", "margin", "sweeps"]
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     n_cert = sum(r["certified"] for r in rows)

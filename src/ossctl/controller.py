@@ -37,9 +37,10 @@ class DynamicStabilizer:
 
     def __post_init__(self):
         for name in ("A_s", "B_s", "C_s", "D_s"):
-            object.__setattr__(
-                self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            )
+            value = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         ns = self.A_s.shape[0]
         nsig = self.p + 2 * self.m
         if self.A_s.shape != (ns, ns):
@@ -54,16 +55,14 @@ class DynamicStabilizer:
     @classmethod
     def pi(cls, K_P, K_I, p: int) -> "DynamicStabilizer":
         """The PI law u = K_I eta + K_P e as the zero-order stabilizer with
-        D_s = [0, K_I, K_P].  K_P and K_I are m x m, and K_I must be
-        invertible (condition number at most 1e12)."""
+        D_s = [0, K_I, K_P].  K_P and K_I are finite and m x m, and K_I must
+        be invertible (condition number at most 1e12)."""
         KP = np.atleast_2d(np.asarray(K_P, dtype=float))
         KI = np.atleast_2d(np.asarray(K_I, dtype=float))
         m = KI.shape[0]
         if KI.shape != (m, m) or KP.shape != (m, m):
             raise ValueError("K_P and K_I must be square of equal size")
-        if np.linalg.cond(KI) > 1e12:
-            raise ValueError("K_I must be invertible (condition number < 1e12)")
-        return cls(
+        law = cls(
             A_s=np.zeros((0, 0)),
             B_s=np.zeros((0, p + 2 * m)),
             C_s=np.zeros((m, 0)),
@@ -71,6 +70,9 @@ class DynamicStabilizer:
             p=p,
             m=m,
         )
+        if np.linalg.cond(KI) > 1e12:
+            raise ValueError("K_I must be invertible (condition number < 1e12)")
+        return law
 
     @property
     def order(self) -> int:

@@ -3,54 +3,73 @@ stabilizer (a PI law is its zero-order case).
 
 The gradient nonlinearity is treated as a sector-bounded uncertainty
 (sector [kappa, L] from strong convexity and gradient Lipschitz-ness), and
-a circle-criterion style matrix inequality is solved for a Lyapunov
-certificate.  The loop is synthesis.closed_loop, with its input read as
-w = +grad_g(z) and its output z = (y, u), the same sign as in every other
-layer; on the sector's members (z, w)' M (z, w) >= 0.  One deviation from
-the textbook statement is deliberate: the Lyapunov matrix is constrained
-positive definite here, since with P left free the inequality alone does
-not rule out unstable loops (a concrete counterexample lives in the test
-suite).
+the circle-criterion style matrix inequality
 
-A pair is decided both ways.  "feasible" rests on an eigenvalue-checked
-certificate (P, alpha) from the splitting solver.  "infeasible" rests on a
-frequency-domain witness found before the solver runs: a frequency w at
-which T(w)* M T(w) has a positive eigenvalue, with T(w) the frequency
-response of the linear part stacked over the identity (the KYP argument of
-Rantzer, "On the Kalman-Yakubovich-Popov lemma", SCL 1996).  Pairs neither
-rules out end "stalled" or "undecided" as the solver reports.
+    S(P, alpha) = [[A'P + PA, PB], [B'P, 0]] + alpha MM < 0,   P > 0
 
-A grid search warm-starts each pair's solve from the final iterate of the
-last pair the solver certified, in grid order.  Neighbouring gains pose
-nearly the same inequality, so this about halves the sweeps on a grid.  A
-pair's sweep count therefore depends on the pairs before it, while
-"feasible" still rests on the pair's own certificate and "infeasible" on
-its own witness.
+is decided for a Lyapunov certificate.  (A, B, C, D) is synthesis.closed_loop,
+with its input read as w = +grad_g(z) and its output z = (y, u), the same
+sign as in every other layer; MM is the sector form (z, w)' M (z, w) >= 0 on
+(x, w).  The inequality is homogeneous in (P, alpha), and alpha = 0 leaves
+its w-w block 0, so alpha = 1 is fixed.  It is a KYP inequality (Willems,
+IEEE TAC 1971; Rantzer, "On the Kalman-Yakubovich-Popov lemma", SCL 1996),
+decided in four steps with no iterative solver:
+
+1. omega = inf.  The w-w block of S is alpha times that of MM; if the latter
+   is not negative definite, the pair is "infeasible".
+2. Shift to the lower sector edge.  w = kappa z + w~ is a congruence on
+   (x, w), so it keeps P and alpha.  The loop becomes
+   A_k = A + kappa B (I - kappa D)^-1 C, and the shifted form MM_k has an x-x
+   block of exactly 0, so S < 0 needs A_k'P + P A_k < 0.  If A_k is not
+   Hurwitz, the linear member w = kappa z destabilizes the loop and the pair
+   is "infeasible"; if it is, P > 0 follows from S < 0.
+3. Hamiltonian test.  The frequency form xi* MM_k xi, with
+   xi(w) = [(jwI - A_k)^-1 B_k; I], is negative at omega = inf and can only
+   turn nonnegative through a frequency where it is singular, which is an
+   imaginary-axis eigenvalue of the inequality's Riccati Hamiltonian.  The
+   unshifted form xi* MM xi, congruent to it at every omega > 0 that is not
+   a pole of A, is evaluated between consecutive crossings (at a crossing
+   itself its largest eigenvalue is 0); a positive eigenvalue there makes
+   the pair "infeasible".
+4. Riccati certificate.  Otherwise the Riccati equation with its constant
+   term raised by eps ||MM_k|| I, for eps = 1e-1, 1e-2, ..., 1e-8 in turn,
+   gives candidate P's: its stabilizing solution, read off the stable
+   invariant subspace of the same Hamiltonian (Laub, IEEE TAC 1979).  The
+   first P that passes the eigenvalue check on the unshifted inequality
+   makes the pair "feasible".  If none does, and a rung's P failed the check
+   just below a rung whose Hamiltonian has imaginary-axis eigenvalues (no
+   stabilizing solution), eps is bisected between the two; a P that passes
+   there makes the pair "feasible", and otherwise it is "undecided".
+
+So "feasible" rests only on the eigenvalue check of S(P, 1) and P, and
+"infeasible" only on a witness the caller can re-evaluate: a frequency at
+which the sector form has a positive eigenvalue (on xi the P terms of S
+vanish for every symmetric P, so xi* S xi = alpha xi* MM xi), or a linear
+member of the sector whose loop is not Hurwitz.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import smat, svec_dim
 from .controller import DynamicStabilizer
 from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
-from .sdp import FeasibilityResult, solve_feasibility
+from .sdp import solve_feasibility  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .synthesis import closed_loop
 
-# default strict-feasibility shifts: O(1) on the main inequality (valid by
-# homogeneity in (P, alpha)), small on P > 0 so the P block does not distort
-# the geometry of the main one
-_MARGIN_MAIN = 1.0
-_MARGIN_P = 1e-4
-
-# frequencies (rad/s) screened for an infeasibility witness, besides w = inf;
-# the realization is real, so T(-w) is the conjugate of T(w) and w >= 0 suffices
-_WITNESS_OMEGAS = np.logspace(-3, 3, 60)
-# a witness eigenvalue must exceed this fraction of ||T* M T||_F
+# a frequency witness's eigenvalue must exceed this fraction of ||xi* MM xi||_F
 _WITNESS_RTOL = 1e-8
+# Hamiltonian eigenvalues within this distance of the imaginary axis,
+# relative to max(|lambda|, 1), are crossing candidates; the form is
+# re-evaluated between them before a witness counts
+_AXIS_RTOL = 1e-6
+# the Riccati constant-term shifts eps, relative to ||MM_k||, tried in turn
+_RICCATI_SHIFTS = 10.0 ** -np.arange(1.0, 9.0)
+# geometric bisection steps between two rungs when every rung fails
+_BISECTIONS = 20
 
 
 @dataclass(frozen=True)
@@ -59,11 +78,14 @@ class LmiCertificate:
     alpha: float
     eig_S_max: float
     eig_P_min: float
-    sweeps: int
-    feasible: bool
     status: str
-    # (omega, lambda) of the frequency witness behind an "infeasible" status
-    witness: tuple[float, float] | None = None
+    # behind an "infeasible" status: ("frequency", omega, lambda_max of the
+    # sector form there) or ("member", kappa, max Re eig of the kappa-loop)
+    witness: tuple[str, float, float] | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.status == "feasible"
 
 
 def build_multiplier(kappa: float, lipschitz: float, size: int) -> np.ndarray:
@@ -98,43 +120,16 @@ def _sector_form_max(xi: np.ndarray, MM: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _xi(A: np.ndarray, B: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Stacked xi(w) = [(jwI - A)^-1 B; I]; w = inf gives [0; I]."""
+    """Stacked xi(w) = [(jwI - A)^-1 B; I] over finite frequencies w."""
     nm, pm = B.shape
-    xi = np.zeros((omegas.size, nm + pm, pm), dtype=complex)
-    xi[:, nm:] = np.eye(pm)
-    finite = np.isfinite(omegas)
-    jw = 1j * omegas[finite, None, None] * np.eye(nm)
-    xi[finite, :nm] = np.linalg.solve(jw - A, np.broadcast_to(B, (jw.shape[0], nm, pm)))
-    return xi
+    jw = 1j * omegas[:, None, None] * np.eye(nm)
+    x = np.linalg.solve(jw - A, np.broadcast_to(B, (omegas.size, nm, pm)))
+    return np.concatenate([x, np.broadcast_to(np.eye(pm), (omegas.size, pm, pm))], axis=1)
 
 
-def frequency_witness(
-    A: np.ndarray, B: np.ndarray, MM: np.ndarray
-) -> tuple[float, float] | None:
-    """A frequency w at which the sector inequality has no solution, as
-    (w, lambda_max(xi* MM xi)), or None if the screened grid shows none.
-
-    On xi(w) = [(jwI - A)^-1 B; I] the P terms N1' P N2 + N2' P N1 vanish for
-    every symmetric P (A X + B = jw X), so xi* S xi = alpha xi* MM xi, and
-    xi* MM xi = T* M T with T = [C (jwI - A)^-1 B + D; I].  A positive
-    eigenvalue there rules out every alpha > 0; alpha = 0 is ruled out anyway,
-    because the w-w block of S is then 0.  The grid is screened in one
-    batched solve, and the strongest hit is recomputed on its own.
-    """
-    omegas = np.append(_WITNESS_OMEGAS, np.inf)
-    with np.errstate(all="ignore"):
-        try:
-            lam, scale = _sector_form_max(_xi(A, B, omegas), MM)
-        except np.linalg.LinAlgError:  # jw is an eigenvalue of A
-            return None
-        hits = np.flatnonzero(lam > _WITNESS_RTOL * scale)
-        if hits.size == 0:
-            return None
-        omega = omegas[hits[np.argmax(lam[hits])]]
-        lam, scale = _sector_form_max(_xi(A, B, np.array([omega]))[0], MM)
-    if not lam > _WITNESS_RTOL * scale:
-        return None
-    return float(omega), float(lam)
+def _on_axis(ev: np.ndarray) -> np.ndarray:
+    """Which eigenvalues lie on the imaginary axis, to _AXIS_RTOL."""
+    return np.abs(ev.real) <= _AXIS_RTOL * np.maximum(np.abs(ev), 1.0)
 
 
 def verify_stability(
@@ -143,92 +138,114 @@ def verify_stability(
     controller: DynamicStabilizer,
     kappa: float,
     lipschitz: float,
-    max_sweeps: int = 4000,
 ) -> LmiCertificate:
-    """Decide the sector inequality for (P > 0, alpha >= 0).
+    """Decide the sector inequality for (P > 0, alpha = 1).
 
-    Statuses: "infeasible" (a frequency witness rules out every (P, alpha);
-    no solver sweeps run), "feasible" (a certificate validated by eigenvalue
-    checks on the actual matrices, independently of the solver's internal
-    state), "stalled" or "undecided" (the solver's fixed point or sweep cap,
-    with no certificate and no witness).
+    Statuses: "feasible" (a certificate validated by eigenvalue checks on
+    the actual matrices), "infeasible" (a frequency or member witness rules
+    out every (P, alpha); P and alpha are reported as 0), "undecided" (no
+    witness, and no Riccati candidate passed the check).
     """
-    return _decide(plant, geometry, controller, kappa, lipschitz, max_sweeps, None)[0]
-
-
-def _decide(
-    plant: LtiPlant,
-    geometry: KktGeometry,
-    controller: DynamicStabilizer,
-    kappa: float,
-    lipschitz: float,
-    max_sweeps: int,
-    start: np.ndarray | None,
-) -> tuple[LmiCertificate, np.ndarray | None]:
-    """verify_stability with the solver started from ``start``; also returns
-    the solver's final iterate (None when the witness decided)."""
     A, B, C, D = closed_loop(plant, geometry, controller)
     nm, pm = B.shape
-    M = build_multiplier(kappa, lipschitz, pm)
-    # selector matrices of N1' P N2 + N2' P N1 + alpha N3' M N3 < 0 on (x, w)
-    N1 = np.hstack([np.eye(nm), np.zeros((nm, pm))])
-    N2 = np.hstack([A, B])
-    N3 = np.vstack([np.hstack([C, D]), np.hstack([np.zeros((pm, nm)), np.eye(pm)])])
+    zw = np.block([[C, D], [np.zeros((pm, nm)), np.eye(pm)]])  # (x, w) -> (z, w)
     with np.errstate(over="ignore", invalid="ignore"):
-        MM = N3.T @ M @ N3
-    if not (np.isfinite(N2).all() and np.isfinite(MM).all()):
+        MM = zw.T @ build_multiplier(kappa, lipschitz, pm) @ zw
+    if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(MM).all()):
         raise LmiError("sector-LMI data overflows: a gain or sector bound is too large")
-    dP = svec_dim(nm)
-    q = dP + 1  # svec(P) plus alpha
 
-    def S_main(v):
-        P = smat(v[:dP], nm)
-        S = N1.T @ P @ N2 + N2.T @ P @ N1 + v[dP] * MM
-        return 0.5 * (S + S.T)
-
-    def S_pos(v):
-        return -smat(v[:dP], nm)
-
-    def certificate(v):
-        P = smat(v[:dP], nm)
-        S = S_main(v)
-        eig_S = float(np.linalg.eigvalsh(S).max())
-        eig_P = float(np.linalg.eigvalsh(P).min())
-        s_scale = max(np.linalg.norm(S, "fro"), 1e-30)
-        p_scale = max(np.linalg.norm(P, "fro"), 1e-30)
-        ok = (
-            eig_S < -1e-8 * s_scale
-            and eig_P > 1e-10 * p_scale
-            and v[dP] >= 0.0
+    def ruled_out(kind, at, value):
+        return LmiCertificate(
+            np.zeros((nm, nm)), 0.0, 0.0, 0.0, "infeasible", (kind, float(at), float(value))
         )
-        return ok, (eig_S, eig_P)
 
-    witness = frequency_witness(A, B, MM)
-    if witness is not None:
-        # no candidate is searched for; report the trivial one, (P, alpha) = 0
-        v0 = np.zeros(q)
-        result = FeasibilityResult("infeasible", v0, 0, certificate(v0)[1])
-    else:
-        result = solve_feasibility(
-            [S_main, S_pos],
-            q,
-            nonneg=(dP,),
-            margins=[_MARGIN_MAIN, _MARGIN_P],
-            max_sweeps=max_sweeps,
-            certificate=certificate,
-            start=start,
-        )
-    eig_S, eig_P = result.certificate_info
-    return LmiCertificate(
-        P=smat(result.v[:dP], nm),
-        alpha=float(result.v[dP]),
-        eig_S_max=eig_S,
-        eig_P_min=eig_P,
-        sweeps=result.sweeps,
-        feasible=result.feasible,
-        status=result.status,
-        witness=witness,
-    ), result.iterate
+    # 1. omega = inf
+    lam = np.linalg.eigvalsh(MM[nm:, nm:])[-1]
+    if not lam < 0:
+        return ruled_out("frequency", np.inf, lam)
+
+    # 2. the loop shifted to its lower sector edge; I - kappa D is invertible
+    # here, since on w = kappa z the form is 0, and MM's w-w block is < 0
+    W = np.linalg.inv(np.eye(pm) - kappa * D)
+    T = np.block([[np.eye(nm), np.zeros((nm, pm))], [kappa * W @ C, W]])
+    Ak, Bk = A + kappa * B @ W @ C, B @ W
+    MMk = T.T @ MM @ T
+    MMk = 0.5 * (MMk + MMk.T)
+    Q, S, R = MMk[:nm, :nm], MMk[:nm, nm:], MMk[nm:, nm:]
+    growth = np.linalg.eigvals(Ak).real.max()
+    if growth >= 0:
+        return ruled_out("member", kappa, growth)
+
+    # 3. crossings of the frequency form: imaginary-axis eigenvalues of the
+    # Hamiltonian of the Riccati equation F'P + PF - P G P + Q~ = 0, with
+    # F = A_k - B_k R^-1 S', G = B_k R^-1 B_k' and Q~ = Q - S R^-1 S'
+    Ri = np.linalg.inv(R)
+    F = Ak - Bk @ Ri @ S.T
+    H = np.block([[F, -Bk @ Ri @ Bk.T], [S @ Ri @ S.T - Q, -F.T]])
+    ev = np.linalg.eigvals(H)
+    edges = np.append(0.0, np.unique(np.abs(ev.imag[_on_axis(ev)])))
+    omegas = 0.5 * (edges[1:] + edges[:-1])
+    omegas = omegas[omegas > 0]
+    if omegas.size:  # the witness is evaluated on the loop itself
+        lam, scale = _sector_form_max(_xi(A, B, omegas), MM)
+        hits = np.flatnonzero(lam > _WITNESS_RTOL * scale)
+        if hits.size:
+            i = hits[np.argmax(lam[hits])]
+            return ruled_out("frequency", omegas[i], lam[i])
+
+    # 4. Riccati candidates: with Q~ raised by eps ||MM_k|| I, the
+    # stabilizing solution P = U2 U1^-1, from the stable invariant subspace
+    # [U1; U2] of H, makes the Schur complement of S(P, 1) -eps ||MM_k|| I;
+    # each P is checked on the unshifted inequality.  numpy's eig is the
+    # LAPACK step 3 already loads; scipy's Riccati solver pages in 2 MB more
+    N2 = np.hstack([A, B])
+    shift = np.linalg.norm(MMk) * np.eye(nm)
+    Q0 = H[nm:, :nm].copy()
+
+    def candidate(eps):
+        """The checked certificate at eps, or None without a stabilizing P."""
+        H[nm:, :nm] = Q0 - eps * shift
+        ev, V = np.linalg.eig(H)
+        U = V[:, ev.real < 0]
+        if U.shape[1] != nm or _on_axis(ev).any():
+            return None
+        try:
+            P = np.linalg.solve(U[:nm].T, U[nm:].T).T.real
+        except np.linalg.LinAlgError:
+            return None
+        P = 0.5 * (P + P.T)
+        PN = np.vstack([P @ N2, np.zeros((pm, nm + pm))])
+        Sm = PN + PN.T + MM
+        Sm = 0.5 * (Sm + Sm.T)
+        eig_S = float(np.linalg.eigvalsh(Sm)[-1])
+        eig_P = float(np.linalg.eigvalsh(P)[0])
+        S_ok = eig_S < -1e-8 * max(np.linalg.norm(Sm), 1e-30)
+        ok = S_ok and eig_P > 1e-10 * max(np.linalg.norm(P), 1e-30)
+        return LmiCertificate(P, 1.0, eig_S, eig_P, "feasible" if ok else "undecided")
+
+    # the ladder; then, if the first rung with a stabilizing P failed the
+    # check, bisection between it and the rung above, which has none: with
+    # no crossing the frequency inequality is strict, so a P exists
+    lo = hi = None
+    for eps in _RICCATI_SHIFTS:
+        cert = candidate(eps)
+        if cert is not None and cert.feasible:
+            return cert
+        if lo is None and cert is None:
+            hi = eps
+        elif lo is None:
+            lo = eps
+    if lo is not None and hi is not None:
+        for _ in range(_BISECTIONS):
+            eps = np.sqrt(lo * hi)
+            cert = candidate(eps)
+            if cert is None:
+                hi = eps
+            elif cert.feasible:
+                return cert
+            else:
+                lo = eps
+    return LmiCertificate(np.zeros((nm, nm)), 0.0, 0.0, 0.0, "undecided")
 
 
 def gain_grid_search(
@@ -238,36 +255,22 @@ def gain_grid_search(
     ki_values,
     kappa: float,
     lipschitz: float,
-    max_sweeps: int = 4000,
 ) -> list[dict]:
-    """Certify every (k_p, k_i) scalar-gain pair on a grid.
-
-    Returns one record per pair with the certification outcome; rows are
-    ordered with k_p as the outer loop.  Each pair's solve starts from the
-    final iterate of the last pair the solver certified before it (cold for
-    the first); pairs ruled out by the witness, stalled or undecided pass
-    nothing on.
-    """
-    records = []
-    start = None
+    """Certify every (k_P, k_I) scalar-gain pair on a grid, k_P the outer
+    loop.  Each row is one line of tune.csv: k_P, k_I, certified, status and
+    margin = -eig_S_max of the pair's verify_stability."""
     I = np.eye(plant.m)
-    for kp in kp_values:
-        for ki in ki_values:
-            pi = DynamicStabilizer.pi(float(kp) * I, float(ki) * I, plant.p)
-            cert, iterate = _decide(
-                plant, geometry, pi, kappa, lipschitz, max_sweeps, start
-            )
-            if cert.feasible:
-                start = iterate
-            records.append(
-                {
-                    "k_p": float(kp),
-                    "k_i": float(ki),
-                    "certified": cert.feasible,
-                    "status": cert.status,
-                    "eig_S_max": cert.eig_S_max,
-                    "eig_P_min": cert.eig_P_min,
-                    "sweeps": cert.sweeps,
-                }
-            )
-    return records
+    rows = []
+    for kp, ki in itertools.product(kp_values, ki_values):
+        pi = DynamicStabilizer.pi(float(kp) * I, float(ki) * I, plant.p)
+        cert = verify_stability(plant, geometry, pi, kappa, lipschitz)
+        rows.append(
+            {
+                "k_P": float(kp),
+                "k_I": float(ki),
+                "certified": cert.feasible,
+                "status": cert.status,
+                "margin": -cert.eig_S_max,
+            }
+        )
+    return rows

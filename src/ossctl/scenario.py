@@ -45,12 +45,12 @@ def _floats(value, name: str, max_ndim: int = 0, inf_ok: bool = False):
     return float(x) if max_ndim == 0 else x
 
 
-def _count(value, name: str, least: int) -> int:
-    """value as an int when it is a whole JSON number >= least; anything
-    else is a ScenarioError naming the field."""
+def _count(value, name: str) -> int:
+    """value as an int when it is a whole JSON number >= 0; anything else
+    is a ScenarioError naming the field."""
     x = _floats(value, name)
-    if x != int(x) or x < least:
-        raise ScenarioError(f"{name}: expected a whole number >= {least}")
+    if x != int(x) or x < 0:
+        raise ScenarioError(f"{name}: expected a whole number >= 0")
     return int(x)
 
 
@@ -59,8 +59,8 @@ def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"{name}: expected rows/cols/data object") from exc
-    rows = _count(rows, f"{name}.rows", 0)
-    cols = _count(cols, f"{name}.cols", 0)
+    rows = _count(rows, f"{name}.rows")
+    cols = _count(cols, f"{name}.cols")
     data = _floats(data, f"{name}.data", 1)
     if data.size != rows * cols:
         raise ScenarioError(
@@ -82,7 +82,6 @@ class SimulationSettings:
 class VerificationSettings:
     kp_grid: tuple = ()
     ki_grid: tuple = ()
-    max_sweeps: int = 4000
 
 
 @dataclass(frozen=True)
@@ -201,11 +200,6 @@ def _scenario_from_dict(data: dict) -> Scenario:
     )
     if 0.0 in ki_grid:
         raise ScenarioError("verification.ki_grid: K_I = 0 is not invertible")
-    verification = VerificationSettings(
-        kp_grid=kp_grid,
-        ki_grid=ki_grid,
-        max_sweeps=_count(ver.get("max_sweeps", 4000), "verification.max_sweeps", 1),
-    )
     return Scenario(
         name=str(data.get("name", "scenario")),
         plant=plant,
@@ -213,7 +207,7 @@ def _scenario_from_dict(data: dict) -> Scenario:
         controller=controller,
         schedule=schedule,
         simulation=settings,
-        verification=verification,
+        verification=VerificationSettings(kp_grid=kp_grid, ki_grid=ki_grid),
     )
 
 

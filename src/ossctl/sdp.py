@@ -1,24 +1,18 @@
-"""Semidefinite feasibility by operator splitting.
+"""Semidefinite feasibility by operator splitting, for the bounded-real LMI
+of stabilizer synthesis.
 
 Problems are posed as: find v in R^q such that S_i(v) < 0 (negative
-definite) for every affine matrix-valued block S_i, optionally with some
-components of v constrained nonnegative.  A block is the callable
+definite) for every affine matrix-valued block S_i.  A block is the callable
 v -> S_i(v) itself; its side length is read from S_i(0).  Strict feasibility is encoded by
 shifting each block by a margin times the identity and splitting between
 
   * the affine set  { (v, Z_1..Z_k) : svec(Z_i) = -svec(S_i(v)) - margin_i svec(I) }
-  * the cone        { Z_i >= 0, selected v_j >= 0 }
+  * the cone        { Z_i >= 0 }
 
 with a Douglas-Rachford iteration.  Because the splitting iterate is only a
 candidate, every acceptance goes through a caller-supplied certificate check
 on the actual matrices; a returned "feasible" status therefore never rests
 on the splitting having converged, only on eigenvalues of the certificate.
-
-A solve can start from the final iterate of an earlier one with the same
-block dimensions (a warm start, as operator-splitting solvers use on
-parametric families: OSQP, Stellato et al. 2020; SCS, O'Donoghue et al.
-2016).  The start changes how many sweeps a solve takes and which
-certificate it returns, never what the certificate check accepts.
 """
 
 from dataclasses import dataclass
@@ -36,15 +30,10 @@ _STALL_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    # "feasible" | "stalled" | "undecided" from solve_feasibility; a caller
-    # that rules a problem out before splitting reports "infeasible"
-    status: str
+    status: str  # "feasible" | "stalled" | "undecided"
     v: np.ndarray
     sweeps: int
     certificate_info: tuple | None
-    # the splitting iterate z at termination, its v-part unscaled; a start
-    # for a nearby problem with the same block dimensions
-    iterate: np.ndarray | None = None
 
     @property
     def feasible(self) -> bool:
@@ -54,13 +43,11 @@ class FeasibilityResult:
 def solve_feasibility(
     blocks: Sequence[Callable[[np.ndarray], np.ndarray]],
     q: int,
-    nonneg: Sequence[int] = (),
     margins: Sequence[float] | None = None,
     max_sweeps: int = 4000,
     check_every: int = 20,
     *,
     certificate: Callable[[np.ndarray], tuple[bool, tuple]],
-    start: np.ndarray | None = None,
 ) -> FeasibilityResult:
     """Run the splitting until a candidate passes the certificate check.
 
@@ -68,10 +55,6 @@ def solve_feasibility(
     certificate(v) -> (ok, info) validates a candidate against the original
     (unshifted, unscaled) inequalities; it is consulted every ``check_every``
     sweeps and at termination.
-
-    start is the ``iterate`` of an earlier result with the same block
-    dimensions; the splitting begins there instead of at 0.  A start of any
-    other shape is a ValueError.
 
     Statuses: "feasible" (certified), "stalled" (fixed point reached but the
     certificate rejects it -- strong evidence of infeasibility at the given
@@ -130,8 +113,6 @@ def solve_feasibility(
 
     def project_cone(w: np.ndarray) -> np.ndarray:
         w = w.copy()
-        for j in nonneg:
-            w[j] = max(w[j], 0.0)
         off = q
         for i, n in enumerate(dims):
             d = sdims[i]
@@ -146,23 +127,9 @@ def solve_feasibility(
         return w
 
     def extract(w: np.ndarray) -> np.ndarray:
-        v = w[:q] * D
-        for j in nonneg:
-            v[j] = max(v[j], 0.0)
-        return v
+        return w[:q] * D
 
-    def result(status, v, sweeps, info):
-        iterate = z.copy()
-        iterate[:q] *= D
-        return FeasibilityResult(status, v, sweeps, info, iterate)
-
-    if start is None:
-        z = np.zeros(width)
-    else:
-        if np.shape(start) != (width,):
-            raise ValueError(f"start has shape {np.shape(start)}, expected ({width},)")
-        z = np.array(start, dtype=float)
-        z[:q] /= D
+    z = np.zeros(width)
     x = z
     for sweep in range(1, max_sweeps + 1):
         x = project_cone(z)
@@ -173,12 +140,12 @@ def solve_feasibility(
                 v = extract(cand)
                 ok, info = certificate(v)
                 if ok:
-                    return result("feasible", v, sweep, info)
+                    return FeasibilityResult("feasible", v, sweep, info)
         if np.linalg.norm(y - x) < _STALL_RTOL * (1.0 + np.linalg.norm(x)):
             v = extract(x)
             ok, info = certificate(v)
-            return result("feasible" if ok else "stalled", v, sweep, info)
+            return FeasibilityResult("feasible" if ok else "stalled", v, sweep, info)
 
     v = extract(x)
     ok, info = certificate(v)
-    return result("feasible" if ok else "undecided", v, max_sweeps, info)
+    return FeasibilityResult("feasible" if ok else "undecided", v, max_sweeps, info)

@@ -88,6 +88,55 @@ def sector_lmi(plant, geometry, controller, kappa, lipschitz):
     return A, B, MM, S
 
 
+def sector_form_max(plant, R, kp, ki, kappa, lipschitz, omega):
+    """lambda_max(T* M T) at one frequency, from the plant's transfer function.
+
+    The gradient w drives u = (k_p + k_i / s) R' w, and the loop feeds
+    z = (y, u) back to it, with y = C (sI - A)^-1 B u; T = [z-map; I].
+    """
+    if np.isfinite(omega):
+        s = 1j * omega
+        G = (kp + ki / s) * R.T
+        Y = plant.C @ np.linalg.solve(s * np.eye(plant.n) - plant.A, plant.B @ G)
+    else:
+        G = kp * R.T
+        Y = np.zeros((plant.p, R.shape[0]))
+    T = np.vstack([Y, G, np.eye(R.shape[0])])
+    if np.isinf(lipschitz):
+        core = [[-2.0 * kappa, -1.0], [-1.0, 0.0]]
+    else:
+        core = [[-2.0 * kappa * lipschitz, -(kappa + lipschitz)],
+                [-(kappa + lipschitz), -2.0]]
+    M = np.kron(core, np.eye(R.shape[0]))
+    return np.linalg.eigvalsh(T.conj().T @ M @ T).max()
+
+
+def member_growth(plant, geometry, controller, kappa):
+    """Largest real part of the eigenvalues of the loop closed by the sector's
+    linear member w = kappa z: A + kappa B (I - kappa D)^-1 C, on the loop
+    oc.closed_loop builds."""
+    A, B, C, D = oc.closed_loop(plant, geometry, controller)
+    Ak = A + kappa * B @ np.linalg.solve(np.eye(D.shape[0]) - kappa * D, C)
+    return np.linalg.eigvals(Ak).real.max()
+
+
+def witness_value(plant, geometry, kp, ki, kappa, lipschitz, witness):
+    """The scalar PI pair's witness evaluated by the tests' own code: the
+    member loop's growth rate, or lambda_max(T* M T) at the frequency; it
+    must equal the value the witness reports.  Positive means the witness
+    rules the pair out."""
+    kind, at, reported = witness
+    if kind == "member":
+        assert at == kappa
+        pi = oc.DynamicStabilizer.pi(kp * np.eye(plant.m), ki * np.eye(plant.m), plant.p)
+        value = member_growth(plant, geometry, pi, kappa)
+    else:
+        assert kind == "frequency"
+        value = sector_form_max(plant, geometry.R, kp, ki, kappa, lipschitz, at)
+    assert value == pytest.approx(reported, rel=1e-9)
+    return value
+
+
 def load_script(name):
     """A module of scripts/, imported from its file."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")

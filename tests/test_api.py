@@ -64,17 +64,15 @@ PARAMETERS = {
         "dt", "x0", "eta0", "xs0",
     ],
     "verify_stability": [
-        "plant", "geometry", "controller", "kappa", "lipschitz", "max_sweeps",
+        "plant", "geometry", "controller", "kappa", "lipschitz",
     ],
     "gain_grid_search": [
         "plant", "geometry", "kp_values", "ki_values", "kappa", "lipschitz",
-        "max_sweeps",
     ],
     "synthesize_stabilizer": ["plant", "geometry", "kappa", "lipschitz"],
     "closed_loop": ["plant", "geometry", "controller"],
     "solve_feasibility": [
-        "blocks", "q", "nonneg", "margins", "max_sweeps", "check_every",
-        "certificate", "start",
+        "blocks", "q", "margins", "max_sweeps", "check_every", "certificate",
     ],
 }
 

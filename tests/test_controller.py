@@ -11,6 +11,26 @@ def test_gain_validation():
         oc.DynamicStabilizer.pi(np.eye(2), np.eye(3), 2)  # size mismatch
 
 
+@pytest.mark.parametrize(
+    "K_P, K_I",
+    [(np.eye(1), [[np.nan]]), ([[np.inf]], np.eye(1)), ([[-np.inf]], np.eye(1))],
+)
+def test_non_finite_pi_gains_rejected(K_P, K_I):
+    # a NaN K_I must not reach the condition-number test, which would raise
+    # numpy's LinAlgError; an infinite K_P has no condition number to fail
+    with pytest.raises(ValueError, match="D_s must be finite"):
+        oc.DynamicStabilizer.pi(K_P, K_I, 2)
+
+
+def test_non_finite_stabilizer_rejected():
+    A_s = np.array([[-1.0, 0.0], [0.0, np.nan]])
+    with pytest.raises(ValueError, match="A_s must be finite"):
+        oc.DynamicStabilizer(
+            A_s=A_s, B_s=np.zeros((2, 4)), C_s=np.zeros((1, 2)), D_s=np.zeros((1, 4)),
+            p=2, m=1,
+        )
+
+
 def _pi_at(loop, plant, objective, eta, y):
     """(e, u) of the PI loop at the integrator state eta and a plant state
     with output y: the eta rows of the loop's derivative are e."""

@@ -22,8 +22,7 @@ _VALUES = [_DELETE, None, "x", -1, 0, [], {}, [[1.0], [1.0, 2.0]], 1e300, math.n
 def _bundled(name):
     with open(resources.files("ossctl").joinpath(f"scenarios/{name}.json")) as fh:
         data = json.load(fh)
-    # short runs; max_sweeps is never mutated, since a huge cap only runs long
-    data["verification"]["max_sweeps"] = 60
+    # short simulations
     data["simulation"]["t_final"] = 0.05
     return data
 
@@ -31,8 +30,7 @@ def _bundled(name):
 def _key_paths(data, prefix=()):
     for key, value in data.items():
         path = prefix + (key,)
-        if key != "max_sweeps":
-            yield path
+        yield path
         if isinstance(value, dict):
             yield from _key_paths(value, path)
 

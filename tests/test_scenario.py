@@ -89,15 +89,6 @@ def test_matrix_dimensions_must_be_whole(field, value):
         matrix_from_json(obj)
 
 
-@pytest.mark.parametrize("value", [-5, 0, 0.5, 1.5])
-def test_max_sweeps_must_be_a_positive_whole_number(value):
-    with open(bundled("example_va.json")) as fh:
-        data = json.load(fh)
-    data.setdefault("verification", {})["max_sweeps"] = value
-    with pytest.raises(ScenarioError, match=r"verification\.max_sweeps"):
-        scenario_from_dict(data)
-
-
 @pytest.mark.parametrize(
     "field, value",
     [("rows", True), ("cols", False), ("data", [1.0, True]), ("data", [[1.0], [False]])],
@@ -108,11 +99,3 @@ def test_matrix_booleans_rejected(field, value):
     obj[field] = value
     with pytest.raises(ScenarioError, match=rf"matrix\.{field}: expected numbers"):
         matrix_from_json(obj)
-
-
-def test_max_sweeps_boolean_rejected():
-    with open(bundled("example_va.json")) as fh:
-        data = json.load(fh)
-    data.setdefault("verification", {})["max_sweeps"] = True
-    with pytest.raises(ScenarioError, match=r"verification\.max_sweeps: expected numbers"):
-        scenario_from_dict(data)

@@ -74,21 +74,6 @@ def test_matrix_lyapunov_feasible():
     assert np.linalg.eigvalsh(P).min() > 0
 
 
-def test_nonneg_constraint_respected():
-    # find v with v[0] >= 0 and matrix [[v0 - 1]] < 0 -> v0 in [0, 1)
-    def S_main(v):
-        return np.array([[v[0] - 1.0]])
-
-    def cert(v):
-        return (v[0] >= 0 and v[0] < 1.0 - 1e-10), None
-
-    res = solve_feasibility(
-        [S_main], q=1, nonneg=(0,), margins=[0.1], certificate=cert
-    )
-    assert res.feasible
-    assert res.v[0] >= 0
-
-
 def test_margin_count_validated():
     with pytest.raises(ValueError):
         solve_feasibility(
