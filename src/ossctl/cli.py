@@ -54,7 +54,7 @@ _WITNESS_KEYS = {"frequency": ("omega", "lambda"), "member": ("kappa", "max_re_e
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
+        json.dump(payload, fh, indent=2, default=str, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -118,6 +118,12 @@ def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
         scn.objective.kappa,
         scn.objective.lipschitz,
     )
+    witness = None
+    if cert.witness is not None:
+        kind, at, value = cert.witness
+        # JSON has no infinity: a witness at omega = inf is written as "inf"
+        at = "inf" if at == np.inf else at
+        witness = dict(zip(("kind", *_WITNESS_KEYS[kind]), (kind, at, value)))
     report = {
         "scenario": scn.name,
         "certified": cert.feasible,
@@ -125,11 +131,7 @@ def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
         "alpha": cert.alpha,
         "eig_S_max": cert.eig_S_max,
         "eig_P_min": cert.eig_P_min,
-        "witness": (
-            None
-            if cert.witness is None
-            else dict(zip(("kind", *_WITNESS_KEYS[cert.witness[0]]), cert.witness))
-        ),
+        "witness": witness,
         "P": cert.P.tolist(),
     }
     _write_json(out_dir, "certificate.json", report)

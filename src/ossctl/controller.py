@@ -6,7 +6,8 @@ Every loop is synthesis.closed_loop(plant, geometry, controller):
 s' = A s + B w + E d on s = (x, eta, x_s), with w = grad_g(z) and
 z = (y, u) = C s + D w.  A direct term from e to u (the proportional gain
 of a PI law, or in general the e-columns of D_s) makes the input implicit;
-stabilizer_dynamics solves it by damped Newton whatever the cost.  A
+stabilizer_dynamics solves it by damped Newton whatever the cost, each step
+a division for one input and np.linalg.solve for several.  A
 quadratic cost makes the whole loop affine: sim._affine_closed_loop then
 closes the gradient's affine map on the same loop, and no Newton solve runs."""
 
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import AlgebraicLoopError
 from .objective import SteadyStateObjective
@@ -84,6 +84,19 @@ class DynamicStabilizer:
         return self.D_s[:, self.p + self.m :]
 
 
+def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The solution of J step = -F, or -F when J is singular.  With one input
+    (every bundled scenario) it is a division: on a 1 x 1 system
+    np.linalg.solve costs about 10 us a call, four times the division."""
+    if F.size == 1:
+        j = J[0, 0]
+        return -F / j if j != 0.0 else -F
+    try:
+        return np.linalg.solve(J, -F)
+    except np.linalg.LinAlgError:
+        return -F
+
+
 def _solve_implicit_input(
     D_u: np.ndarray,
     offset: np.ndarray,
@@ -112,9 +125,7 @@ def _solve_implicit_input(
             return u, w
         J = -(D_u @ objective.hessian(y, u)[:, p:])
         J.flat[:: u.size + 1] += 1.0
-        step, info = dgesv(J, -F, overwrite_a=1)[2:]
-        if info != 0:
-            step = -F
+        step = _newton_step(J, F)
         t = 1.0
         for _ in range(40):
             u_new = u + t * step

@@ -183,7 +183,9 @@ def verify_stability(
     F = Ak - Bk @ Ri @ S.T
     H = np.block([[F, -Bk @ Ri @ Bk.T], [S @ Ri @ S.T - Q, -F.T]])
     ev = np.linalg.eigvals(H)
-    edges = np.append(0.0, np.unique(np.abs(ev.imag[_on_axis(ev)])))
+    edges = np.append(0.0, np.sort(np.abs(ev.imag[_on_axis(ev)])))
+    # distinct edges; np.unique would import numpy.ma on its first call
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     omegas = 0.5 * (edges[1:] + edges[:-1])
     omegas = omegas[omegas > 0]
     if omegas.size:  # the witness is evaluated on the loop itself
@@ -196,8 +198,8 @@ def verify_stability(
     # 4. Riccati candidates: with Q~ raised by eps ||MM_k|| I, the
     # stabilizing solution P = U2 U1^-1, from the stable invariant subspace
     # [U1; U2] of H, makes the Schur complement of S(P, 1) -eps ||MM_k|| I;
-    # each P is checked on the unshifted inequality.  numpy's eig is the
-    # LAPACK step 3 already loads; scipy's Riccati solver pages in 2 MB more
+    # each P is checked on the unshifted inequality.  P comes from the
+    # eigenvectors of step 3's Hamiltonian, so no Riccati solver is needed
     N2 = np.hstack([A, B])
     shift = np.linalg.norm(MMk) * np.eye(nm)
     Q0 = H[nm:, :nm].copy()

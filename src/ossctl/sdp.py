@@ -9,7 +9,9 @@ shifting each block by a margin times the identity and splitting between
   * the affine set  { (v, Z_1..Z_k) : svec(Z_i) = -svec(S_i(v)) - margin_i svec(I) }
   * the cone        { Z_i >= 0 }
 
-with a Douglas-Rachford iteration.  Because the splitting iterate is only a
+with a Douglas-Rachford iteration.  The affine projection is precomputed
+by one np.linalg.solve and each cone projection is one np.linalg.eigh, so
+the solver needs numpy alone.  Because the splitting iterate is only a
 candidate, every acceptance goes through a caller-supplied certificate check
 on the actual matrices; a returned "feasible" status therefore never rests
 on the splitting having converged, only on eigenvalues of the certificate.
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dsyevd
 
 from ._linalg import smat, svec, svec_dim
 
@@ -103,8 +103,7 @@ def solve_feasibility(
 
     # projection onto {w : E w = b} is w - K (E w - b) with K = E'(EE')^-1;
     # precomputing it makes each sweep's projection one affine matvec
-    cho = np.linalg.cholesky(E @ E.T + 1e-13 * np.eye(ztot))
-    K = scipy.linalg.cho_solve((cho, True), E).T
+    K = np.linalg.solve(E @ E.T + 1e-13 * np.eye(ztot), E).T
     Pa = np.eye(width) - K @ E
     c = K @ b
 
@@ -116,11 +115,7 @@ def solve_feasibility(
         off = q
         for i, n in enumerate(dims):
             d = sdims[i]
-            ev, V, info = dsyevd(smat(w[off : off + d], n), lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"dsyevd failed on a {n} x {n} cone block (info = {info})"
-                )
+            ev, V = np.linalg.eigh(smat(w[off : off + d], n))
             np.clip(ev, 0.0, None, out=ev)
             w[off : off + d] = svec((V * ev) @ V.T)
             off += d

@@ -118,6 +118,22 @@ def test_verify_reports_infeasibility_witness(tmp_path):
     assert "sweeps" not in cert
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_certificate_json_is_strict_at_infinite_frequency(tmp_path):
+    # example_vb's PI law is ruled out at omega = inf; strict parsers (jq,
+    # JavaScript) reject the Infinity token, so omega is written as "inf"
+    code = run(["verify", "--scenario", bundled("example_vb.json"), "--out", str(tmp_path)])
+    assert code == EXIT_CERTIFICATION
+    text = (tmp_path / "certificate.json").read_text()
+    witness = json.loads(text, parse_constant=_reject_constant)["witness"]
+    assert witness["kind"] == "frequency"
+    assert witness["omega"] == "inf"
+    assert witness["lambda"] > 0
+
+
 def test_verify_vc_fails_certification(tmp_path):
     # same scenario but with a fixed PI gain: certification must fail
     data = json.loads(open(bundled("example_vc.json")).read())
@@ -497,3 +513,53 @@ def test_process_exit_status_and_stderr(tmp_path):
         assert (mutate.__name__, proc.returncode) == (mutate.__name__, code)
         assert proc.stderr.startswith(prefix), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# run in a fresh interpreter: pytest's own process may already hold scipy
+_SCIPY_GUARD = """
+import json, os, sys
+import ossctl.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()
+scenarios, out = sys.argv[1], sys.argv[2]
+def scenario(name, t_final=None):
+    path = os.path.join(scenarios, name + ".json")
+    if t_final is None:
+        return path
+    data = json.load(open(path))
+    data["simulation"]["t_final"] = t_final
+    path = os.path.join(out, name + "_short.json")
+    json.dump(data, open(path, "w"))
+    return path
+calls = [
+    ("analyze", scenario("example_va")),
+    ("tune", scenario("example_va")),
+    ("verify", scenario("example_va")),
+    ("verify", scenario("example_vb")),
+    ("synth", scenario("example_vc")),
+    ("simulate", scenario("example_va", 0.5)),
+    ("simulate", scenario("example_vb", 0.5)),
+    ("simulate", scenario("example_vc", 0.5)),
+]
+for command, path in calls:
+    code = cli.main([command, "--scenario", path, "--out", out])
+    assert code in (0, 3), (command, path, code)
+    assert not scipy_modules(), (command, path, scipy_modules())
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    """Every command runs on numpy alone: scipy is a test dependency only."""
+    src = str(Path(ossctl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    scenarios = str(resources.files("ossctl").joinpath("scenarios"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_GUARD, scenarios, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

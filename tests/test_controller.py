@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import ossctl as oc
+from ossctl.controller import _solve_implicit_input
+from ossctl.sim import _affine_closed_loop
+from tests.conftest import random_quadratic_instance
 
 
 def test_gain_validation():
@@ -95,6 +100,53 @@ def test_quadratic_and_newton_paths_agree(plant_stable, geometry_stable, quadrat
         )
         u_newton = _pi_at(loop, plant_stable, quadratic_obj, eta, y)[1]
         assert np.allclose(u_direct, u_newton, atol=1e-8)
+
+
+def test_newton_matches_affine_closed_form_with_several_inputs():
+    # with m >= 2 inputs the Newton step is a linear solve, not a division;
+    # on a quadratic cost it must land on the affine loop's u = M s + m0.
+    # Dividing by J[0, 0] instead stagnates on 4 of these 10 loops
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 10:
+        plant, geometry, obj = random_quadratic_instance(rng)
+        if plant.m < 2:
+            continue
+        m = plant.m
+        pi = oc.DynamicStabilizer.pi(np.eye(m), np.eye(m), plant.p)
+        loop = oc.closed_loop(plant, geometry, pi)
+        _, _, M, m0 = _affine_closed_loop(loop, geometry, obj)
+        s = rng.normal(size=plant.n + m)
+        _, u = oc.stabilizer_dynamics(loop, obj, s, np.zeros(s.size))
+        u_affine = (M @ s + m0)[:m]
+        assert np.allclose(u, u_affine, rtol=1e-9, atol=1e-9 * np.linalg.norm(u_affine))
+        checked += 1
+
+
+def test_singular_scalar_jacobian_is_an_algebraic_loop_error():
+    # u = offset + 0.5 du g with du g = 2u + q_u: the Jacobian 1 - 0.5 * 2 is
+    # exactly 0 and the residual -offset - 0.5 q_u does not depend on u
+    obj = oc.quadratic_objective(np.diag([1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), 2)
+    D_u = np.array([[0.0, 0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by the zero Jacobian
+        with pytest.raises(oc.AlgebraicLoopError):
+            _solve_implicit_input(D_u, np.array([1.0]), obj, np.zeros(2), np.zeros(1))
+
+
+def test_singular_matrix_jacobian_is_an_algebraic_loop_error():
+    # D_u swaps the two inputs' gradients, so J = [[1, -1], [-1, 1]] is
+    # exactly singular and the residual's sum F1 + F2 does not depend on u;
+    # the fallback step ends in the loop error, not in numpy's LinAlgError
+    # or a warning
+    obj = oc.quadratic_objective(np.eye(3), np.array([0.0, 1.0, 2.0]), 1)
+    D_u = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oc.AlgebraicLoopError):
+            _solve_implicit_input(
+                D_u, np.array([1.0, -2.0]), obj, np.zeros(1), np.array([0.3, 0.0])
+            )
 
 
 def test_stabilizer_shape_validation():
