@@ -2,7 +2,7 @@
 to the optimizer of a convex steady-state program via feedback, certify the
 loop, and fall back to dynamic-stabilizer synthesis when needed."""
 
-from ._linalg import hinf_norm, is_hurwitz, numerical_rank
+from ._linalg import hinf_norm, numerical_rank
 from .controller import AlgebraicLoopError, DynamicStabilizer, stabilizer_dynamics
 from .errors import OssctlError
 from .kkt import KktError, KktGeometry, build_kkt_geometry, kkt_residual

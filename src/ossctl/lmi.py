@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import _crossing_midpoints, _form_max, _kyp_hamiltonian, _on_axis, _xi
 from .controller import DynamicStabilizer
 from .errors import LmiError
 from .kkt import KktGeometry
@@ -62,10 +63,6 @@ from .synthesis import closed_loop
 
 # a frequency witness's eigenvalue must exceed this fraction of ||xi* MM xi||_F
 _WITNESS_RTOL = 1e-8
-# Hamiltonian eigenvalues within this distance of the imaginary axis,
-# relative to max(|lambda|, 1), are crossing candidates; the form is
-# re-evaluated between them before a witness counts
-_AXIS_RTOL = 1e-6
 # the Riccati constant-term shifts eps, relative to ||MM_k||, tried in turn
 _RICCATI_SHIFTS = 10.0 ** -np.arange(1.0, 9.0)
 # geometric bisection steps between two rungs when every rung fails
@@ -113,25 +110,6 @@ def build_multiplier(kappa: float, lipschitz: float, size: int) -> np.ndarray:
     return np.kron(core, np.eye(size))
 
 
-def _sector_form_max(xi: np.ndarray, MM: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue and Frobenius norm of xi* MM xi, over a stack of xi."""
-    H = np.conj(np.swapaxes(xi, -1, -2)) @ MM @ xi
-    return np.linalg.eigvalsh(H)[..., -1], np.linalg.norm(H, axis=(-2, -1))
-
-
-def _xi(A: np.ndarray, B: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Stacked xi(w) = [(jwI - A)^-1 B; I] over finite frequencies w."""
-    nm, pm = B.shape
-    jw = 1j * omegas[:, None, None] * np.eye(nm)
-    x = np.linalg.solve(jw - A, np.broadcast_to(B, (omegas.size, nm, pm)))
-    return np.concatenate([x, np.broadcast_to(np.eye(pm), (omegas.size, pm, pm))], axis=1)
-
-
-def _on_axis(ev: np.ndarray) -> np.ndarray:
-    """Which eigenvalues lie on the imaginary axis, to _AXIS_RTOL."""
-    return np.abs(ev.real) <= _AXIS_RTOL * np.maximum(np.abs(ev), 1.0)
-
-
 def verify_stability(
     plant: LtiPlant,
     geometry: KktGeometry,
@@ -171,25 +149,16 @@ def verify_stability(
     Ak, Bk = A + kappa * B @ W @ C, B @ W
     MMk = T.T @ MM @ T
     MMk = 0.5 * (MMk + MMk.T)
-    Q, S, R = MMk[:nm, :nm], MMk[:nm, nm:], MMk[nm:, nm:]
     growth = np.linalg.eigvals(Ak).real.max()
     if growth >= 0:
         return ruled_out("member", kappa, growth)
 
     # 3. crossings of the frequency form: imaginary-axis eigenvalues of the
-    # Hamiltonian of the Riccati equation F'P + PF - P G P + Q~ = 0, with
-    # F = A_k - B_k R^-1 S', G = B_k R^-1 B_k' and Q~ = Q - S R^-1 S'
-    Ri = np.linalg.inv(R)
-    F = Ak - Bk @ Ri @ S.T
-    H = np.block([[F, -Bk @ Ri @ Bk.T], [S @ Ri @ S.T - Q, -F.T]])
-    ev = np.linalg.eigvals(H)
-    edges = np.append(0.0, np.sort(np.abs(ev.imag[_on_axis(ev)])))
-    # distinct edges; np.unique would import numpy.ma on its first call
-    edges = edges[np.append(True, edges[1:] != edges[:-1])]
-    omegas = 0.5 * (edges[1:] + edges[:-1])
-    omegas = omegas[omegas > 0]
+    # Hamiltonian of its Riccati equation
+    H = _kyp_hamiltonian(Ak, Bk, MMk)
+    omegas = _crossing_midpoints(H)
     if omegas.size:  # the witness is evaluated on the loop itself
-        lam, scale = _sector_form_max(_xi(A, B, omegas), MM)
+        lam, scale = _form_max(_xi(A, B, omegas), MM)
         hits = np.flatnonzero(lam > _WITNESS_RTOL * scale)
         if hits.size:
             i = hits[np.argmax(lam[hits])]

@@ -64,30 +64,27 @@ def check_disturbance(plant: LtiPlant, d: np.ndarray) -> np.ndarray:
     return d
 
 
-def check_stabilizable(plant: LtiPlant) -> bool:
+def _pbh_full_rank(A: np.ndarray, B: np.ndarray) -> bool:
     """PBH test: rank [A - lambda I, B] = n at every eigenvalue of A with
     nonnegative real part."""
-    n = plant.n
-    for lam in np.linalg.eigvals(plant.A):
+    n = A.shape[0]
+    for lam in np.linalg.eigvals(A):
         if lam.real < -_PBH_REAL_PART_MARGIN:
             continue
-        M = np.hstack([plant.A - lam * np.eye(n), plant.B]).astype(complex)
+        M = np.hstack([A - lam * np.eye(n), B]).astype(complex)
         if numerical_rank(M) < n:
             return False
     return True
+
+
+def check_stabilizable(plant: LtiPlant) -> bool:
+    """(A, B) is stabilizable."""
+    return _pbh_full_rank(plant.A, plant.B)
 
 
 def check_detectable(plant: LtiPlant) -> bool:
-    """PBH test: rank [A - lambda I; C] = n at every eigenvalue of A with
-    nonnegative real part."""
-    n = plant.n
-    for lam in np.linalg.eigvals(plant.A):
-        if lam.real < -_PBH_REAL_PART_MARGIN:
-            continue
-        M = np.vstack([plant.A - lam * np.eye(n), plant.C.astype(complex)])
-        if numerical_rank(M) < n:
-            return False
-    return True
+    """(C, A) is detectable: (A', C') is stabilizable."""
+    return _pbh_full_rank(plant.A.T, plant.C.T)
 
 
 def check_full_row_rank_AB(plant: LtiPlant) -> bool:

@@ -33,7 +33,6 @@ class FeasibilityResult:
     status: str  # "feasible" | "stalled" | "undecided"
     v: np.ndarray
     sweeps: int
-    certificate_info: tuple | None
 
     @property
     def feasible(self) -> bool:
@@ -133,14 +132,14 @@ def solve_feasibility(
         if sweep % check_every == 0:
             for cand in (x, y):
                 v = extract(cand)
-                ok, info = certificate(v)
+                ok, _ = certificate(v)
                 if ok:
-                    return FeasibilityResult("feasible", v, sweep, info)
+                    return FeasibilityResult("feasible", v, sweep)
         if np.linalg.norm(y - x) < _STALL_RTOL * (1.0 + np.linalg.norm(x)):
             v = extract(x)
-            ok, info = certificate(v)
-            return FeasibilityResult("feasible" if ok else "stalled", v, sweep, info)
+            ok, _ = certificate(v)
+            return FeasibilityResult("feasible" if ok else "stalled", v, sweep)
 
     v = extract(x)
-    ok, info = certificate(v)
-    return FeasibilityResult("feasible" if ok else "undecided", v, max_sweeps, info)
+    ok, _ = certificate(v)
+    return FeasibilityResult("feasible" if ok else "undecided", v, max_sweeps)

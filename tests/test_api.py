@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "cosh_example_objective",
     "gain_grid_search",
     "hinf_norm",
-    "is_hurwitz",
     "kkt_residual",
     "load_scenario",
     "numerical_rank",

@@ -11,12 +11,14 @@ import pytest
 from importlib import resources
 
 import ossctl
+import ossctl.synthesis as synthesis
 from ossctl.cli import (
     EXIT_ASSUMPTION,
     EXIT_BAD_INPUT,
     EXIT_CERTIFICATION,
     EXIT_DIVERGENCE,
     EXIT_OK,
+    EXIT_SYNTHESIS,
     main,
 )
 from ossctl.kkt import build_kkt_geometry
@@ -116,6 +118,20 @@ def test_verify_reports_infeasibility_witness(tmp_path):
     assert cert["witness"]["omega"] > 0
     assert cert["witness"]["lambda"] > 0
     assert "sweeps" not in cert
+
+
+def test_verify_reports_undecided(tmp_path):
+    # example_va with (k_P, k_I) = (0.1, 1e-4): neither a witness nor a
+    # certificate (see test_lmi.test_slowest_loop_is_undecided)
+    data = json.loads(open(bundled("example_va.json")).read())
+    data["controller"] = {"type": "pi", "k_p": 0.1, "k_i": 1e-4}
+    path = tmp_path / "va_slow.json"
+    path.write_text(json.dumps(data))
+    code = run(["verify", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CERTIFICATION
+    text = (tmp_path / "certificate.json").read_text()
+    assert '"status": "undecided"' in text
+    assert '"witness": null' in text
 
 
 def _reject_constant(name):
@@ -264,6 +280,35 @@ def test_synth_example_vc(tmp_path):
     assert B_s.shape == (ns, p + 2 * m)
     assert C_s.shape == (m, ns)
     assert D_s.shape == (m, p + 2 * m)
+
+
+def _zero_stabilizer(aug, *variables):
+    nsig = aug.p + 2 * aug.m
+    return ossctl.DynamicStabilizer(
+        A_s=np.zeros((0, 0)), B_s=np.zeros((0, nsig)), C_s=np.zeros((aug.m, 0)),
+        D_s=np.zeros((aug.m, nsig)), p=aug.p, m=aug.m,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, replacement, message",
+    [
+        # example_vc's plant is unstable, so with no controller the
+        # reconstructed loop is too, and hinf_norm reports inf
+        ("_reconstruct", _zero_stabilizer, "reconstructed closed loop is not Hurwitz"),
+        ("hinf_norm", lambda *system: 2.0, "independent gain check failed"),
+    ],
+)
+def test_synth_rejects_unvalidated_controller(
+    tmp_path, capsys, monkeypatch, name, replacement, message
+):
+    monkeypatch.setattr(synthesis, name, replacement)
+    code = run(["synth", "--scenario", bundled("example_vc.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_SYNTHESIS
+    assert err.startswith("synthesis failure: " + message)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "stabilizer.json").exists()
 
 
 def _non_square_A(data):
@@ -515,15 +560,20 @@ def test_process_exit_status_and_stderr(tmp_path):
         assert proc.stderr.count("\n") == 1, proc.stderr
 
 
-# run in a fresh interpreter: pytest's own process may already hold scipy
+# run in a fresh interpreter: pytest's own process may already hold scipy.
+# numpy.ma (imported by np.unique, among others) is held out too: it adds
+# start-up time to the first command that touches it
 _SCIPY_GUARD = """
 import json, os, sys
 import ossctl.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def banned_modules():
+    return sorted(
+        m for m in sys.modules
+        if m in ("scipy", "numpy.ma") or m.startswith(("scipy.", "numpy.ma."))
+    )
 
-assert not scipy_modules(), scipy_modules()
+assert not banned_modules(), banned_modules()
 scenarios, out = sys.argv[1], sys.argv[2]
 def scenario(name, t_final=None):
     path = os.path.join(scenarios, name + ".json")
@@ -547,12 +597,13 @@ calls = [
 for command, path in calls:
     code = cli.main([command, "--scenario", path, "--out", out])
     assert code in (0, 3), (command, path, code)
-    assert not scipy_modules(), (command, path, scipy_modules())
+    assert not banned_modules(), (command, path, banned_modules())
 """
 
 
 def test_no_command_imports_scipy(tmp_path):
-    """Every command runs on numpy alone: scipy is a test dependency only."""
+    """Every command runs on numpy alone, without numpy.ma: scipy is a test
+    dependency only."""
     src = str(Path(ossctl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p

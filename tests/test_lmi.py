@@ -236,6 +236,17 @@ def test_slow_loops_are_certified(plant_stable, geometry_stable, kp, ki):
     assert np.linalg.eigvalsh(cert.P).min() > 0
 
 
+def test_slowest_loop_is_undecided(plant_stable, geometry_stable):
+    # with k_I = 1e-4 no witness is found, and no Riccati candidate, on the
+    # ladder or in the bisection, passes the eigenvalue check.  If a later
+    # change decides this pair, move the test to a pair it still leaves open
+    pi = scalar_pi(0.1, 1e-4)
+    cert = oc.verify_stability(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
+    assert cert.status == "undecided"
+    assert not cert.P.any()
+    assert cert.witness is None
+
+
 def test_grid_search_repeats_verify_stability(plant_stable, geometry_stable):
     # a grid row is the pair's own decision: no state passes between pairs
     records = oc.gain_grid_search(
