@@ -46,12 +46,12 @@ def solve_feasibility(
     max_sweeps: int = 4000,
     check_every: int = 20,
     *,
-    certificate: Callable[[np.ndarray], tuple[bool, tuple]],
+    certificate: Callable[[np.ndarray], bool],
 ) -> FeasibilityResult:
     """Run the splitting until a candidate passes the certificate check.
 
     Each block maps v (length q) to a symmetric matrix S(v), affinely in v.
-    certificate(v) -> (ok, info) validates a candidate against the original
+    certificate(v) -> ok validates a candidate against the original
     (unshifted, unscaled) inequalities; it is consulted every ``check_every``
     sweeps and at termination.
 
@@ -132,14 +132,13 @@ def solve_feasibility(
         if sweep % check_every == 0:
             for cand in (x, y):
                 v = extract(cand)
-                ok, _ = certificate(v)
-                if ok:
+                if certificate(v):
                     return FeasibilityResult("feasible", v, sweep)
         if np.linalg.norm(y - x) < _STALL_RTOL * (1.0 + np.linalg.norm(x)):
             v = extract(x)
-            ok, _ = certificate(v)
+            ok = certificate(v)
             return FeasibilityResult("feasible" if ok else "stalled", v, sweep)
 
     v = extract(x)
-    ok, _ = certificate(v)
+    ok = certificate(v)
     return FeasibilityResult("feasible" if ok else "undecided", v, max_sweeps)

@@ -11,16 +11,18 @@ give a whole block of rows from its first state in one matrix product, with
 one divergence test per block.  This is the same RK4 discretization, so the
 trace agrees with stepping the map one row at a time to rounding.
 
-Trace.to_csv writes the trace in chunks of _CSV_ROWS rows, with one string
-format per chunk; the file is byte-for-byte what np.savetxt writes with
-fmt="%.12g", delimiter="," and CRLF line endings, without a copy of the
-whole trace.
+Trace.to_csv formats chunks of _CSV_ROWS rows with _trace_csv.csv_bytes
+(digits from integer tables where float64 proves them correctly rounded,
+Python's formatter for the rest) and writes them in binary mode: the file is
+byte-for-byte what np.savetxt writes with fmt="%.12g", delimiter="," and
+newline="\r\n", without a copy of the whole trace.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._trace_csv import csv_bytes
 from .controller import stabilizer_dynamics
 from .errors import AlgebraicLoopError, DivergenceError, SimulationError
 from .kkt import KktGeometry
@@ -32,14 +34,15 @@ from .synthesis import closed_loop
 #: steps advanced by one matrix product on the affine path
 _BLOCK = 256
 
-#: trace rows formatted and written per call in Trace.to_csv
-_CSV_ROWS = 1024
+#: trace rows formatted and written per call in Trace.to_csv; the kernel's
+#: temporaries, about 280 bytes per value, peak near 1.3 MB at 18 columns
+_CSV_ROWS = 256
 
 #: a state whose norm exceeds this (or is not finite) has diverged
 _DIVERGENCE_NORM = 1e9
 
 # nothing here calls this name: only perfbench/tracing.py looks it up, and
-# it goes when the benchmark traces stabilizer_dynamics (ROADMAP item 1)
+# it goes when the benchmark traces stabilizer_dynamics (ROADMAP item 4)
 pi_dynamics = stabilizer_dynamics
 
 
@@ -104,9 +107,10 @@ class Trace:
         header names each column by its block and 1-based index (t, x1..,
         xs1.., eta1.., y1.., u1.., e1.., ystar1.., ustar1..).
 
-        The rows are written in chunks of _CSV_ROWS, so no copy of the whole
-        trace is made, and the file is byte-for-byte the one np.savetxt
-        writes with fmt="%.12g", delimiter="," and newline="\r\n"."""
+        The rows are formatted by csv_bytes in chunks of _CSV_ROWS, so no
+        copy of the whole trace is made, and written in binary mode: the
+        file is byte-for-byte the one np.savetxt writes with fmt="%.12g",
+        delimiter="," and newline="\r\n", on every platform."""
         blocks = [
             ("t", self.t[:, None]),
             ("x", self.x),
@@ -123,26 +127,12 @@ class Trace:
             for name, block in blocks
             for i in range(block.shape[1])
         )
-        with open(path, "w") as fh:
-            fh.write(header + "\r\n")
+        with open(path, "wb") as fh:
+            fh.write(header.encode() + b"\r\n")
             for start in range(0, self.t.size, _CSV_ROWS):
                 rows = slice(start, start + _CSV_ROWS)
                 chunk = np.hstack([block[rows] for _, block in blocks], dtype=float)
-                fh.write(_csv_rows(chunk))
-
-
-def _csv_rows(chunk: np.ndarray) -> str:
-    """The rows of chunk as np.savetxt writes them with fmt="%.12g",
-    delimiter="," and newline="\r\n", in one format call.  A column that
-    holds the same bit pattern in every row (so -0.0 and 0.0 differ) is
-    formatted once, into the row format itself."""
-    bits = chunk.view(np.int64)
-    const = np.all(bits == bits[0], axis=0)
-    row_fmt = ",".join(
-        "%.12g" % v if c else "%.12g" for v, c in zip(chunk[0].tolist(), const)
-    )
-    values = chunk[:, ~const].ravel().tolist()
-    return ((row_fmt + "\r\n") * chunk.shape[0]) % tuple(values)
+                fh.write(csv_bytes(chunk))
 
 
 def _affine_closed_loop(loop, geometry, objective):

@@ -570,7 +570,8 @@ import ossctl.cli as cli
 def banned_modules():
     return sorted(
         m for m in sys.modules
-        if m in ("scipy", "numpy.ma") or m.startswith(("scipy.", "numpy.ma."))
+        if m in ("scipy", "numpy.ma", "numpy.char", "numpy.strings")
+        or m.startswith(("scipy.", "numpy.ma.", "numpy.char.", "numpy.strings."))
     )
 
 assert not banned_modules(), banned_modules()
@@ -602,8 +603,8 @@ for command, path in calls:
 
 
 def test_no_command_imports_scipy(tmp_path):
-    """Every command runs on numpy alone, without numpy.ma: scipy is a test
-    dependency only."""
+    """Every command runs on numpy alone, without numpy.ma, numpy.char or
+    numpy.strings: scipy is a test dependency only."""
     src = str(Path(ossctl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p

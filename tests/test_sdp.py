@@ -16,8 +16,7 @@ def lyapunov_blocks(a):
         return np.array([[-v[0]]])
 
     def certificate(v):
-        ok = 2.0 * a * v[0] < -1e-10 and v[0] > 1e-10
-        return ok, (2.0 * a * v[0], v[0])
+        return 2.0 * a * v[0] < -1e-10 and v[0] > 1e-10
 
     return [S_main, S_pos], certificate
 
@@ -55,11 +54,10 @@ def test_matrix_lyapunov_feasible():
     def cert(v):
         P = smat(v[:d], 3)
         S = S_main(v)
-        ok = (
+        return (
             np.linalg.eigvalsh(S).max() < -1e-10
             and np.linalg.eigvalsh(P).min() > 1e-10
         )
-        return ok, None
 
     res = solve_feasibility(
         [S_main, S_pos],
@@ -80,7 +78,7 @@ def test_margin_count_validated():
             [lambda v: np.array([[v[0]]])],
             q=1,
             margins=[1.0, 1.0],
-            certificate=lambda v: (False, None),
+            certificate=lambda v: False,
         )
 
 

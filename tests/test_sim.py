@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ossctl as oc
+from ossctl._trace_csv import csv_bytes
 from ossctl.sim import (
     _CSV_ROWS,
     _DIVERGENCE_NORM,
@@ -458,6 +461,59 @@ def test_csv_writes_without_a_whole_trace_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < full / 4, f"to_csv peaked at {peak} bytes"
+
+
+def _python_format(chunk):
+    """The reference bytes for one chunk: Python's own '%.12g' of each value."""
+    return "".join(
+        ",".join("%.12g" % v for v in row) + "\r\n" for row in chunk.tolist()
+    ).encode()
+
+
+def _edge_values():
+    """Where a float formatter goes wrong: every power of ten from 1e-310 to
+    1e308 and both its neighbours, the %g switch points, 999999999999.5
+    (which rounds up to 1e12), 13th-digit ties (k + 0.5) 10^(X - 11), -0.0
+    and nan with its sign bit set, each with both signs."""
+    powers = np.array([float(f"1e{k}") for k in range(-310, 309)])
+    switches = [1e-5, 1e-4, np.nextafter(1e-4, 0), 1e11, np.nextafter(1e12, 0)]
+    rng = np.random.default_rng(25)
+    X = np.repeat(np.arange(-300, 297), 3)
+    ties = (rng.integers(10**11, 10**12, X.size) + 0.5) * 10.0 ** (X - 11)
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), switches,
+        [999999999999.5, -0.0, -np.nan], ties,
+    ])
+    return np.concatenate([values, -values])
+
+
+_EDGE = _edge_values()
+_BITS = st.integers(-(2**63), 2**63 - 1).map(
+    lambda b: float(np.array([b], np.int64).view(np.float64)[0])
+)
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    _BITS,
+    st.sampled_from(_EDGE.tolist()),
+)
+
+
+@st.composite
+def _chunks(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    values = draw(st.lists(_VALUES, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=float).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunks())
+def test_csv_kernel_matches_python_format(chunk):
+    assert csv_bytes(chunk).tobytes() == _python_format(chunk)
+
+
+def test_csv_kernel_edge_values():
+    chunk = np.resize(_EDGE, (-(-_EDGE.size // 7), 7))
+    assert csv_bytes(chunk).tobytes() == _python_format(chunk)
 
 
 def test_equilibrium_is_invariant(plant_stable, geometry_stable, quadratic_obj):
