@@ -428,7 +428,13 @@ def test_csv_roundtrip(tmp_path, plant_stable, geometry_stable, quadratic_obj):
 
 @pytest.mark.parametrize("ns", [0, 2])
 @pytest.mark.parametrize(
-    "rows", [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1]
+    # one row, both sides of one and two chunk boundaries, and the same
+    # counts around 1024 rows whatever the chunk size is
+    "rows",
+    sorted({
+        1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1,
+        1023, 1024, 1025, 2049,
+    }),
 )
 def test_csv_bytes_equal_savetxt(tmp_path, rows, ns):
     trace = _special_trace(rows, ns)
