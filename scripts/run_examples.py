@@ -78,8 +78,8 @@ def run_vc(out_dir: str, quick: bool) -> None:
     )
     print(
         f"synthesized order-{result.stabilizer.order} stabilizer: "
-        f"gamma = {result.gamma:.4g}, H-inf check = {result.hinf_achieved:.4g} "
-        f"({time.time() - t0:.1f}s)"
+        f"gamma = {result.gamma:.4g}, H-inf check = {result.hinf_achieved:.4g}, "
+        f"certified decay rate = {result.rate:.4g} ({time.time() - t0:.1f}s)"
     )
     t_final = 150.0 if quick else scn.simulation.t_final
     trace = oc.simulate(

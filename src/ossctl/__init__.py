@@ -34,7 +34,6 @@ from .plant import (
     check_stabilizable,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
-from .sdp import FeasibilityResult, solve_feasibility
 from .sim import (
     DisturbanceSchedule,
     DivergenceError,

@@ -1,13 +1,12 @@
-"""Shared dense linear algebra helpers: numerical rank, symmetric vectorization,
-and the one frequency-domain test: the imaginary-axis crossings of a KYP
-form's Hamiltonian, with the form evaluated between them.  The sector LMI
-and the H-infinity norm (level-set method) are both built on it."""
-
-import functools
+"""Shared dense linear algebra helpers: numerical rank, and the one
+frequency-domain test: the imaginary-axis crossings of a KYP form's
+Hamiltonian, with the form evaluated between them.  The sector LMI and the
+H-infinity norm (level-set method) are both built on it, and the sector
+LMI's certificates and the synthesis Riccati solutions are both read off
+such a Hamiltonian's stable invariant subspace."""
 
 import numpy as np
 
-_SQRT2 = np.sqrt(2.0)
 # Hamiltonian eigenvalues within this distance of the imaginary axis,
 # relative to max(|lambda|, 1), are crossing candidates; callers evaluate
 # the form between them, so a spurious candidate decides nothing
@@ -26,37 +25,6 @@ def numerical_rank(M: np.ndarray) -> int:
     return int(np.count_nonzero(s > max(M.shape) * np.finfo(float).eps * s[0]))
 
 
-@functools.lru_cache(maxsize=None)
-def _tri(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle index pair of an n x n matrix with the svec scale and
-    its inverse.  Cached per n and read-only, so callers never alias them."""
-    rows, cols = np.triu_indices(n)
-    diag = rows == cols
-    tables = (rows, cols, np.where(diag, 1.0, _SQRT2), np.where(diag, 1.0, 1.0 / _SQRT2))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def svec(S: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of a symmetric matrix (off-diagonals scaled by
-    sqrt(2) so that Frobenius inner products are preserved)."""
-    rows, cols, scale, _ = _tri(S.shape[0])
-    return S[rows, cols] * scale
-
-
-def smat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`svec`."""
-    rows, cols, _, unscale = _tri(n)
-    S = np.empty((n, n))
-    S[rows, cols] = S[cols, rows] = v * unscale
-    return S
-
-
-def svec_dim(n: int) -> int:
-    return n * (n + 1) // 2
-
-
 def _kyp_hamiltonian(A: np.ndarray, B: np.ndarray, MM: np.ndarray) -> np.ndarray:
     """Hamiltonian of the Riccati equation F'P + PF - P G P + Q~ = 0 of the
     KYP form (x, w)' MM (x, w) on x' = A x + B w, with MM = [Q S; S' R],
@@ -66,6 +34,22 @@ def _kyp_hamiltonian(A: np.ndarray, B: np.ndarray, MM: np.ndarray) -> np.ndarray
     Ri = np.linalg.inv(R)
     F = A - B @ Ri @ S.T
     return np.block([[F, -B @ Ri @ B.T], [S @ Ri @ S.T - Q, -F.T]])
+
+
+def _stabilizing_solution(H: np.ndarray) -> np.ndarray | None:
+    """The stabilizing solution P = U2 U1^-1 of a Hamiltonian's Riccati
+    equation, from its stable invariant subspace [U1; U2] (Laub, IEEE TAC
+    1979), or None if H has imaginary-axis eigenvalues or U1 is singular."""
+    n = H.shape[0] // 2
+    ev, V = np.linalg.eig(H)
+    U = V[:, ev.real < 0]
+    if U.shape[1] != n or _on_axis(ev).any():
+        return None
+    try:
+        P = np.linalg.solve(U[:n].T, U[n:].T).T.real
+    except np.linalg.LinAlgError:
+        return None
+    return 0.5 * (P + P.T)
 
 
 def _on_axis(ev: np.ndarray) -> np.ndarray:

@@ -178,11 +178,15 @@ def cmd_synth(scn: Scenario, out_dir: str, dt: float) -> int:
         "p": stab.p,
         "m": stab.m,
         "gamma": result.gamma,
+        "rate": result.rate,
         "hinf_achieved": result.hinf_achieved,
         "loop_margin": result.loop_margin,
     }
     path = _write_json(out_dir, "stabilizer.json", payload)
-    print(f"gamma={result.gamma:.4g} (H-inf {result.hinf_achieved:.4g}) -> {path}")
+    print(
+        f"gamma={result.gamma:.4g} (H-inf {result.hinf_achieved:.4g}) "
+        f"rate={result.rate:.4g} -> {path}"
+    )
     return EXIT_OK
 
 

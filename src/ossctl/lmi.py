@@ -53,13 +53,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _crossing_midpoints, _form_max, _kyp_hamiltonian, _on_axis, _xi
+from ._linalg import (
+    _crossing_midpoints,
+    _form_max,
+    _kyp_hamiltonian,
+    _stabilizing_solution,
+    _xi,
+)
 from .controller import DynamicStabilizer
 from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
-from .sdp import solve_feasibility  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .synthesis import closed_loop
+from .synthesis import closed_loop, solve_feasibility  # noqa: F401  (see synthesis)
 
 # a frequency witness's eigenvalue must exceed this fraction of ||xi* MM xi||_F
 _WITNESS_RTOL = 1e-8
@@ -167,8 +172,8 @@ def verify_stability(
     # 4. Riccati candidates: with Q~ raised by eps ||MM_k|| I, the
     # stabilizing solution P = U2 U1^-1, from the stable invariant subspace
     # [U1; U2] of H, makes the Schur complement of S(P, 1) -eps ||MM_k|| I;
-    # each P is checked on the unshifted inequality.  P comes from the
-    # eigenvectors of step 3's Hamiltonian, so no Riccati solver is needed
+    # each P is checked on the unshifted inequality.  P is read off step 3's
+    # Hamiltonian by _stabilizing_solution, so no Riccati solver is needed
     N2 = np.hstack([A, B])
     shift = np.linalg.norm(MMk) * np.eye(nm)
     Q0 = H[nm:, :nm].copy()
@@ -176,15 +181,9 @@ def verify_stability(
     def candidate(eps):
         """The checked certificate at eps, or None without a stabilizing P."""
         H[nm:, :nm] = Q0 - eps * shift
-        ev, V = np.linalg.eig(H)
-        U = V[:, ev.real < 0]
-        if U.shape[1] != nm or _on_axis(ev).any():
+        P = _stabilizing_solution(H)
+        if P is None:
             return None
-        try:
-            P = np.linalg.solve(U[:nm].T, U[nm:].T).T.real
-        except np.linalg.LinAlgError:
-            return None
-        P = 0.5 * (P + P.T)
         PN = np.vstack([P @ N2, np.zeros((pm, nm + pm))])
         Sm = PN + PN.T + MM
         Sm = 0.5 * (Sm + Sm.T)

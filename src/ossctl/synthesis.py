@@ -6,27 +6,37 @@ The gradient nonlinearity in sector [kappa, L] is loop-shifted to the
 symmetric sector [-1, 1] (center c = (L+kappa)/2, radius r = (L-kappa)/2)
 and absorbed into a generalized plant whose measurement channel is
 sigma = (y, eta, e).  An output-feedback controller holding the L2 gain of
-the transformed channel below 0.99 is then computed by the
-variable-transformation LMI method; gain below one certifies the nonlinear
-loop by small gain.
+the transformed channel below 0.99 is the central H-infinity controller of
+two Riccati equations (Doyle, Glover, Khargonekar & Francis, IEEE TAC
+1989), on the plant regularized by eps = 1e-2 and with A shifted to
+A + rho I; gain below one certifies the nonlinear loop by small gain, and
+the shifted loop's gain below one certifies its decay at rate rho.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import hinf_norm, smat, svec_dim
+from ._linalg import _kyp_hamiltonian, _stabilizing_solution, hinf_norm
 from .controller import DynamicStabilizer
 from .errors import SynthesisError
 from .kkt import KktGeometry
 from .plant import LtiPlant
-from .sdp import solve_feasibility
 
 #: the one gain level solved for; any certified level below one suffices
 _GAMMA = 0.99
 
-#: sweep cap of the bounded-real LMI's DR solve
-_MAX_SWEEPS = 6000
+#: weight of the regularizing noise on every state and measurement, and of
+#: the state output added to z: the problem as posed is singular
+_EPS = 1e-2
+
+#: the decay-rate shifts rho tried in turn: 2 halving down to 2^-9, then 0
+_RATES = tuple(2.0**-k for k in range(-1, 10)) + (0.0,)
+
+# perfbench/tracing.py, written when a splitting SDP solver solved the
+# synthesis LMI, still wraps this name and lmi's re-import of it; nothing
+# in the program calls it
+solve_feasibility = None
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,7 @@ class AugmentedPlant:
 class SynthesisResult:
     stabilizer: DynamicStabilizer
     gamma: float
+    rate: float  # the certified decay rate rho
     hinf_achieved: float
     loop_margin: float
 
@@ -114,103 +125,65 @@ def loop_transform(
     )
 
 
-def _bounded_real_feasible(aug: AugmentedPlant, gamma: float):
-    """Solve the output-feedback synthesis LMI at a fixed gain level.
+def _central_controller(aug: AugmentedPlant, rho: float) -> DynamicStabilizer | None:
+    """The central controller holding gain 0.99 on aug with A shifted to
+    A + rho I, written for aug itself, or None where the Riccati conditions
+    fail (Zhou, Doyle & Glover, Robust and Optimal Control, 1996, the form
+    with D12'C1 != 0 and B1 D21' != 0).
 
-    Decision variables: symmetric (X, Y) plus the transformed controller
-    parameters (Ah, Bh, Ch, Dh); feasibility of the two blocks (synthesis
-    inequality, coupling [X I; I Y] > 0) at this gamma implies a controller
-    achieving closed-loop gain below gamma exists.
-    """
-    Ap, B1, B2 = aug.A, aug.B1, aug.B2
-    C1, D12 = aug.C1, aug.D12
-    C2, D21 = aug.C2, aug.D21
-    ng, nw = B1.shape
-    nz, nu = D12.shape
-    ny = C2.shape[0]
-    dS = svec_dim(ng)
-    q = 2 * dS + ng * ng + ng * ny + nu * ng + nu * ny
-
-    def unpack(v):
-        o = 0
-        X = smat(v[o : o + dS], ng)
-        o += dS
-        Y = smat(v[o : o + dS], ng)
-        o += dS
-        Ah = v[o : o + ng * ng].reshape(ng, ng)
-        o += ng * ng
-        Bh = v[o : o + ng * ny].reshape(ng, ny)
-        o += ng * ny
-        Ch = v[o : o + nu * ng].reshape(nu, ng)
-        o += nu * ng
-        Dh = v[o : o + nu * ny].reshape(nu, ny)
-        return X, Y, Ah, Bh, Ch, Dh
-
-    def S_synth(v):
-        X, Y, Ah, Bh, Ch, Dh = unpack(v)
-        b11 = Ap @ Y + Y @ Ap.T + B2 @ Ch + Ch.T @ B2.T
-        b12 = Ah.T + (Ap + B2 @ Dh @ C2)
-        b13 = B1 + B2 @ Dh @ D21
-        b14 = Y @ C1.T + Ch.T @ D12.T
-        b22 = X @ Ap + Ap.T @ X + Bh @ C2 + C2.T @ Bh.T
-        b23 = X @ B1 + Bh @ D21
-        b24 = C1.T + C2.T @ Dh.T @ D12.T
-        b33 = -gamma * np.eye(nw)
-        b34 = D21.T @ Dh.T @ D12.T
-        b44 = -gamma * np.eye(nz)
-        S = np.block(
-            [
-                [b11, b12, b13, b14],
-                [b12.T, b22, b23, b24],
-                [b13.T, b23.T, b33, b34],
-                [b14.T, b24.T, b34.T, b44],
-            ]
-        )
-        return 0.5 * (S + S.T)
-
-    def S_couple(v):
-        X, Y, _, _, _, _ = unpack(v)
-        return -np.block([[X, np.eye(ng)], [np.eye(ng), Y]])
-
-    def certificate(v):
-        Sb = S_synth(v)
-        return (
-            np.linalg.eigvalsh(Sb).max() < -1e-8 * max(np.linalg.norm(Sb), 1.0)
-            and np.linalg.eigvalsh(S_couple(v)).max() < -1e-9
-        )
-
-    result = solve_feasibility(
-        [S_synth, S_couple],
-        q,
-        margins=[1e-3, 1e-3],
-        max_sweeps=_MAX_SWEEPS,
-        check_every=25,
-        certificate=certificate,
-    )
-    return result, unpack(result.v)
-
-
-def _reconstruct(aug: AugmentedPlant, X, Y, Ah, Bh, Ch, Dh) -> DynamicStabilizer:
-    """Invert the synthesis change of variables (factor I - XY = M N').
-
-    The result K0 is the controller the LMI designed: it is fed
+    D21 has rank at most m, so the plant is regularized by _EPS: noise on
+    every state and measurement, and the state as a further output.  aug's
+    channel is a sub-block of the regularized one, so it keeps the bound.
+    After D12'D12 = I and D21 D21' = I are normalized by Cholesky factors,
+    X and Y solve the two Riccati equations, and X, Y >= 0 with
+    rho(XY) < gamma^2 gives the controller.  It is strictly proper and fed
     sigma0 = sigma - D22 u, the measurement without its feedthrough."""
-    ng = aug.A.shape[0]
-    U, s, Vt = np.linalg.svd(np.eye(ng) - X @ Y)
-    if s.min() < 1e-12 * s.max():
-        raise SynthesisError("controller reconstruction singular (I - XY)")
-    M = U * np.sqrt(s)
-    N = Vt.T * np.sqrt(s)
-    Mi = np.linalg.inv(M)
-    NTi = np.linalg.inv(N.T)
-    Dk = Dh
-    Ck = (Ch - Dk @ aug.C2 @ Y) @ NTi
-    Bk = Mi @ (Bh - X @ aug.B2 @ Dk)
-    Ak = Mi @ (
-        Ah - X @ (aug.A + aug.B2 @ Dk @ aug.C2) @ Y - M @ Bk @ aug.C2 @ Y
-        - X @ aug.B2 @ Ck @ N.T
-    ) @ NTi
-    return DynamicStabilizer(A_s=Ak, B_s=Bk, C_s=Ck, D_s=Dk, p=aug.p, m=aug.m)
+    n = aug.A.shape[0]
+    ny, nu = aug.D21.shape[0], aug.D12.shape[1]
+    g2 = _GAMMA * _GAMMA
+    A = aug.A + rho * np.eye(n)
+    B1 = np.hstack([aug.B1, _EPS * np.eye(n), np.zeros((n, ny))])
+    C1 = np.vstack([aug.C1, _EPS * np.eye(n)])
+    D12 = np.vstack([aug.D12, np.zeros((n, nu))])
+    D21 = np.hstack([aug.D21, np.zeros((ny, n)), _EPS * np.eye(ny)])
+    Su = np.linalg.inv(np.linalg.cholesky(D12.T @ D12).T)  # u = Su u~
+    Sy = np.linalg.inv(np.linalg.cholesky(D21 @ D21.T))  # y~ = Sy sigma0
+    B2, D12 = aug.B2 @ Su, D12 @ Su
+    C2, D21 = Sy @ aug.C2, Sy @ D21
+
+    def riccati(A, B, C, D, nd):
+        """Stabilizing P of the KYP form |C x + D v|^2 - gamma^2 |v_1|^2 on
+        x' = A x + B v, v_1 the first nd inputs."""
+        N = np.hstack([C, D])
+        MM = N.T @ N
+        MM[n : n + nd, n : n + nd] -= g2 * np.eye(nd)
+        return _stabilizing_solution(_kyp_hamiltonian(A, B, MM))
+
+    nd, nz = B1.shape[1], C1.shape[0]
+    X = riccati(A, np.hstack([B1, B2]), C1, np.hstack([np.zeros((nz, nd)), D12]), nd)
+    if X is None or np.linalg.eigvalsh(X)[0] < 0:
+        return None
+    # Y is X of the dual plant
+    Y = riccati(
+        A.T, np.hstack([C1.T, C2.T]), B1.T, np.hstack([np.zeros((nd, nz)), D21.T]), nz
+    )
+    if Y is None or np.linalg.eigvalsh(Y)[0] < 0:
+        return None
+    if np.abs(np.linalg.eigvals(X @ Y)).max() >= g2:
+        return None
+    F = -(B2.T @ X + D12.T @ C1)
+    L = -(Y @ C2.T + B1 @ D21.T)
+    ZL = np.linalg.solve(np.eye(n) - Y @ X / g2, L)
+    # designed for A + rho I; the controller of aug has A_s shifted back
+    A_s = aug.A + B1 @ B1.T @ X / g2 + B2 @ F + ZL @ (C2 + D21 @ B1.T @ X / g2)
+    return DynamicStabilizer(
+        A_s=A_s,
+        B_s=-ZL @ Sy,
+        C_s=Su @ F,
+        D_s=np.zeros((nu, ny)),
+        p=aug.p,
+        m=aug.m,
+    )
 
 
 def _close_feedthrough(stab: DynamicStabilizer, D: np.ndarray) -> DynamicStabilizer:
@@ -274,38 +247,54 @@ def synthesize_stabilizer(
     kappa: float,
     lipschitz: float,
 ) -> SynthesisResult:
-    """Solve the bounded-real LMI of the loop-shifted plant
-    (loop_transform) once, at gamma = 0.99.
+    """The central controller of the loop-shifted plant (loop_transform) at
+    gamma = 0.99, with a certified decay rate.
 
-    Feasibility is monotone in gamma and only a level below one certifies
-    the loop by small gain, so one solve decides.  The reconstructed
-    controller is re-validated independently: the closed loop must be
-    Hurwitz, its actual H-infinity norm must not exceed gamma, and the
-    e-channel algebraic loop must stay well posed over the whole sector.
+    The shifts rho of _RATES are tried from the largest down; the controller
+    is designed one rung below the first that passes, off the edge where its
+    gains blow up.  It is re-validated independently: the closed loop must be
+    Hurwitz, its actual H-infinity norm must not exceed gamma, and so must
+    that of the loop with A shifted by rho, which certifies decay at rate
+    rho by small gain.  The e-channel margin is reported as loop_margin.
     """
     aug = loop_transform(plant, geometry, kappa, lipschitz)
-    result, (X, Y, Ah, Bh, Ch, Dh) = _bounded_real_feasible(aug, _GAMMA)
-    if not result.feasible:
+    for i, rate in enumerate(_RATES):
+        if _central_controller(aug, rate) is not None:
+            break
+    else:
         raise SynthesisError(
-            f"bounded-real LMI {result.status} at gamma = {_GAMMA:g} "
-            f"({result.sweeps} sweeps)"
+            f"no controller found at gamma = {_GAMMA:g}: the regularized "
+            "Riccati conditions fail at every decay-rate shift down to 0"
         )
-    # the LMI designed K0 for sigma - D22 u; the stabilizer that runs is fed
+    rate = _RATES[min(i + 1, len(_RATES) - 1)]
+    designed = _central_controller(aug, rate)
+    if designed is None:
+        raise SynthesisError(
+            f"no controller found at gamma = {_GAMMA:g} and rate {rate:g}, "
+            "one rung below a shift that passed"
+        )
+    # the design is fed sigma - D22 u; the stabilizer that runs is fed
     # sigma, and closing it on aug (which reads D22) gives the loop it runs
-    stab = _close_feedthrough(_reconstruct(aug, X, Y, Ah, Bh, Ch, Dh), -aug.D22)
+    stab = _close_feedthrough(designed, -aug.D22)
     Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, stab)
     achieved = hinf_norm(Acl, Bcl, Ccl, Dcl)
     if achieved == np.inf:
-        raise SynthesisError("reconstructed closed loop is not Hurwitz")
+        raise SynthesisError("synthesized closed loop is not Hurwitz")
     if achieved > _GAMMA * (1.0 + 1e-6):
         raise SynthesisError(
             f"independent gain check failed: H-inf norm {achieved:.4g} exceeds "
             f"certified gamma {_GAMMA:.4g}"
         )
+    shifted = hinf_norm(Acl + rate * np.eye(Acl.shape[0]), Bcl, Ccl, Dcl)
+    if shifted > _GAMMA:
+        raise SynthesisError(
+            f"independent rate check failed: the loop shifted by {rate:g} has "
+            f"H-inf norm {shifted:.4g} above gamma {_GAMMA:.4g}"
+        )
     return SynthesisResult(
         stabilizer=stab,
         gamma=_GAMMA,
+        rate=rate,
         hinf_achieved=achieved,
         loop_margin=_loop_margin(stab, geometry, lipschitz),
     )
-

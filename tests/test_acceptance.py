@@ -270,14 +270,20 @@ def test_criterion_9_lmi_affinity(plant_stable, geometry_stable):
     assert np.linalg.norm(S(P1, 1.0) - S(P1, 1.0).T) < 1e-12
 
 
-def test_criterion_9_sdp_scalar_pair():
-    from tests.test_sdp import lyapunov_blocks
-    from ossctl.sdp import solve_feasibility
+def test_criterion_9_riccati_scalar_pair():
+    # the bounded-real Riccati equation of 1/(s + 1) at level g,
+    # -2P + P^2/g^2 + 1 = 0: above the norm 1 its stabilizing solution is
+    # g^2 - g sqrt(g^2 - 1); below it the Hamiltonian has eigenvalues
+    # +-j sqrt(1/g^2 - 1) on the imaginary axis and no solution
+    from ossctl._linalg import _stabilizing_solution
 
-    blocks, cert = lyapunov_blocks(-1.0)
-    assert solve_feasibility(blocks, 1, margins=[1.0, 1e-4], certificate=cert).feasible
-    blocks, cert = lyapunov_blocks(+1.0)
-    assert not solve_feasibility(blocks, 1, margins=[1.0, 1e-4], certificate=cert).feasible
+    def hamiltonian(g):
+        return np.array([[-1.0, 1.0 / g**2], [-1.0, 1.0]])
+
+    P = _stabilizing_solution(hamiltonian(2.0))
+    assert P.shape == (1, 1)
+    assert P[0, 0] == pytest.approx(4.0 - 2.0 * np.sqrt(3.0), rel=1e-12)
+    assert _stabilizing_solution(hamiltonian(0.5)) is None
 
 
 # -- criterion 10: excluded by design ---------------------------------------

@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "DisturbanceSchedule",
     "DivergenceError",
     "DynamicStabilizer",
-    "FeasibilityResult",
     "KktError",
     "KktGeometry",
     "LmiCertificate",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = [
     "quadratic_objective",
     "scenario_from_dict",
     "simulate",
-    "solve_feasibility",
     "solve_quadratic_closed_form",
     "solve_steady_state",
     "stabilizer_dynamics",
@@ -70,9 +68,6 @@ PARAMETERS = {
     ],
     "synthesize_stabilizer": ["plant", "geometry", "kappa", "lipschitz"],
     "closed_loop": ["plant", "geometry", "controller"],
-    "solve_feasibility": [
-        "blocks", "q", "margins", "max_sweeps", "check_every", "certificate",
-    ],
 }
 
 

@@ -272,8 +272,19 @@ def test_synth_example_vc(tmp_path):
     assert data["gamma"] < 1.0
     assert data["hinf_achieved"] <= data["gamma"]
     assert data["loop_margin"] > 0
+    assert data["rate"] >= 0
     A_s, B_s, C_s, D_s = (np.array(data[k]) for k in ("A_s", "B_s", "C_s", "D_s"))
     p, m = data["p"], data["m"]
+    # the loop shifted by the reported rate keeps the gain below gamma
+    scn = load_scenario(bundled("example_vc.json"))
+    geometry = build_kkt_geometry(scn.plant)
+    aug = synthesis.loop_transform(
+        scn.plant, geometry, scn.objective.kappa, scn.objective.lipschitz
+    )
+    stab = ossctl.DynamicStabilizer(A_s=A_s, B_s=B_s, C_s=C_s, D_s=D_s, p=p, m=m)
+    Acl, Bcl, Ccl, Dcl = synthesis.closed_loop_system(aug, stab)
+    shifted = Acl + data["rate"] * np.eye(Acl.shape[0])
+    assert ossctl.hinf_norm(shifted, Bcl, Ccl, Dcl) <= data["gamma"]
     ns = A_s.shape[0]
     assert (p, m) == (2, 1)
     assert A_s.shape == (ns, ns)
@@ -294,8 +305,8 @@ def _zero_stabilizer(aug, *variables):
     "name, replacement, message",
     [
         # example_vc's plant is unstable, so with no controller the
-        # reconstructed loop is too, and hinf_norm reports inf
-        ("_reconstruct", _zero_stabilizer, "reconstructed closed loop is not Hurwitz"),
+        # synthesized loop is too, and hinf_norm reports inf
+        ("_central_controller", _zero_stabilizer, "synthesized closed loop is not Hurwitz"),
         ("hinf_norm", lambda *system: 2.0, "independent gain check failed"),
     ],
 )
@@ -307,6 +318,26 @@ def test_synth_rejects_unvalidated_controller(
     err = capsys.readouterr().err
     assert code == EXIT_SYNTHESIS
     assert err.startswith("synthesis failure: " + message)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "stabilizer.json").exists()
+
+
+def test_synth_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    # with no central controller on any rung, synth reports that none was
+    # found at gamma = 0.99; a regularized Riccati failure is no proof that
+    # none exists, and the message does not claim one
+    rungs = []
+
+    def none_found(aug, rate):
+        rungs.append(rate)
+
+    monkeypatch.setattr(synthesis, "_central_controller", none_found)
+    code = run(["synth", "--scenario", bundled("example_vc.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_SYNTHESIS
+    assert rungs == list(synthesis._RATES)
+    assert err.startswith("synthesis failure: no controller found at gamma = 0.99")
+    assert "exist" not in err
     assert err.count("\n") == 1
     assert not (tmp_path / "stabilizer.json").exists()
 

@@ -53,3 +53,23 @@ def test_mimo_with_feedthrough_bounds_a_frequency_grid():
 def test_unstable_system_has_infinite_norm(growth):
     A = np.diag([-1.0, growth])
     assert hinf_norm(A, np.eye(2), np.eye(2), np.zeros((2, 2))) == np.inf
+
+
+def test_stabilizing_solution_matches_scipy():
+    # A'P + PA - P B B' P + Q = 0 on seeded random stabilizable pairs, its
+    # Hamiltonian read by the helper against scipy's Schur-method solver
+    from scipy.linalg import solve_continuous_are
+
+    from ossctl._linalg import _stabilizing_solution
+
+    rng = np.random.default_rng(5)
+    for n, m in [(1, 1), (2, 1), (3, 2), (5, 2), (8, 3)]:
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, m))
+        C = rng.normal(size=(n, n))
+        Q = C.T @ C + 0.1 * np.eye(n)
+        H = np.block([[A, -B @ B.T], [-Q, -A.T]])
+        P = _stabilizing_solution(H)
+        want = solve_continuous_are(A, B, Q, np.eye(m))
+        assert np.max(np.abs(P - want)) <= 1e-8 * np.max(np.abs(want))
+        assert np.linalg.eigvals(A - B @ B.T @ P).real.max() < 0
