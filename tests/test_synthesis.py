@@ -181,6 +181,46 @@ def test_near_linear_sector_synthesis():
     assert result.hinf_achieved < 0.1
 
 
+def test_synthesis_makes_one_solve(plant_unstable, geometry_unstable, monkeypatch):
+    # example_vc's plant and sector: the ladder stops at the first rung that
+    # passes, and one more Riccati design, one rung below it, makes the
+    # controller
+    rungs = []
+    central = synthesis._central_controller
+
+    def counted(aug, rate):
+        designed = central(aug, rate)
+        rungs.append((rate, designed is not None))
+        return designed
+
+    monkeypatch.setattr(synthesis, "_central_controller", counted)
+    result = oc.synthesize_stabilizer(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+    first = [passed for _, passed in rungs].index(True)
+    assert len(rungs) == first + 2
+    assert [rate for rate, _ in rungs] == list(synthesis._RATES[: first + 2])
+    assert rungs[-1] == (result.rate, True)
+    assert result.gamma < 1.0
+
+
+def test_undecided_solve_raises_with_status(
+    plant_unstable, geometry_unstable, monkeypatch
+):
+    # a design that fails one rung below a shift that passed is reported
+    # with gamma and the rate it was tried at
+    central = synthesis._central_controller
+
+    def only_top_rung(aug, rate):
+        return central(aug, rate) if rate == synthesis._RATES[0] else None
+
+    monkeypatch.setattr(synthesis, "_central_controller", only_top_rung)
+    monkeypatch.setattr(synthesis, "_RATES", (0.0, 0.5))
+    with pytest.raises(
+        SynthesisError,
+        match=r"no controller found at gamma = 0.99 and rate 0.5, one rung below",
+    ):
+        oc.synthesize_stabilizer(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+
+
 def test_synthesized_loop_decays_at_its_rate(synthesis_result):
     # example_vc: the shifted loop's gain below gamma certifies decay at the
     # rate, so every closed-loop pole lies left of -rate
