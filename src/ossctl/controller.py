@@ -6,8 +6,10 @@ Every loop is synthesis.closed_loop(plant, geometry, controller):
 s' = A s + B w + E d on s = (x, eta, x_s), with w = grad_g(z) and
 z = (y, u) = C s + D w.  A direct term from e to u (the proportional gain
 of a PI law, or in general the e-columns of D_s) makes the input implicit;
-stabilizer_dynamics solves it by damped Newton whatever the cost, each step
-a division for one input and np.linalg.solve for several.  A
+stabilizer_dynamics solves it by damped Newton whatever the cost.  With one
+input (every bundled scenario) the solve runs on Python floats, each step a
+division, and gives the same bits as the same arithmetic on 1-element arrays;
+with several inputs it runs on arrays, each step np.linalg.solve.  A
 quadratic cost makes the whole loop affine: sim._affine_closed_loop then
 closes the gradient's affine map on the same loop, and no Newton solve runs."""
 
@@ -84,33 +86,71 @@ class DynamicStabilizer:
         return self.D_s[:, self.p + self.m :]
 
 
-def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The solution of J step = -F, or -F when J is singular.  With one input
-    (every bundled scenario) it is a division: on a 1 x 1 system
-    np.linalg.solve costs about 10 us a call, four times the division."""
-    if F.size == 1:
-        j = J[0, 0]
-        return -F / j if j != 0.0 else -F
-    try:
-        return np.linalg.solve(J, -F)
-    except np.linalg.LinAlgError:
-        return -F
+def _solve_one_input(
+    d: np.ndarray,
+    offset: float,
+    objective: SteadyStateObjective,
+    y: np.ndarray,
+    u: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_solve_implicit_input with one input, on Python floats: d is D_u's
+    row, and offset and the start u are floats.  The residual, stop rule,
+    Newton step, line search and errors are the matrix path's, and so is
+    every rounding: d @ w and d @ hess[:, p] are the same numpy dot products,
+    and sqrt(F * F) is the norm of a 1-element F.  A 1-element array is made
+    only for the cost's gradient and Hessian, and the accepted one is the
+    returned u."""
+    p = objective.p
+
+    def residual(u):
+        u_arr = np.array([u])
+        w = objective.gradient(y, u_arr)
+        return u - offset - float(d @ w), w, u_arr
+
+    F, w, u_arr = residual(u)
+    nF = math.sqrt(F * F)
+    for _ in range(MAX_ITER):
+        if nF <= TOL * (1.0 + math.sqrt(u * u)):
+            return u_arr, w
+        j = 1.0 - float(d @ objective.hessian(y, u_arr)[:, p])
+        # a Python division by 0.0 raises, where numpy's would warn
+        step = -F / j if j != 0.0 else -F
+        t = 1.0
+        for _ in range(40):
+            u_new = u + t * step
+            F_new, w_new, a_new = residual(u_new)
+            nF_new = math.sqrt(F_new * F_new)
+            if nF_new < nF:
+                break
+            t *= 0.5
+        else:
+            raise AlgebraicLoopError(
+                "algebraic loop not well-posed at this state (Newton stagnated)"
+            )
+        u, F, w, u_arr, nF = u_new, F_new, w_new, a_new, nF_new
+    raise AlgebraicLoopError(
+        "algebraic loop not well-posed at this state (iteration limit)"
+    )
 
 
 def _solve_implicit_input(
     D_u: np.ndarray,
-    offset: np.ndarray,
+    offset: float | np.ndarray,
     objective: SteadyStateObjective,
     y: np.ndarray,
-    u0: np.ndarray,
+    u0: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(u, grad_g(y, u)) with u solving u = offset + D_u grad_g(y, u).
 
     grad_g depends on u, so this is an implicit equation whenever D_u is
     nonzero.  It is solved by damped Newton from u0, with the exact
     Jacobian I - D_u hess_g[:, p:] and a backtracking line search on the
-    residual norm.
+    residual norm.  With one input (D_u has one row) offset and u0 are
+    floats and _solve_one_input does the work; with several they are arrays
+    and each step is np.linalg.solve, or -F where J is singular.
     """
+    if D_u.shape[0] == 1:
+        return _solve_one_input(D_u[0], offset, objective, y, u0)
     p = objective.p
 
     def residual(u):
@@ -125,7 +165,10 @@ def _solve_implicit_input(
             return u, w
         J = -(D_u @ objective.hessian(y, u)[:, p:])
         J.flat[:: u.size + 1] += 1.0
-        step = _newton_step(J, F)
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            step = -F
         t = 1.0
         for _ in range(40):
             u_new = u + t * step
@@ -162,7 +205,12 @@ def stabilizer_dynamics(
     A, B, C, D = loop
     p = objective.p
     z = C @ s
-    u0 = z[p:] if u_prev is None else np.asarray(u_prev, dtype=float)
-    u, w = _solve_implicit_input(D[p:], z[p:], objective, z[:p], u0)
+    if D.shape[0] == p + 1:  # one input: the solve takes floats
+        offset = z.item(p)
+        u0 = offset if u_prev is None else float(u_prev[0])
+    else:
+        offset = z[p:]
+        u0 = offset if u_prev is None else np.asarray(u_prev, dtype=float)
+    u, w = _solve_implicit_input(D[p:], offset, objective, z[:p], u0)
     return A @ s + B @ w + drift, u
 

@@ -18,6 +18,7 @@ byte-for-byte what np.savetxt writes with fmt="%.12g", delimiter="," and
 newline="\r\n", without a copy of the whole trace.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ _CSV_ROWS = 256
 _DIVERGENCE_NORM = 1e9
 
 # nothing here calls this name: only perfbench/tracing.py looks it up, and
-# it goes when the benchmark traces stabilizer_dynamics (ROADMAP item 4)
+# it goes when the benchmark traces stabilizer_dynamics (ROADMAP item 5)
 pi_dynamics = stabilizer_dynamics
 
 
@@ -296,18 +297,20 @@ def simulate(
             Phi, G = _rk4_one_step_maps(F, h)
             row = _advance_affine(hist, row, n_steps, Phi, G @ (c0 + drift), t_arr)
             continue
+        half = 0.5 * h
         for _ in range(n_steps):
             # the first stage is evaluated at the stored state, so its u and
             # e (the eta rows of the derivative) are that row's
             k1, u = derivative(s, drift, u)
             u_rec[row], e_rec[row] = u, k1[n : n + m]
-            k2, u = derivative(s + 0.5 * h * k1, drift, u)
-            k3, u = derivative(s + 0.5 * h * k2, drift, u)
+            k2, u = derivative(s + half * k1, drift, u)
+            k3, u = derivative(s + half * k2, drift, u)
             k4, u = derivative(s + h * k3, drift, u)
             s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             row += 1
-            # also catches inf and nan
-            if not np.linalg.norm(s) <= _DIVERGENCE_NORM:
+            # np.linalg.norm of a real vector, to the bit; also catches inf
+            # and nan
+            if not math.sqrt(s @ s) <= _DIVERGENCE_NORM:
                 raise DivergenceError(f"state diverged at t = {t_arr[row]:.6g}")
             hist[row] = s
 

@@ -1,10 +1,14 @@
+import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import ossctl as oc
-from ossctl.controller import _solve_implicit_input
+import ossctl.controller as controller
+from ossctl.controller import MAX_ITER, TOL, _solve_implicit_input
+from ossctl.scenario import load_scenario
 from ossctl.sim import _affine_closed_loop
 from tests.conftest import random_quadratic_instance
 
@@ -131,7 +135,7 @@ def test_singular_scalar_jacobian_is_an_algebraic_loop_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division by the zero Jacobian
         with pytest.raises(oc.AlgebraicLoopError):
-            _solve_implicit_input(D_u, np.array([1.0]), obj, np.zeros(2), np.zeros(1))
+            _solve_implicit_input(D_u, 1.0, obj, np.zeros(2), 0.0)
 
 
 def test_singular_matrix_jacobian_is_an_algebraic_loop_error():
@@ -147,6 +151,135 @@ def test_singular_matrix_jacobian_is_an_algebraic_loop_error():
             _solve_implicit_input(
                 D_u, np.array([1.0, -2.0]), obj, np.zeros(1), np.array([0.3, 0.0])
             )
+
+
+def _array_newton(D_u, offset, objective, y, u0):
+    """(u, w, step halvings) of the implicit-input solve done on 1-element
+    arrays, as it was before the one-input path ran on floats: the residual,
+    Jacobian and norms by numpy, the step by dividing by J[0, 0]."""
+    p = objective.p
+
+    def residual(u):
+        w = objective.gradient(y, u)
+        return u - offset - D_u @ w, w
+
+    u = u0.copy()
+    F, w = residual(u)
+    nF = math.sqrt(F @ F)
+    halvings = 0
+    for _ in range(MAX_ITER):
+        if nF <= TOL * (1.0 + math.sqrt(u @ u)):
+            return u, w, halvings
+        J = -(D_u @ objective.hessian(y, u)[:, p:])
+        J.flat[:: u.size + 1] += 1.0
+        j = J[0, 0]
+        step = -F / j if j != 0.0 else -F
+        t = 1.0
+        for _ in range(40):
+            u_new = u + t * step
+            F_new, w_new = residual(u_new)
+            nF_new = math.sqrt(F_new @ F_new)
+            if nF_new < nF:
+                break
+            t *= 0.5
+            halvings += 1
+        else:
+            raise AssertionError("the reference Newton stagnated")
+        u, F, w, nF = u_new, F_new, w_new, nF_new
+    raise AssertionError("the reference Newton reached its iteration limit")
+
+
+def _log_cosh_input_objective():
+    """example_vb's cost with 4 log cosh(u) + 0.05 u^2 in place of u^2: the
+    input gradient saturates, so Newton from a far start overshoots."""
+
+    def value(y, u):
+        return (
+            math.cosh(y[0] / 2.0) + math.cosh(y[1] / 3.0)
+            + 4.0 * (abs(u[0]) + math.log1p(math.exp(-2.0 * abs(u[0]))) - math.log(2.0))
+            + 0.05 * u[0] ** 2
+        )
+
+    def gradient(y, u):
+        return np.array(
+            [
+                0.5 * math.sinh(y[0] / 2.0),
+                math.sinh(y[1] / 3.0) / 3.0,
+                4.0 * math.tanh(u[0]) + 0.1 * u[0],
+            ]
+        )
+
+    def hessian(y, u):
+        return np.diag(
+            [
+                math.cosh(y[0] / 2.0) / 4.0,
+                math.cosh(y[1] / 3.0) / 9.0,
+                4.0 * (1.0 - math.tanh(u[0]) ** 2) + 0.1,
+            ]
+        )
+
+    return oc.SteadyStateObjective(
+        value=value, gradient=gradient, hessian=hessian, p=2, m=1,
+        kappa=0.1, lipschitz=np.inf,
+    )
+
+
+def test_one_input_newton_is_bitwise_the_array_newton():
+    # on example_vb's PI (10, 5) loop, the float path gives the array path's
+    # s_dot, u and w to the last bit, from the previous draw's u, from the
+    # loop's own start (None) and from a far start; vb's cost is quadratic in
+    # u, so Newton lands in one or two steps there, and a cost with a
+    # saturating input gradient makes the far starts backtrack
+    scn = load_scenario(str(resources.files("ossctl").joinpath("scenarios/example_vb.json")))
+    loop = oc.closed_loop(scn.plant, oc.build_kkt_geometry(scn.plant), scn.controller)
+    A, B, C, D = loop
+    n, p = scn.plant.n, scn.objective.p
+    rng = np.random.default_rng(27)
+
+    def far():
+        return np.array([rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(1, 12)])
+
+    for objective, starts in (
+        (scn.objective, ("previous", "none", "far")),
+        (_log_cosh_input_objective(), ("far",)),
+    ):
+        halvings = 0
+        u_prev = None
+        for _ in range(500):
+            s = rng.normal(scale=3.0, size=A.shape[0])
+            drift = np.concatenate([rng.normal(size=n), np.zeros(s.size - n)])
+            for start in starts:
+                if start == "none":
+                    u_prev = None
+                elif start == "far":
+                    u_prev = far()
+                z = C @ s
+                u0 = z[p:] if u_prev is None else u_prev
+                u_want, w_want, k = _array_newton(D[p:], z[p:], objective, z[:p], u0)
+                halvings += k
+                s_dot, u = oc.stabilizer_dynamics(loop, objective, s, drift, u_prev)
+                _, w = _solve_implicit_input(D[p:], z.item(p), objective, z[:p], u0.item(0))
+                assert np.array_equal(s_dot, A @ s + B @ w_want + drift)
+                assert np.array_equal(u, u_want)
+                assert np.array_equal(w, w_want)
+                u_prev = u
+        assert (halvings > 0) == (objective is not scn.objective)
+
+
+def test_iteration_limit_is_an_algebraic_loop_error(monkeypatch, cosh_obj):
+    # with one Newton step allowed, a start off the solution ends in the
+    # iteration-limit error on the one-input path and on the matrix path
+    monkeypatch.setattr(controller, "MAX_ITER", 1)
+    with pytest.raises(oc.AlgebraicLoopError, match="iteration limit"):
+        _solve_implicit_input(
+            np.array([[0.0, 0.0, -6.0]]), 1.0, cosh_obj, np.array([0.5, -1.0]), 5.0
+        )
+    obj = oc.quadratic_objective(np.eye(3), np.array([0.0, 1.0, 2.0]), 1)
+    D_u = np.array([[0.0, -1.0, 0.5], [0.0, 0.5, -2.0]])
+    with pytest.raises(oc.AlgebraicLoopError, match="iteration limit"):
+        _solve_implicit_input(
+            D_u, np.array([1.0, -2.0]), obj, np.zeros(1), np.array([3.0, 4.0])
+        )
 
 
 def test_stabilizer_shape_validation():
