@@ -25,31 +25,66 @@ def numerical_rank(M: np.ndarray) -> int:
     return int(np.count_nonzero(s > max(M.shape) * np.finfo(float).eps * s[0]))
 
 
+def _t(M: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack transposed (M.T of a single matrix)."""
+    return np.swapaxes(M, -1, -2)
+
+
 def _kyp_hamiltonian(A: np.ndarray, B: np.ndarray, MM: np.ndarray) -> np.ndarray:
     """Hamiltonian of the Riccati equation F'P + PF - P G P + Q~ = 0 of the
     KYP form (x, w)' MM (x, w) on x' = A x + B w, with MM = [Q S; S' R],
-    F = A - B R^-1 S', G = B R^-1 B' and Q~ = Q - S R^-1 S'."""
-    n = A.shape[0]
-    Q, S, R = MM[:n, :n], MM[:n, n:], MM[n:, n:]
+    F = A - B R^-1 S', G = B R^-1 B' and Q~ = Q - S R^-1 S'.  Broadcasts
+    over a leading axis of stacked forms."""
+    n = A.shape[-1]
+    Q, S, R = MM[..., :n, :n], MM[..., :n, n:], MM[..., n:, n:]
     Ri = np.linalg.inv(R)
-    F = A - B @ Ri @ S.T
-    return np.block([[F, -B @ Ri @ B.T], [S @ Ri @ S.T - Q, -F.T]])
+    F = A - B @ Ri @ _t(S)
+    top = np.concatenate([F, -B @ Ri @ _t(B)], axis=-1)
+    bottom = np.concatenate([S @ Ri @ _t(S) - Q, -_t(F)], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
+def _stabilizing_solutions(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stabilizing solutions P = U2 U1^-1 of a stack of Hamiltonians'
+    Riccati equations, from their stable invariant subspaces [U1; U2]
+    (Laub, IEEE TAC 1979), and which exist: none where H has imaginary-axis
+    eigenvalues or U1 is singular (P is then 0).  Each P has the bits of
+    the same solve on its Hamiltonian alone: a Hamiltonian with only real
+    eigenvalues is solved in real arithmetic, as np.linalg.eig returns it
+    on its own."""
+    k, n = H.shape[0], H.shape[-1] // 2
+    ev, V = np.linalg.eig(H)
+    stable = ev.real < 0
+    ok = (np.count_nonzero(stable, axis=-1) == n) & ~_on_axis(ev).any(axis=-1)
+    # the stable columns in the order V[:, stable] keeps them
+    cols = np.argsort(~stable, axis=-1, kind="stable")[:, None, :n]
+    U = np.take_along_axis(V, cols, axis=-1)
+    real = ~(ev.imag != 0).any(axis=-1)
+    P = np.zeros((k, n, n))
+    for idx, Ug in ((np.flatnonzero(ok & real), U.real), (np.flatnonzero(ok & ~real), U)):
+        if not idx.size:
+            continue
+        Ug = Ug[idx]
+        U1t, U2t = _t(Ug[:, :n]), _t(Ug[:, n:])
+        try:
+            X = np.linalg.solve(U1t, U2t)
+        except np.linalg.LinAlgError:  # one singular U1 fails the stack
+            X = np.zeros_like(U2t)
+            for j, i in enumerate(idx):
+                try:
+                    X[j] = np.linalg.solve(U1t[j], U2t[j])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+        P[idx] = _t(X).real
+    P[~ok] = 0.0
+    return 0.5 * (P + _t(P)), ok
 
 
 def _stabilizing_solution(H: np.ndarray) -> np.ndarray | None:
-    """The stabilizing solution P = U2 U1^-1 of a Hamiltonian's Riccati
-    equation, from its stable invariant subspace [U1; U2] (Laub, IEEE TAC
-    1979), or None if H has imaginary-axis eigenvalues or U1 is singular."""
-    n = H.shape[0] // 2
-    ev, V = np.linalg.eig(H)
-    U = V[:, ev.real < 0]
-    if U.shape[1] != n or _on_axis(ev).any():
-        return None
-    try:
-        P = np.linalg.solve(U[:n].T, U[n:].T).T.real
-    except np.linalg.LinAlgError:
-        return None
-    return 0.5 * (P + P.T)
+    """The stabilizing solution of one Hamiltonian's Riccati equation, or
+    None (_stabilizing_solutions)."""
+    P, ok = _stabilizing_solutions(H[None])
+    return P[0] if ok[0] else None
 
 
 def _on_axis(ev: np.ndarray) -> np.ndarray:
@@ -57,10 +92,9 @@ def _on_axis(ev: np.ndarray) -> np.ndarray:
     return np.abs(ev.real) <= _AXIS_RTOL * np.maximum(np.abs(ev), 1.0)
 
 
-def _crossing_midpoints(H: np.ndarray) -> np.ndarray:
-    """The positive midpoints between consecutive distinct frequencies of H's
-    imaginary-axis eigenvalues, with 0 as the first."""
-    ev = np.linalg.eigvals(H)
+def _crossing_midpoints(ev: np.ndarray) -> np.ndarray:
+    """The positive midpoints between consecutive distinct frequencies of a
+    Hamiltonian's imaginary-axis eigenvalues ev, with 0 as the first."""
     edges = np.append(0.0, np.sort(np.abs(ev.imag[_on_axis(ev)])))
     # distinct edges; np.unique would import numpy.ma on its first call
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
@@ -106,7 +140,8 @@ def hinf_norm(A, B, C, D) -> float:
         level = (1.0 + 2e-6) * lo
         MM_level = MM.copy()
         MM_level[n:, n:] -= level * level * np.eye(nw)
-        top = gain(_crossing_midpoints(_kyp_hamiltonian(A, B, MM_level)))
+        H = _kyp_hamiltonian(A, B, MM_level)
+        top = gain(_crossing_midpoints(np.linalg.eigvals(H)))
         if top <= lo:
             return level
         lo = top

@@ -110,7 +110,15 @@ def _solve_one_input(
     F, w, u_arr = residual(u)
     nF = math.sqrt(F * F)
     for _ in range(MAX_ITER):
-        if nF <= TOL * (1.0 + math.sqrt(u * u)):
+        # 1 + abs(u) is 1 + sqrt(u * u) wherever u * u does not overflow, and
+        # an infinite tolerance, which any residual meets, never stops a solve
+        tol = TOL * (1.0 + abs(u))
+        if nF <= tol:
+            if tol == math.inf:
+                raise AlgebraicLoopError(
+                    "algebraic loop not well-posed at this state "
+                    "(input too large for the stop rule)"
+                )
             return u_arr, w
         j = 1.0 - float(d @ objective.hessian(y, u_arr)[:, p])
         # a Python division by 0.0 raises, where numpy's would warn
@@ -161,7 +169,13 @@ def _solve_implicit_input(
     F, w = residual(u)
     nF = math.sqrt(F @ F)
     for _ in range(MAX_ITER):
-        if nF <= TOL * (1.0 + math.sqrt(u @ u)):
+        tol = TOL * (1.0 + math.sqrt(u @ u))
+        if nF <= tol:
+            if tol == math.inf:  # u @ u overflowed
+                raise AlgebraicLoopError(
+                    "algebraic loop not well-posed at this state "
+                    "(input too large for the stop rule)"
+                )
             return u, w
         J = -(D_u @ objective.hessian(y, u)[:, p:])
         J.flat[:: u.size + 1] += 1.0

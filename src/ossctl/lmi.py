@@ -46,10 +46,20 @@ So "feasible" rests only on the eigenvalue check of S(P, 1) and P, and
 which the sector form has a positive eigenvalue (on xi the P terms of S
 vanish for every symmetric P, so xi* S xi = alpha xi* MM xi), or a linear
 member of the sector whose loop is not Hurwitz.
+
+A gain grid is decided as one stack (gain_grid_search): its loops carry a
+leading pair axis, and each step is one stacked LAPACK call on the pairs
+still pending (each Riccati rung or bisection step one eig and one solve),
+with bisection bounds per pair and each frequency witness evaluated on its
+own pair's crossings.  verify_stability is the stack of one.  A stacked
+eig, eigvalsh, inv or solve gives each matrix the bits of the same call on
+it alone, and every Frobenius norm is taken pair by pair, so each grid row
+is exactly its pair's own decision.
 """
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,14 +67,21 @@ from ._linalg import (
     _crossing_midpoints,
     _form_max,
     _kyp_hamiltonian,
-    _stabilizing_solution,
+    _on_axis,
+    _stabilizing_solutions,
+    _t,
     _xi,
 )
 from .controller import DynamicStabilizer
 from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
-from .synthesis import closed_loop, solve_feasibility  # noqa: F401  (see synthesis)
+from .synthesis import (  # noqa: F401  (solve_feasibility: see synthesis)
+    closed_loop,
+    closed_loop_system,
+    open_loop,
+    solve_feasibility,
+)
 
 # a frequency witness's eigenvalue must exceed this fraction of ||xi* MM xi||_F
 _WITNESS_RTOL = 1e-8
@@ -129,93 +146,128 @@ def verify_stability(
     out every (P, alpha); P and alpha are reported as 0), "undecided" (no
     witness, and no Riccati candidate passed the check).
     """
-    A, B, C, D = closed_loop(plant, geometry, controller)
-    nm, pm = B.shape
-    zw = np.block([[C, D], [np.zeros((pm, nm)), np.eye(pm)]])  # (x, w) -> (z, w)
+    loop = closed_loop(plant, geometry, controller)
+    return _decide([M[None] for M in loop], kappa, lipschitz)[0]
+
+
+def _decide(loops, kappa: float, lipschitz: float) -> list[LmiCertificate]:
+    """verify_stability's decision on each of a stack of loops (A, B, C, D),
+    each matrix with a leading loop axis.  Every step runs once on the loops
+    still pending; a loop's arithmetic is the one it gets on its own."""
+    A, B, C, D = loops
+    k, nm, pm = B.shape
+    below = np.broadcast_to(np.hstack([np.zeros((pm, nm)), np.eye(pm)]), (k, pm, nm + pm))
+    zw = np.concatenate([np.concatenate([C, D], axis=-1), below], axis=-2)  # (x, w) -> (z, w)
     with np.errstate(over="ignore", invalid="ignore"):
-        MM = zw.T @ build_multiplier(kappa, lipschitz, pm) @ zw
+        MM = _t(zw) @ build_multiplier(kappa, lipschitz, pm) @ zw
     if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(MM).all()):
         raise LmiError("sector-LMI data overflows: a gain or sector bound is too large")
+    certs = [None] * k
 
-    def ruled_out(kind, at, value):
-        return LmiCertificate(
+    def rule_out(i, kind, at, value):
+        certs[i] = LmiCertificate(
             np.zeros((nm, nm)), 0.0, 0.0, 0.0, "infeasible", (kind, float(at), float(value))
         )
 
     # 1. omega = inf
-    lam = np.linalg.eigvalsh(MM[nm:, nm:])[-1]
-    if not lam < 0:
-        return ruled_out("frequency", np.inf, lam)
+    lam = np.linalg.eigvalsh(MM[:, nm:, nm:])[:, -1]
+    live = lam < 0
+    for i in np.flatnonzero(~live):
+        rule_out(i, "frequency", np.inf, lam[i])
+    live = np.flatnonzero(live)
 
     # 2. the loop shifted to its lower sector edge; I - kappa D is invertible
     # here, since on w = kappa z the form is 0, and MM's w-w block is < 0
-    W = np.linalg.inv(np.eye(pm) - kappa * D)
-    T = np.block([[np.eye(nm), np.zeros((nm, pm))], [kappa * W @ C, W]])
-    Ak, Bk = A + kappa * B @ W @ C, B @ W
-    MMk = T.T @ MM @ T
-    MMk = 0.5 * (MMk + MMk.T)
-    growth = np.linalg.eigvals(Ak).real.max()
-    if growth >= 0:
-        return ruled_out("member", kappa, growth)
+    Al, Bl, Cl = A[live], B[live], C[live]
+    W = np.linalg.inv(np.eye(pm) - kappa * D[live])
+    above = np.broadcast_to(np.hstack([np.eye(nm), np.zeros((nm, pm))]), (live.size, nm, nm + pm))
+    T = np.concatenate([above, np.concatenate([kappa * W @ Cl, W], axis=-1)], axis=-2)
+    Ak, Bk = Al + kappa * Bl @ W @ Cl, Bl @ W
+    MMk = _t(T) @ MM[live] @ T
+    MMk = 0.5 * (MMk + _t(MMk))
+    growth = np.linalg.eigvals(Ak).real.max(axis=-1)
+    for j in np.flatnonzero(growth >= 0):
+        rule_out(live[j], "member", kappa, growth[j])
+    keep = np.flatnonzero(~(growth >= 0))
 
     # 3. crossings of the frequency form: imaginary-axis eigenvalues of the
     # Hamiltonian of its Riccati equation
-    H = _kyp_hamiltonian(Ak, Bk, MMk)
-    omegas = _crossing_midpoints(H)
-    if omegas.size:  # the witness is evaluated on the loop itself
-        lam, scale = _form_max(_xi(A, B, omegas), MM)
-        hits = np.flatnonzero(lam > _WITNESS_RTOL * scale)
-        if hits.size:
-            i = hits[np.argmax(lam[hits])]
-            return ruled_out("frequency", omegas[i], lam[i])
+    H = _kyp_hamiltonian(Ak[keep], Bk[keep], MMk[keep])
+    ev = np.linalg.eigvals(H)
+    crossed = np.zeros(keep.size, dtype=bool)
+    for j in np.flatnonzero(_on_axis(ev).any(axis=-1)):
+        omegas = _crossing_midpoints(ev[j])
+        if omegas.size:  # the witness is evaluated on the loop itself
+            i = live[keep[j]]
+            lam, scale = _form_max(_xi(A[i], B[i], omegas), MM[i])
+            hits = np.flatnonzero(lam > _WITNESS_RTOL * scale)
+            if hits.size:
+                h = hits[np.argmax(lam[hits])]
+                rule_out(i, "frequency", omegas[h], lam[h])
+                crossed[j] = True
+    rest = keep[~crossed]
+    H, idx = H[~crossed], live[rest]
+    del zw, Al, Bl, Cl, W, T, Ak, Bk, ev  # freed before step 4's peak
 
     # 4. Riccati candidates: with Q~ raised by eps ||MM_k|| I, the
     # stabilizing solution P = U2 U1^-1, from the stable invariant subspace
     # [U1; U2] of H, makes the Schur complement of S(P, 1) -eps ||MM_k|| I;
     # each P is checked on the unshifted inequality.  P is read off step 3's
-    # Hamiltonian by _stabilizing_solution, so no Riccati solver is needed
-    N2 = np.hstack([A, B])
-    shift = np.linalg.norm(MMk) * np.eye(nm)
-    Q0 = H[nm:, :nm].copy()
+    # Hamiltonian by _stabilizing_solutions, so no Riccati solver is needed
+    N2, MMr = np.concatenate([A[idx], B[idx]], axis=-1), MM[idx]
+    shift = np.array([np.linalg.norm(M) for M in MMk[rest]])[:, None, None] * np.eye(nm)
+    Q0 = H[:, nm:, :nm].copy()
 
-    def candidate(eps):
-        """The checked certificate at eps, or None without a stabilizing P."""
-        H[nm:, :nm] = Q0 - eps * shift
-        P = _stabilizing_solution(H)
-        if P is None:
-            return None
-        PN = np.vstack([P @ N2, np.zeros((pm, nm + pm))])
-        Sm = PN + PN.T + MM
-        Sm = 0.5 * (Sm + Sm.T)
-        eig_S = float(np.linalg.eigvalsh(Sm)[-1])
-        eig_P = float(np.linalg.eigvalsh(P)[0])
-        S_ok = eig_S < -1e-8 * max(np.linalg.norm(Sm), 1e-30)
-        ok = S_ok and eig_P > 1e-10 * max(np.linalg.norm(P), 1e-30)
-        return LmiCertificate(P, 1.0, eig_S, eig_P, "feasible" if ok else "undecided")
+    def candidates(js, eps):
+        """For the loops js at shifts eps: which have a stabilizing P, and
+        which of those pass the check (their certificates are recorded)."""
+        Hs = H[js]
+        Hs[:, nm:, :nm] = Q0[js] - eps[:, None, None] * shift[js]
+        P, has_P = _stabilizing_solutions(Hs)
+        passed = np.zeros(js.size, dtype=bool)
+        ok = np.flatnonzero(has_P)
+        P = P[ok]
+        PN = np.concatenate([P @ N2[js[ok]], np.zeros((ok.size, pm, nm + pm))], axis=-2)
+        Sm = PN + _t(PN) + MMr[js[ok]]
+        Sm = 0.5 * (Sm + _t(Sm))
+        eig_S = np.linalg.eigvalsh(Sm)[:, -1]
+        eig_P = np.linalg.eigvalsh(P)[:, 0]
+        for o, j in enumerate(ok):
+            S_ok = eig_S[o] < -1e-8 * max(np.linalg.norm(Sm[o]), 1e-30)
+            if S_ok and eig_P[o] > 1e-10 * max(np.linalg.norm(P[o]), 1e-30):
+                passed[j] = True
+                certs[idx[js[j]]] = LmiCertificate(
+                    P[o], 1.0, float(eig_S[o]), float(eig_P[o]), "feasible"
+                )
+        return has_P, passed
 
-    # the ladder; then, if the first rung with a stabilizing P failed the
-    # check, bisection between it and the rung above, which has none: with
-    # no crossing the frequency inequality is strict, so a P exists
-    lo = hi = None
+    # the ladder; then, for each loop whose first rung with a stabilizing P
+    # failed the check, bisection between it and the rung above, which has
+    # none: with no crossing the frequency inequality is strict, so a P exists
+    lo = np.full(idx.size, np.nan)
+    hi = np.full(idx.size, np.nan)
+    js = np.arange(idx.size)
     for eps in _RICCATI_SHIFTS:
-        cert = candidate(eps)
-        if cert is not None and cert.feasible:
-            return cert
-        if lo is None and cert is None:
-            hi = eps
-        elif lo is None:
-            lo = eps
-    if lo is not None and hi is not None:
-        for _ in range(_BISECTIONS):
-            eps = np.sqrt(lo * hi)
-            cert = candidate(eps)
-            if cert is None:
-                hi = eps
-            elif cert.feasible:
-                return cert
-            else:
-                lo = eps
-    return LmiCertificate(np.zeros((nm, nm)), 0.0, 0.0, 0.0, "undecided")
+        if not js.size:
+            break
+        has_P, passed = candidates(js, np.full(js.size, eps))
+        fresh = np.isnan(lo[js])
+        hi[js[fresh & ~has_P]] = eps
+        lo[js[fresh & has_P & ~passed]] = eps
+        js = js[~passed]
+    js = js[~(np.isnan(lo[js]) | np.isnan(hi[js]))]
+    for _ in range(_BISECTIONS):
+        if not js.size:
+            break
+        eps = np.sqrt(lo[js] * hi[js])
+        has_P, passed = candidates(js, eps)
+        hi[js[~has_P]] = eps[~has_P]
+        lo[js[has_P & ~passed]] = eps[has_P & ~passed]
+        js = js[~passed]
+    return [
+        LmiCertificate(np.zeros((nm, nm)), 0.0, 0.0, 0.0, "undecided") if c is None else c
+        for c in certs
+    ]
 
 
 def gain_grid_search(
@@ -228,19 +280,40 @@ def gain_grid_search(
 ) -> list[dict]:
     """Certify every (k_P, k_I) scalar-gain pair on a grid, k_P the outer
     loop.  Each row is one line of tune.csv: k_P, k_I, certified, status and
-    margin = -eig_S_max of the pair's verify_stability."""
-    I = np.eye(plant.m)
-    rows = []
-    for kp, ki in itertools.product(kp_values, ki_values):
-        pi = DynamicStabilizer.pi(float(kp) * I, float(ki) * I, plant.p)
-        cert = verify_stability(plant, geometry, pi, kappa, lipschitz)
-        rows.append(
-            {
-                "k_P": float(kp),
-                "k_I": float(ki),
-                "certified": cert.feasible,
-                "status": cert.status,
-                "margin": -cert.eig_S_max,
-            }
+    margin = -eig_S_max of the pair's verify_stability.
+
+    The grid is decided as one stack: closed_loop_system closes the stacked
+    PI laws D_s = [0, K_I, K_P] on the plant at once, and _decide gives each
+    pair the decision verify_stability gives it alone."""
+    gains = np.array(list(itertools.product(kp_values, ki_values)), dtype=float).reshape(-1, 2)
+    m, p = plant.m, plant.p
+    K_P, K_I = (g[:, None, None] * np.eye(m) for g in gains.T)
+    D_s = np.concatenate([np.zeros((len(gains), m, p)), K_I, K_P], axis=-1)
+    # a pair whose law DynamicStabilizer.pi rejects raises that error, after
+    # the pairs before it are decided, as a loop over the pairs would; the
+    # condition number is taken only of finite gains (NaN fails the SVD)
+    bad = ~np.isfinite(D_s).all(axis=(-2, -1))
+    bad[~bad] = np.linalg.cond(K_I[~bad]) > 1e12
+    bad = np.flatnonzero(bad)
+    stop = bad[0] if bad.size else len(gains)
+    certs = []
+    if stop:
+        laws = SimpleNamespace(
+            A_s=np.zeros((0, 0)),
+            B_s=np.zeros((0, p + 2 * m)),
+            C_s=np.zeros((m, 0)),
+            D_s=D_s[:stop],
         )
-    return rows
+        certs = _decide(closed_loop_system(open_loop(plant, geometry), laws), kappa, lipschitz)
+    if bad.size:
+        DynamicStabilizer.pi(K_P[stop], K_I[stop], p)
+    return [
+        {
+            "k_P": float(kp),
+            "k_I": float(ki),
+            "certified": cert.feasible,
+            "status": cert.status,
+            "margin": -cert.eig_S_max,
+        }
+        for (kp, ki), cert in zip(gains, certs)
+    ]

@@ -39,6 +39,9 @@ _BLOCK = 256
 #: temporaries, about 280 bytes per value, peak near 1.3 MB at 18 columns
 _CSV_ROWS = 256
 
+#: trace rows per block in Trace.tracking_error
+_NORM_ROWS = 4096
+
 #: a state whose norm exceeds this (or is not finite) has diverged
 _DIVERGENCE_NORM = 1e9
 
@@ -98,10 +101,15 @@ class Trace:
     references: list[OptimizerResult] = field(default_factory=list)
 
     def tracking_error(self) -> np.ndarray:
-        """||(y, u) - (y*, u*)|| at each sample."""
-        dy = self.y - self.y_star
-        du = self.u - self.u_star
-        return np.linalg.norm(np.hstack([dy, du]), axis=1)
+        """||(y, u) - (y*, u*)|| at each sample.  Evaluated in blocks of
+        _NORM_ROWS rows, so no temporary spans the trace; each row's norm is
+        the one np.linalg.norm(..., axis=1) gives on the whole trace."""
+        err = np.empty(self.t.size)
+        for start in range(0, self.t.size, _NORM_ROWS):
+            rows = slice(start, start + _NORM_ROWS)
+            d = np.hstack([self.y[rows] - self.y_star[rows], self.u[rows] - self.u_star[rows]])
+            err[rows] = np.linalg.norm(d, axis=1)
+        return err
 
     def to_csv(self, path: str) -> None:
         """One row per sample, 12 significant digits, CRLF line endings; the

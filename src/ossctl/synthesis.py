@@ -186,43 +186,40 @@ def _central_controller(aug: AugmentedPlant, rho: float) -> DynamicStabilizer | 
     )
 
 
-def _close_feedthrough(stab: DynamicStabilizer, D: np.ndarray) -> DynamicStabilizer:
-    """stab fed sigma + D u, written as a controller fed sigma.
+def _close_feedthrough(stab, D: np.ndarray) -> tuple:
+    """(A_s, B_s, C_s, D_s) of stab fed sigma + D u, written as a controller
+    fed sigma.  stab's matrices may be stacked along a leading axis.
 
     With T = (I - D_s D)^-1 the input is u = T (C_s x_s + D_s sigma), so the
     controller is (A_s + B_s D C2, B_s (I + D D2), C2, D2) with C2 = T C_s
     and D2 = T D_s.  Passing -D undoes a feedthrough D."""
-    well = np.eye(stab.m) - stab.D_s @ D
-    if np.linalg.cond(well) > 1e12:
+    well = np.eye(stab.D_s.shape[-2]) - stab.D_s @ D
+    if (np.linalg.cond(well) > 1e12).any():
         raise SynthesisError("controller/measurement feedthrough loop ill-posed")
     T = np.linalg.inv(well)
     C2 = T @ stab.C_s
     D2 = T @ stab.D_s
-    return DynamicStabilizer(
-        A_s=stab.A_s + stab.B_s @ D @ C2,
-        B_s=stab.B_s @ (np.eye(D.shape[0]) + D @ D2),
-        C_s=C2,
-        D_s=D2,
-        p=stab.p,
-        m=stab.m,
-    )
+    return stab.A_s + stab.B_s @ D @ C2, stab.B_s @ (np.eye(D.shape[0]) + D @ D2), C2, D2
 
 
-def closed_loop_system(aug: AugmentedPlant, stab: DynamicStabilizer):
+def closed_loop_system(aug: AugmentedPlant, stab):
     """(A, B, C, D) of the w -> z channel of aug with the stabilizer in
     feedback on sigma = C2 x + D21 w + D22 u, on the state (aug's state,
     x_s).  D22 is zero on open_loop; on a loop_transform plant it is the
-    sector shift's path from u through e."""
-    stab = _close_feedthrough(stab, aug.D22)
-    Acl = np.block(
+    sector shift's path from u through e.  stab is a DynamicStabilizer, or
+    any object with its four matrices stacked along a leading axis, which
+    the loops then carry too (lmi.gain_grid_search closes a grid that way)."""
+    A_s, B_s, C_s, D_s = _close_feedthrough(stab, aug.D22)
+    Acl = np.concatenate(
         [
-            [aug.A + aug.B2 @ stab.D_s @ aug.C2, aug.B2 @ stab.C_s],
-            [stab.B_s @ aug.C2, stab.A_s],
-        ]
+            np.concatenate([aug.A + aug.B2 @ D_s @ aug.C2, aug.B2 @ C_s], axis=-1),
+            np.concatenate([B_s @ aug.C2, A_s], axis=-1),
+        ],
+        axis=-2,
     )
-    Bcl = np.vstack([aug.B1 + aug.B2 @ stab.D_s @ aug.D21, stab.B_s @ aug.D21])
-    Ccl = np.hstack([aug.C1 + aug.D12 @ stab.D_s @ aug.C2, aug.D12 @ stab.C_s])
-    Dcl = aug.D12 @ stab.D_s @ aug.D21
+    Bcl = np.concatenate([aug.B1 + aug.B2 @ D_s @ aug.D21, B_s @ aug.D21], axis=-2)
+    Ccl = np.concatenate([aug.C1 + aug.D12 @ D_s @ aug.C2, aug.D12 @ C_s], axis=-1)
+    Dcl = aug.D12 @ D_s @ aug.D21
     return Acl, Bcl, Ccl, Dcl
 
 
@@ -275,7 +272,9 @@ def synthesize_stabilizer(
         )
     # the design is fed sigma - D22 u; the stabilizer that runs is fed
     # sigma, and closing it on aug (which reads D22) gives the loop it runs
-    stab = _close_feedthrough(designed, -aug.D22)
+    stab = DynamicStabilizer(
+        *_close_feedthrough(designed, -aug.D22), p=designed.p, m=designed.m
+    )
     Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, stab)
     achieved = hinf_norm(Acl, Bcl, Ccl, Dcl)
     if achieved == np.inf:

@@ -282,6 +282,27 @@ def test_iteration_limit_is_an_algebraic_loop_error(monkeypatch, cosh_obj):
         )
 
 
+def test_stop_rule_never_accepts_an_infinite_tolerance(cosh_obj):
+    # from |u| = 1e155, u * u overflows.  The one-input path's tolerance is
+    # on |u|, so it stays finite, and Newton solves u = 1 - 6 (2u) to 1/13;
+    # it is infinite only from u = inf, which raises.  The matrix path's
+    # tolerance is inf, and it raises instead of returning the start unsolved
+    D_u, y = np.array([[0.0, 0.0, -6.0]]), np.array([0.5, -1.0])
+    u, w = _solve_implicit_input(D_u, 1.0, cosh_obj, y, 1e155)
+    assert u[0] == pytest.approx(1.0 / 13.0, rel=1e-12)
+    assert abs(u[0] - 1.0 - D_u[0] @ w) <= TOL * (1.0 + abs(u[0]))
+    with pytest.raises(oc.AlgebraicLoopError, match="too large for the stop rule"):
+        _solve_implicit_input(D_u, 1.0, cosh_obj, y, np.inf)
+    obj = oc.quadratic_objective(np.eye(3), np.array([0.0, 1.0, 2.0]), 1)
+    D_u = np.array([[0.0, -1.0, 0.5], [0.0, 0.5, -2.0]])
+    with np.errstate(over="ignore"), pytest.raises(
+        oc.AlgebraicLoopError, match="too large for the stop rule"
+    ):
+        _solve_implicit_input(
+            D_u, np.array([1.0, -2.0]), obj, np.zeros(1), np.array([1e155, 0.0])
+        )
+
+
 def test_stabilizer_shape_validation():
     with pytest.raises(ValueError):
         oc.DynamicStabilizer(

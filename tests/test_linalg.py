@@ -73,3 +73,26 @@ def test_stabilizing_solution_matches_scipy():
         want = solve_continuous_are(A, B, Q, np.eye(m))
         assert np.max(np.abs(P - want)) <= 1e-8 * np.max(np.abs(want))
         assert np.linalg.eigvals(A - B @ B.T @ P).real.max() < 0
+
+
+def test_a_singular_subspace_fails_only_its_own_hamiltonian():
+    # diag(1, -1) has the stable eigenvector (0, 1), so U1 = 0 and no
+    # stabilizing solution: in a stack, that one Hamiltonian gets none, and
+    # the others keep the bits of their own solves, real and complex
+    from ossctl._linalg import _stabilizing_solution, _stabilizing_solutions
+
+    real = np.array([[-1.0, 0.25], [-1.0, 1.0]])  # eigenvalues +-sqrt(3)/2
+    singular = np.diag([1.0, -1.0])
+    spiral = np.array([[-1.0, 2.0, 0.0, -1.0], [-2.0, -1.0, -1.0, 0.0],
+                       [-1.0, 0.0, 1.0, 2.0], [0.0, -1.0, -2.0, 1.0]])
+    P, ok = _stabilizing_solutions(np.stack([real, singular, real]))
+    assert ok.tolist() == [True, False, True]
+    assert np.array_equal(P[0], _stabilizing_solution(real)) and np.array_equal(P[0], P[2])
+    assert not P[1].any() and _stabilizing_solution(singular) is None
+    assert np.iscomplexobj(np.linalg.eigvals(spiral))
+    A = np.diag([-1.0, -2.0])
+    real2 = np.block([[A, -0.25 * np.eye(2)], [-np.eye(2), -A.T]])
+    P, ok = _stabilizing_solutions(np.stack([spiral, real2]))
+    assert ok.all()
+    assert np.array_equal(P[0], _stabilizing_solution(spiral))
+    assert np.array_equal(P[1], _stabilizing_solution(real2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ossctl as oc
+import ossctl.lmi as lmi
 from ossctl.cli import main
 from ossctl.lmi import LmiError, build_multiplier
 from tests.conftest import (
@@ -258,6 +259,79 @@ def test_grid_search_repeats_verify_stability(plant_stable, geometry_stable):
         )
         assert (r["status"], r["margin"]) == (cert.status, -cert.eig_S_max)
     assert sum(r["certified"] for r in records) == 98
+
+
+def test_grid_decides_each_pair_as_it_alone(monkeypatch):
+    # random plants and quadratic costs, 4 x 4 grids of gains log-uniform in
+    # [1e-2, 10], decided as one stack: each pair's certificate is bit for
+    # bit the one verify_stability gives it alone, and the grids reach every
+    # outcome, undecided after a bisection among them
+    grids, solves = [], []
+    decide, solutions = lmi._decide, lmi._stabilizing_solutions
+    monkeypatch.setattr(lmi, "_decide", lambda *a: grids.append(decide(*a)) or grids[-1])
+    monkeypatch.setattr(
+        lmi, "_stabilizing_solutions", lambda H: solves.append(1) or solutions(H)
+    )
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(40):
+        plant, geometry, obj = random_quadratic_instance(rng)
+        kp, ki = 10.0 ** rng.uniform(-2.0, 1.0, (2, 4))
+        rows = oc.gain_grid_search(plant, geometry, kp, ki, obj.kappa, obj.lipschitz)
+        grid = grids[-1]
+        assert len(rows) == len(grid) == 16
+        for r, cert in zip(rows, grid):
+            I = np.eye(plant.m)
+            pi = oc.DynamicStabilizer.pi(r["k_P"] * I, r["k_I"] * I, plant.p)
+            solves.clear()
+            alone = oc.verify_stability(plant, geometry, pi, obj.kappa, obj.lipschitz)
+            assert (r["status"], r["margin"]) == (alone.status, -alone.eig_S_max)
+            assert (cert.status, cert.eig_S_max, cert.eig_P_min, cert.alpha) == (
+                alone.status, alone.eig_S_max, alone.eig_P_min, alone.alpha
+            )
+            assert cert.witness == alone.witness
+            assert np.array_equal(cert.P, alone.P)
+            if cert.witness is None:
+                outcomes.add(cert.status)
+            else:
+                kind, at, _ = cert.witness
+                outcomes.add("infinity" if at == np.inf else kind)
+            # alone, each solve is one rung of the ladder or one bisection step
+            if cert.status == "undecided" and len(solves) > len(lmi._RICCATI_SHIFTS):
+                outcomes.add("bisected")
+    assert outcomes == {
+        "feasible", "undecided", "bisected", "infinity", "frequency", "member"
+    }
+
+
+def test_grid_raises_the_error_of_its_first_failing_pair(plant_stable, geometry_stable):
+    # an overflowing pair raises its own LmiError, a singular, infinite or
+    # NaN gain DynamicStabilizer.pi's ValueError, and of two failing pairs the
+    # first in grid order (k_P the outer loop) raises, as pair by pair
+    def error(call):
+        with pytest.raises((LmiError, ValueError)) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    def grid(kp, ki):
+        return error(lambda: oc.gain_grid_search(
+            plant_stable, geometry_stable, kp, ki, KAPPA_A, L_A
+        ))
+
+    def alone(kp, ki):
+        return error(lambda: oc.verify_stability(
+            plant_stable, geometry_stable, scalar_pi(kp, ki), KAPPA_A, L_A
+        ))
+
+    overflow, singular = alone(1e300, 1.0), alone(1.0, 0.0)
+    infinite, nan = alone(np.inf, 1.0), alone(1.0, np.nan)
+    assert overflow[0] is LmiError and singular[0] is infinite[0] is nan[0] is ValueError
+    assert grid([0.5, 1e300], [1.0, 2.0]) == overflow
+    assert grid([0.5, 1.0], [1.0, 0.0]) == singular
+    assert grid([0.5, np.inf], [1.0]) == infinite
+    assert grid([0.5], [1.0, np.nan]) == nan
+    assert grid([1e300, 1.0], [1.0, 0.0]) == overflow
+    assert grid([1.0, 1e300], [0.0, 1.0]) == singular
 
 
 def test_random_loops_are_all_decided():

@@ -11,6 +11,7 @@ from ossctl._trace_csv import csv_bytes
 from ossctl.sim import (
     _CSV_ROWS,
     _DIVERGENCE_NORM,
+    _NORM_ROWS,
     DisturbanceSchedule,
     SimulationError,
     Trace,
@@ -467,6 +468,43 @@ def test_csv_writes_without_a_whole_trace_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < full / 4, f"to_csv peaked at {peak} bytes"
+
+
+def _random_trace(rng, rows, p, m):
+    """A trace of random y, u, y* and u* (p and m columns); the other
+    blocks are zeros."""
+    return Trace(
+        t=np.arange(rows, dtype=float), x=np.zeros((rows, 1)),
+        eta=np.zeros((rows, m)), y=rng.standard_normal((rows, p)),
+        u=rng.standard_normal((rows, m)), e=np.zeros((rows, m)),
+        y_star=rng.standard_normal((rows, p)), u_star=rng.standard_normal((rows, m)),
+        x_s=np.zeros((rows, 0)),
+    )
+
+
+def test_tracking_error_is_the_whole_trace_norm_in_blocks():
+    # random traces of widths p + m = 1..12, on row counts around the block
+    # size: bit for bit the norm of the whole (y - y*, u - u*) array
+    rng = np.random.default_rng(28)
+    for width in range(1, 13):
+        p = (width + 1) // 2
+        for rows in (1, _NORM_ROWS - 1, _NORM_ROWS, 3 * _NORM_ROWS + 5):
+            trace = _random_trace(rng, rows, p, width - p)
+            want = np.linalg.norm(
+                np.hstack([trace.y - trace.y_star, trace.u - trace.u_star]), axis=1
+            )
+            assert np.array_equal(trace.tracking_error(), want), (width, rows)
+    # 50,000 rows x 12 columns are 4.8 MB as one float array, and the whole
+    # trace formula makes four of them; the blocked one stays below half one
+    rows = 50_000
+    trace = _random_trace(rng, rows, 6, 6)
+    tracemalloc.start()
+    try:
+        trace.tracking_error()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * 12 * 8 / 2, f"tracking_error peaked at {peak} bytes"
 
 
 def _python_format(chunk):
