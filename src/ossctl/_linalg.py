@@ -48,35 +48,29 @@ def _stabilizing_solutions(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stabilizing solutions P = U2 U1^-1 of a stack of Hamiltonians'
     Riccati equations, from their stable invariant subspaces [U1; U2]
     (Laub, IEEE TAC 1979), and which exist: none where H has imaginary-axis
-    eigenvalues or U1 is singular (P is then 0).  Each P has the bits of
-    the same solve on its Hamiltonian alone: a Hamiltonian with only real
-    eigenvalues is solved in real arithmetic, as np.linalg.eig returns it
-    on its own."""
+    eigenvalues or U1 is singular (P is then 0).  Every subspace is solved
+    in complex arithmetic, so each P has the bits of the same solve on its
+    Hamiltonian alone."""
     k, n = H.shape[0], H.shape[-1] // 2
     ev, V = np.linalg.eig(H)
     stable = ev.real < 0
     ok = (np.count_nonzero(stable, axis=-1) == n) & ~_on_axis(ev).any(axis=-1)
+    idx = np.flatnonzero(ok)
     # the stable columns in the order V[:, stable] keeps them
-    cols = np.argsort(~stable, axis=-1, kind="stable")[:, None, :n]
-    U = np.take_along_axis(V, cols, axis=-1)
-    real = ~(ev.imag != 0).any(axis=-1)
+    cols = np.argsort(~stable[idx], axis=-1, kind="stable")[:, None, :n]
+    U = np.take_along_axis(V[idx], cols, axis=-1).astype(complex, copy=False)
+    U1t, U2t = _t(U[:, :n]), _t(U[:, n:])
+    try:
+        X = np.linalg.solve(U1t, U2t)
+    except np.linalg.LinAlgError:  # one singular U1 fails the stack
+        X = np.zeros_like(U2t)
+        for j, i in enumerate(idx):
+            try:
+                X[j] = np.linalg.solve(U1t[j], U2t[j])
+            except np.linalg.LinAlgError:
+                ok[i] = False
     P = np.zeros((k, n, n))
-    for idx, Ug in ((np.flatnonzero(ok & real), U.real), (np.flatnonzero(ok & ~real), U)):
-        if not idx.size:
-            continue
-        Ug = Ug[idx]
-        U1t, U2t = _t(Ug[:, :n]), _t(Ug[:, n:])
-        try:
-            X = np.linalg.solve(U1t, U2t)
-        except np.linalg.LinAlgError:  # one singular U1 fails the stack
-            X = np.zeros_like(U2t)
-            for j, i in enumerate(idx):
-                try:
-                    X[j] = np.linalg.solve(U1t[j], U2t[j])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
-        P[idx] = _t(X).real
-    P[~ok] = 0.0
+    P[idx] = _t(X).real
     return 0.5 * (P + _t(P)), ok
 
 

@@ -6,19 +6,20 @@ Every loop is synthesis.closed_loop(plant, geometry, controller):
 s' = A s + B w + E d on s = (x, eta, x_s), with w = grad_g(z) and
 z = (y, u) = C s + D w.  A direct term from e to u (the proportional gain
 of a PI law, or in general the e-columns of D_s) makes the input implicit;
-stabilizer_dynamics solves it by damped Newton whatever the cost.  With one
+stabilizer_dynamics solves it by damped Newton whatever the cost, in one
+loop (_newton) with one stop rule, line search and set of errors.  With one
 input (every bundled scenario) the solve runs on Python floats, each step a
-division, and gives the same bits as the same arithmetic on 1-element arrays;
-with several inputs it runs on arrays, each step np.linalg.solve.  A
-quadratic cost makes the whole loop affine: sim._affine_closed_loop then
-closes the gradient's affine map on the same loop, and no Newton solve runs."""
+division; with several inputs it runs on arrays, each step
+np.linalg.solve.  A quadratic cost makes the whole loop affine:
+sim._affine_closed_loop then closes the gradient's affine map on the same
+loop, and no Newton solve runs."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlgebraicLoopError
+from .errors import AlgebraicLoopError, DivergenceError
 from .objective import SteadyStateObjective
 
 # Newton on the implicit input equation u = offset + D_u grad_g(y, u)
@@ -86,33 +87,16 @@ class DynamicStabilizer:
         return self.D_s[:, self.p + self.m :]
 
 
-def _solve_one_input(
-    d: np.ndarray,
-    offset: float,
-    objective: SteadyStateObjective,
-    y: np.ndarray,
-    u: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_solve_implicit_input with one input, on Python floats: d is D_u's
-    row, and offset and the start u are floats.  The residual, stop rule,
-    Newton step, line search and errors are the matrix path's, and so is
-    every rounding: d @ w and d @ hess[:, p] are the same numpy dot products,
-    and sqrt(F * F) is the norm of a 1-element F.  A 1-element array is made
-    only for the cost's gradient and Hessian, and the accepted one is the
-    returned u."""
-    p = objective.p
+def _newton(u, residual, step, size) -> tuple[np.ndarray, np.ndarray]:
+    """(u, w) at the root of a residual, by damped Newton from u.
 
-    def residual(u):
-        u_arr = np.array([u])
-        w = objective.gradient(y, u_arr)
-        return u - offset - float(d @ w), w, u_arr
-
-    F, w, u_arr = residual(u)
-    nF = math.sqrt(F * F)
+    residual(u) is (F, |F|, u as an array, w), step(F, u_arr) the Newton step
+    at u, and size(u) the norm of u in the stop rule |F| <= TOL (1 + size(u)).
+    A step is halved until |F| falls, at most 40 times.  An infinite
+    tolerance, which any residual meets, never stops a solve."""
+    F, nF, u_arr, w = residual(u)
     for _ in range(MAX_ITER):
-        # 1 + abs(u) is 1 + sqrt(u * u) wherever u * u does not overflow, and
-        # an infinite tolerance, which any residual meets, never stops a solve
-        tol = TOL * (1.0 + abs(u))
+        tol = TOL * (1.0 + size(u))
         if nF <= tol:
             if tol == math.inf:
                 raise AlgebraicLoopError(
@@ -120,14 +104,11 @@ def _solve_one_input(
                     "(input too large for the stop rule)"
                 )
             return u_arr, w
-        j = 1.0 - float(d @ objective.hessian(y, u_arr)[:, p])
-        # a Python division by 0.0 raises, where numpy's would warn
-        step = -F / j if j != 0.0 else -F
+        direction = step(F, u_arr)
         t = 1.0
         for _ in range(40):
-            u_new = u + t * step
-            F_new, w_new, a_new = residual(u_new)
-            nF_new = math.sqrt(F_new * F_new)
+            u_new = u + t * direction
+            F_new, nF_new, a_new, w_new = residual(u_new)
             if nF_new < nF:
                 break
             t *= 0.5
@@ -135,7 +116,7 @@ def _solve_one_input(
             raise AlgebraicLoopError(
                 "algebraic loop not well-posed at this state (Newton stagnated)"
             )
-        u, F, w, u_arr, nF = u_new, F_new, w_new, a_new, nF_new
+        u, F, nF, u_arr, w = u_new, F_new, nF_new, a_new, w_new
     raise AlgebraicLoopError(
         "algebraic loop not well-posed at this state (iteration limit)"
     )
@@ -151,54 +132,45 @@ def _solve_implicit_input(
     """(u, grad_g(y, u)) with u solving u = offset + D_u grad_g(y, u).
 
     grad_g depends on u, so this is an implicit equation whenever D_u is
-    nonzero.  It is solved by damped Newton from u0, with the exact
-    Jacobian I - D_u hess_g[:, p:] and a backtracking line search on the
-    residual norm.  With one input (D_u has one row) offset and u0 are
-    floats and _solve_one_input does the work; with several they are arrays
-    and each step is np.linalg.solve, or -F where J is singular.
+    nonzero.  It is solved by _newton from u0, with the exact Jacobian
+    I - D_u hess_g[:, p:].  With one input (D_u has one row) offset and u0
+    are floats and the solve runs on Python floats: each step divides by
+    the Jacobian, d @ w and d @ hess[:, p] stay numpy dot products, and a
+    1-element array is made only for the cost.  With several inputs they
+    are arrays, and each step is np.linalg.solve, or -F where J is singular.
     """
-    if D_u.shape[0] == 1:
-        return _solve_one_input(D_u[0], offset, objective, y, u0)
     p = objective.p
+    if D_u.shape[0] == 1:
+        d = D_u[0]
+
+        def residual(u):
+            u_arr = np.array([u])
+            w = objective.gradient(y, u_arr)
+            F = u - offset - float(d @ w)
+            return F, math.sqrt(F * F), u_arr, w
+
+        def step(F, u_arr):
+            j = 1.0 - float(d @ objective.hessian(y, u_arr)[:, p])
+            # a Python division by 0.0 raises, where numpy's would warn
+            return -F / j if j != 0.0 else -F
+
+        # abs(u) is sqrt(u * u) wherever u * u does not overflow
+        return _newton(u0, residual, step, abs)
 
     def residual(u):
         w = objective.gradient(y, u)
-        return u - offset - D_u @ w, w
+        F = u - offset - D_u @ w
+        return F, math.sqrt(F @ F), u, w
 
-    u = u0.copy()
-    F, w = residual(u)
-    nF = math.sqrt(F @ F)
-    for _ in range(MAX_ITER):
-        tol = TOL * (1.0 + math.sqrt(u @ u))
-        if nF <= tol:
-            if tol == math.inf:  # u @ u overflowed
-                raise AlgebraicLoopError(
-                    "algebraic loop not well-posed at this state "
-                    "(input too large for the stop rule)"
-                )
-            return u, w
+    def step(F, u):
         J = -(D_u @ objective.hessian(y, u)[:, p:])
         J.flat[:: u.size + 1] += 1.0
         try:
-            step = np.linalg.solve(J, -F)
+            return np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            step = -F
-        t = 1.0
-        for _ in range(40):
-            u_new = u + t * step
-            F_new, w_new = residual(u_new)
-            nF_new = math.sqrt(F_new @ F_new)
-            if nF_new < nF:
-                break
-            t *= 0.5
-        else:
-            raise AlgebraicLoopError(
-                "algebraic loop not well-posed at this state (Newton stagnated)"
-            )
-        u, F, w, nF = u_new, F_new, w_new, nF_new
-    raise AlgebraicLoopError(
-        "algebraic loop not well-posed at this state (iteration limit)"
-    )
+            return -F
+
+    return _newton(u0.copy(), residual, step, lambda u: math.sqrt(u @ u))
 
 
 def stabilizer_dynamics(
@@ -214,7 +186,9 @@ def stabilizer_dynamics(
     controller), and drift = E d the disturbance on the x rows.  Only the u rows
     of D are nonzero on open_loop, so y = C_y s and u solves
     u = C_u s + D_u grad_g(y, u), from u_prev when given.  The eta rows of
-    s_dot are e = -R' grad_g(y, u).
+    s_dot are e = -R' grad_g(y, u).  A cost whose derivatives overflow at a
+    trial input (OverflowError from math.cosh and kin) raises
+    DivergenceError("the cost overflows along the trajectory").
     """
     A, B, C, D = loop
     p = objective.p
@@ -225,6 +199,9 @@ def stabilizer_dynamics(
     else:
         offset = z[p:]
         u0 = offset if u_prev is None else np.asarray(u_prev, dtype=float)
-    u, w = _solve_implicit_input(D[p:], offset, objective, z[:p], u0)
+    try:
+        u, w = _solve_implicit_input(D[p:], offset, objective, z[:p], u0)
+    except OverflowError as exc:  # math.cosh and kin, past a double's range
+        raise DivergenceError("the cost overflows along the trajectory") from exc
     return A @ s + B @ w + drift, u
 

@@ -290,12 +290,6 @@ def simulate(
         u_rec = np.empty((t_arr.size, m))
         e_rec = np.empty((t_arr.size, m))
 
-    def derivative(s_, drift, u_guess):
-        try:
-            return stabilizer_dynamics(loop, objective, s_, drift, u_guess)
-        except OverflowError as exc:
-            raise DivergenceError("the cost overflows along the trajectory") from exc
-
     hist[0] = s
     row = 0
     u = None
@@ -309,11 +303,11 @@ def simulate(
         for _ in range(n_steps):
             # the first stage is evaluated at the stored state, so its u and
             # e (the eta rows of the derivative) are that row's
-            k1, u = derivative(s, drift, u)
+            k1, u = stabilizer_dynamics(loop, objective, s, drift, u)
             u_rec[row], e_rec[row] = u, k1[n : n + m]
-            k2, u = derivative(s + half * k1, drift, u)
-            k3, u = derivative(s + half * k2, drift, u)
-            k4, u = derivative(s + h * k3, drift, u)
+            k2, u = stabilizer_dynamics(loop, objective, s + half * k1, drift, u)
+            k3, u = stabilizer_dynamics(loop, objective, s + half * k2, drift, u)
+            k4, u = stabilizer_dynamics(loop, objective, s + h * k3, drift, u)
             s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             row += 1
             # np.linalg.norm of a real vector, to the bit; also catches inf
@@ -326,7 +320,7 @@ def simulate(
         ue = hist @ M.T + m0
         u_rec, e_rec = ue[:, :m], ue[:, m:]
     else:
-        k1, u_rec[-1] = derivative(s, drift, u)
+        k1, u_rec[-1] = stabilizer_dynamics(loop, objective, s, drift, u)
         e_rec[-1] = k1[n : n + m]
 
     x_arr = hist[:, :n]

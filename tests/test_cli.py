@@ -96,6 +96,24 @@ def test_analyze_flags_assumption_failure(tmp_path):
     assert "stabilizable" in report["failed_checks"]
 
 
+def test_analyze_records_an_oracle_error_segment(tmp_path):
+    # the cosh cost's derivative overflows at the second segment's
+    # disturbance of 1e300: analyze.json holds that segment's OracleError
+    # message beside the other segments' optimizers, and analyze exits 2
+    data = json.loads(open(bundled("example_vb.json")).read())
+    data["disturbance"]["values"][1][0] = 1e300
+    path = tmp_path / "vb.json"
+    path.write_text(json.dumps(data))
+    code = run(["analyze", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_ASSUMPTION
+    report = json.loads((tmp_path / "analyze.json").read_text())
+    assert all(report["checks"].values())
+    first, second, third = report["optimizers"]
+    assert second == {"segment": 1, "error": "cost derivative overflow at this disturbance"}
+    assert (first["segment"], third["segment"]) == (0, 2)
+    assert "y_star" in first and "y_star" in third
+
+
 def test_verify_va_certifies(tmp_path):
     code = run(["verify", "--scenario", bundled("example_va.json"), "--out", str(tmp_path)])
     assert code == EXIT_OK

@@ -304,12 +304,15 @@ def test_stop_rule_never_accepts_an_infinite_tolerance(cosh_obj):
 
 
 def test_stabilizer_shape_validation():
-    with pytest.raises(ValueError):
-        oc.DynamicStabilizer(
-            A_s=np.zeros((2, 2)),
-            B_s=np.zeros((2, 3)),  # should be 2 x (p + 2m) = 2 x 4
-            C_s=np.zeros((1, 2)),
-            D_s=np.zeros((1, 4)),
-            p=2,
-            m=1,
-        )
+    # a 2-state law for p = 2 and m = 1, with one matrix mis-shaped at a time
+    for name, shape, message in (
+        ("A_s", (2, 3), "A_s must be square"),
+        # B_s must be 2 x (p + 2m) = 2 x 4
+        ("B_s", (2, 3), r"B_s must be 2x4 \(sigma = \(y, eta, e\)\)"),
+        ("C_s", (2, 2), "C_s must be 1x2"),
+        ("C_s", (1, 3), "C_s must be 1x2"),
+        ("D_s", (1, 3), "D_s must be 1x4"),
+    ):
+        shapes = {"A_s": (2, 2), "B_s": (2, 4), "C_s": (1, 2), "D_s": (1, 4), name: shape}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oc.DynamicStabilizer(**{k: np.zeros(v) for k, v in shapes.items()}, p=2, m=1)

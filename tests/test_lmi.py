@@ -1,4 +1,6 @@
+import csv
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from tests.conftest import (
 )
 
 KAPPA_A, L_A = 1.0 / 9.0, 1.0
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_realization_shapes(plant_stable, geometry_stable):
@@ -368,3 +372,26 @@ def test_tune_csv_repeats_byte_for_byte(tmp_path):
         assert main(["tune", "--scenario", scenario, "--out", str(out)]) == 0
         texts.append((out / "tune.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_tune_csv_matches_the_recorded_grid(tmp_path):
+    # example_va's tune.csv against a recorded copy: the gains, certified
+    # and status columns exactly and each margin within 16 ulp, so a change
+    # in the decision's arithmetic fails here, where comparing the grid with
+    # verify_stability cannot see it (both run the same code)
+    scenario = str(resources.files("ossctl").joinpath("scenarios/example_va.json"))
+    assert main(["tune", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    tables = []
+    for path in (tmp_path / "tune.csv", DATA / "example_va_tune.csv"):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.DictReader(fh)))
+    got, want = tables
+    assert len(got) == len(want) == 100
+
+    def keys(rows):
+        return [(r["k_P"], r["k_I"], r["certified"], r["status"]) for r in rows]
+
+    assert keys(got) == keys(want)
+    g, w = (np.array([float(r["margin"]) for r in rows]) for rows in tables)
+    moved = np.flatnonzero(~(np.abs(g - w) <= 16 * np.spacing(np.abs(w))))
+    assert moved.size == 0, [tuple(want[i].values()) for i in moved]

@@ -30,6 +30,22 @@ def test_quadratic_rejects_asymmetric():
         oc.quadratic_objective(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2), p=1)
 
 
+@pytest.mark.parametrize(
+    "H, q",
+    [(np.zeros((2, 3)), np.zeros(2)), (np.eye(3), np.zeros(2)), (np.eye(2), np.zeros(3))],
+)
+def test_quadratic_rejects_mis_shaped_data(H, q):
+    with pytest.raises(ObjectiveError, match="^H must be square and q of matching length$"):
+        oc.quadratic_objective(H, q, p=1)
+
+
+@pytest.mark.parametrize("p", [0, 3, -1])
+def test_quadratic_needs_an_output_and_an_input(p):
+    # z = (y, u) has 3 entries: p = 0 leaves no output, p = 3 no input
+    with pytest.raises(ObjectiveError, match=r"^need 0 < p < p \+ m$"):
+        oc.quadratic_objective(np.eye(3), np.zeros(3), p=p)
+
+
 def test_quadratic_rejects_indefinite():
     with pytest.raises(ObjectiveError):
         oc.quadratic_objective(np.diag([1.0, -1.0]), np.zeros(2), p=1)

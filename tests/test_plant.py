@@ -19,6 +19,11 @@ def test_rejects_mismatched_B():
         oc.LtiPlant(A=np.eye(3), B=np.zeros((2, 1)), C=np.eye(3))
 
 
+def test_rejects_mismatched_C():
+    with pytest.raises(PlantError, match="^C has 2 columns, expected 3$"):
+        oc.LtiPlant(A=np.eye(3), B=np.zeros((3, 1)), C=np.eye(2))
+
+
 def test_rejects_wide_input():
     with pytest.raises(PlantError):
         oc.LtiPlant(A=np.eye(2), B=np.zeros((2, 3)), C=np.eye(2))

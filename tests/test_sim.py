@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -310,28 +311,70 @@ def test_block_map_matches_stepwise_map(
         assert np.all(np.abs(got - want) <= 1e-11 * scale)
 
 
+def _first_row_past_bound(plant, geometry, objective, pi, d, dt):
+    """The first row whose state norm exceeds _DIVERGENCE_NORM, by stepping
+    the loop's exact RK4 map from rest."""
+    F, c0, _, _ = _affine_closed_loop(oc.closed_loop(plant, geometry, pi), geometry, objective)
+    Phi, G = _rk4_one_step_maps(F, dt)
+    psi = G @ (c0 + np.concatenate([d, np.zeros(1)]))
+    s, step = np.zeros(F.shape[0]), 0
+    while np.linalg.norm(s) <= _DIVERGENCE_NORM:
+        s = Phi @ s + psi
+        step += 1
+    return step
+
+
 @pytest.mark.filterwarnings("error")
 def test_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
     # zero-gain-like controller cannot stabilize the unstable plant; the
     # reported time is the first step whose state norm crosses the threshold
     pi = scalar_pi(0.0, 1e-9)
     d = D_SEGMENTS[0]
-    F, c0, _, _ = _affine_closed_loop(
-        oc.closed_loop(plant_unstable, geometry_unstable, pi), geometry_unstable,
-        quadratic_obj,
-    )
-    Phi, G = _rk4_one_step_maps(F, 1e-3)
-    psi = G @ (c0 + np.concatenate([d, np.zeros(1)]))
-    s, step = np.zeros(F.shape[0]), 0
-    while np.linalg.norm(s) <= _DIVERGENCE_NORM:
-        s = Phi @ s + psi
-        step += 1
+    step = _first_row_past_bound(plant_unstable, geometry_unstable, quadratic_obj, pi, d, 1e-3)
     sched = DisturbanceSchedule.constant(d)
     with pytest.raises(oc.DivergenceError, match=rf"at t = {step * 1e-3:.6g}$"):
         oc.simulate(
             plant_unstable, geometry_unstable, quadratic_obj, pi, sched,
             60.0, dt=1e-3,
         )
+
+
+@pytest.mark.filterwarnings("error")
+def test_nonlinear_divergence_detected(plant_unstable, geometry_unstable, quadratic_obj):
+    # the quadratic cost marked non-quadratic runs the Newton RK4 loop, whose
+    # states are the affine map's to rounding; the reported time is the row
+    # where the map first passes the bound, and the trace that stops one row
+    # short of it stays within the bound
+    obj = dataclasses.replace(quadratic_obj, is_quadratic=False)
+    pi = scalar_pi(0.0, 1e-9)
+    d, dt = D_SEGMENTS[0], 1e-2
+    step = _first_row_past_bound(plant_unstable, geometry_unstable, quadratic_obj, pi, d, dt)
+    sched = DisturbanceSchedule.constant(d)
+    with pytest.raises(oc.DivergenceError, match=rf"^state diverged at t = {step * dt:.6g}$"):
+        oc.simulate(plant_unstable, geometry_unstable, obj, pi, sched, 60.0, dt=dt)
+    trace = oc.simulate(
+        plant_unstable, geometry_unstable, obj, pi, sched, (step - 1) * dt, dt=dt
+    )
+    norms = np.linalg.norm(np.hstack([trace.x, trace.eta]), axis=1)
+    assert norms.size == step and norms.max() <= _DIVERGENCE_NORM
+
+
+@pytest.mark.parametrize("call", ["simulate", "stabilizer_dynamics"])
+def test_cost_overflow_is_divergence(call, plant_stable, geometry_stable, cosh_obj):
+    # cosh(y1 / 2) overflows a double beyond |y1| ~ 1420; y1 = 1e4 here
+    pi = scalar_pi(10.0, 5.0)
+    x0 = np.array([1e4, 0.0, 0.0, 0.0])
+    with pytest.raises(
+        oc.DivergenceError, match="^the cost overflows along the trajectory$"
+    ) as info:
+        if call == "simulate":
+            sched = DisturbanceSchedule.constant(D_SEGMENTS[0])
+            oc.simulate(plant_stable, geometry_stable, cosh_obj, pi, sched, 1.0, x0=x0)
+        else:
+            loop = oc.closed_loop(plant_stable, geometry_stable, pi)
+            s = np.append(x0, 0.0)
+            oc.stabilizer_dynamics(loop, cosh_obj, s, np.zeros(s.size))
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_overflowing_block_keeps_a_resting_state(
