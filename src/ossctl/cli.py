@@ -180,7 +180,6 @@ def cmd_synth(scn: Scenario, out_dir: str, dt: float) -> int:
         "gamma": result.gamma,
         "rate": result.rate,
         "hinf_achieved": result.hinf_achieved,
-        "loop_margin": result.loop_margin,
     }
     path = _write_json(out_dir, "stabilizer.json", payload)
     print(

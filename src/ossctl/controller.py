@@ -81,11 +81,6 @@ class DynamicStabilizer:
     def order(self) -> int:
         return self.A_s.shape[0]
 
-    @property
-    def D_s_e(self) -> np.ndarray:
-        """The e-columns of D_s: the direct term from e to u."""
-        return self.D_s[:, self.p + self.m :]
-
 
 def _newton(u, residual, step, size) -> tuple[np.ndarray, np.ndarray]:
     """(u, w) at the root of a residual, by damped Newton from u.

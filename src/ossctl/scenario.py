@@ -181,11 +181,11 @@ def _scenario_from_dict(data: dict) -> Scenario:
         if sim.get(key) is None:
             return None
         v = _floats(sim[key], f"simulation.{key}", 1)
-        if v.shape != (length,):
+        if length is not None and v.shape != (length,):
             raise ScenarioError(f"simulation.{key} must have length {length}")
         return v
 
-    ns = controller.order if isinstance(controller, DynamicStabilizer) else 0
+    ns = controller.order if isinstance(controller, DynamicStabilizer) else None
     settings = SimulationSettings(
         t_final=_floats(sim.get("t_final", 10.0), "simulation.t_final"),
         dt=_floats(sim.get("dt", 1e-3), "simulation.dt"),

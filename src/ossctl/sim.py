@@ -252,10 +252,11 @@ def simulate(
     loop = closed_loop(plant, geometry, controller)
     ns = loop[0].shape[0] - n - m
     s = []
-    for v, size in ((x0, n), (eta0, m), (xs0, ns)):
+    for name, v, size in (("x0", x0, n), ("eta0", eta0, m), ("xs0", xs0, ns)):
         v = np.zeros(size) if v is None else np.asarray(v, dtype=float)
         if v.shape != (size,):
-            raise SimulationError("initial condition dimensions do not match")
+            got = f"length {v.size}" if v.ndim == 1 else f"shape {v.shape}"
+            raise SimulationError(f"{name} has {got}, expected length {size}")
         s.append(v)
     s = np.concatenate(s)
 

@@ -66,7 +66,6 @@ class SynthesisResult:
     gamma: float
     rate: float  # the certified decay rate rho
     hinf_achieved: float
-    loop_margin: float
 
 
 def open_loop(plant: LtiPlant, geometry: KktGeometry) -> AugmentedPlant:
@@ -134,10 +133,10 @@ def _central_controller(aug: AugmentedPlant, rho: float) -> DynamicStabilizer | 
     D21 has rank at most m, so the plant is regularized by _EPS: noise on
     every state and measurement, and the state as a further output.  aug's
     channel is a sub-block of the regularized one, so it keeps the bound.
-    After D12'D12 = I and D21 D21' = I are normalized by Cholesky factors,
-    X and Y solve the two Riccati equations, and X, Y >= 0 with
-    rho(XY) < gamma^2 gives the controller.  It is strictly proper and fed
-    sigma0 = sigma - D22 u, the measurement without its feedthrough."""
+    After D21 D21' = I is normalized by a Cholesky factor, X and Y solve
+    the two Riccati equations, and X, Y >= 0 with rho(XY) < gamma^2 gives
+    the controller.  It is strictly proper and fed sigma0 = sigma - D22 u,
+    the measurement without its feedthrough."""
     n = aug.A.shape[0]
     ny, nu = aug.D21.shape[0], aug.D12.shape[1]
     g2 = _GAMMA * _GAMMA
@@ -146,9 +145,10 @@ def _central_controller(aug: AugmentedPlant, rho: float) -> DynamicStabilizer | 
     C1 = np.vstack([aug.C1, _EPS * np.eye(n)])
     D12 = np.vstack([aug.D12, np.zeros((n, nu))])
     D21 = np.hstack([aug.D21, np.zeros((ny, n)), _EPS * np.eye(ny)])
-    Su = np.linalg.inv(np.linalg.cholesky(D12.T @ D12).T)  # u = Su u~
+    # D12'D12 = I already: open_loop's D12 is [0; I], and the rows the
+    # regularization adds are zero, so only the measurement is normalized
     Sy = np.linalg.inv(np.linalg.cholesky(D21 @ D21.T))  # y~ = Sy sigma0
-    B2, D12 = aug.B2 @ Su, D12 @ Su
+    B2 = aug.B2
     C2, D21 = Sy @ aug.C2, Sy @ D21
 
     def riccati(A, B, C, D, nd):
@@ -179,27 +179,11 @@ def _central_controller(aug: AugmentedPlant, rho: float) -> DynamicStabilizer | 
     return DynamicStabilizer(
         A_s=A_s,
         B_s=-ZL @ Sy,
-        C_s=Su @ F,
+        C_s=F,
         D_s=np.zeros((nu, ny)),
         p=aug.p,
         m=aug.m,
     )
-
-
-def _close_feedthrough(stab, D: np.ndarray) -> tuple:
-    """(A_s, B_s, C_s, D_s) of stab fed sigma + D u, written as a controller
-    fed sigma.  stab's matrices may be stacked along a leading axis.
-
-    With T = (I - D_s D)^-1 the input is u = T (C_s x_s + D_s sigma), so the
-    controller is (A_s + B_s D C2, B_s (I + D D2), C2, D2) with C2 = T C_s
-    and D2 = T D_s.  Passing -D undoes a feedthrough D."""
-    well = np.eye(stab.D_s.shape[-2]) - stab.D_s @ D
-    if (np.linalg.cond(well) > 1e12).any():
-        raise SynthesisError("controller/measurement feedthrough loop ill-posed")
-    T = np.linalg.inv(well)
-    C2 = T @ stab.C_s
-    D2 = T @ stab.D_s
-    return stab.A_s + stab.B_s @ D @ C2, stab.B_s @ (np.eye(D.shape[0]) + D @ D2), C2, D2
 
 
 def closed_loop_system(aug: AugmentedPlant, stab):
@@ -208,8 +192,20 @@ def closed_loop_system(aug: AugmentedPlant, stab):
     x_s).  D22 is zero on open_loop; on a loop_transform plant it is the
     sector shift's path from u through e.  stab is a DynamicStabilizer, or
     any object with its four matrices stacked along a leading axis, which
-    the loops then carry too (lmi.gain_grid_search closes a grid that way)."""
-    A_s, B_s, C_s, D_s = _close_feedthrough(stab, aug.D22)
+    the loops then carry too (lmi.gain_grid_search closes a grid that way).
+    With T = (I - D_s D22)^-1 the controller fed sigma is (A_s + B_s D22 T
+    C_s, B_s (I + D22 T D_s), T C_s, T D_s), ill-posed where I - D_s D22 is
+    singular within 1e-12 of its terms' scale (its cond is 1 at m = 1)."""
+    D22 = aug.D22
+    M = stab.D_s @ D22
+    well = np.eye(M.shape[-1]) - M
+    tiny = 1e-12 * (1.0 + np.linalg.norm(M, 2, axis=(-2, -1)))
+    if (np.linalg.svd(well, compute_uv=False)[..., -1] <= tiny).any():
+        raise SynthesisError("controller/measurement feedthrough loop ill-posed")
+    T = np.linalg.inv(well)
+    C_s, D_s = T @ stab.C_s, T @ stab.D_s
+    A_s = stab.A_s + stab.B_s @ D22 @ C_s
+    B_s = stab.B_s @ (np.eye(D22.shape[0]) + D22 @ D_s)
     Acl = np.concatenate(
         [
             np.concatenate([aug.A + aug.B2 @ D_s @ aug.C2, aug.B2 @ C_s], axis=-1),
@@ -229,15 +225,6 @@ def closed_loop(plant: LtiPlant, geometry: KktGeometry, controller: DynamicStabi
     return closed_loop_system(open_loop(plant, geometry), controller)
 
 
-def _loop_margin(stab: DynamicStabilizer, geometry: KktGeometry, lipschitz: float) -> float:
-    """Positive iff the e-channel algebraic loop is provably well-posed for
-    every gradient in the sector: ||D_e|| L ||R||^2 < 1 is sufficient since
-    the loop Jacobian is I + D_e R' H_u with ||R' H_u|| <= L ||R||."""
-    de = np.linalg.norm(stab.D_s_e, 2)
-    rn = np.linalg.norm(geometry.R, 2)
-    return 1.0 - de * lipschitz * rn
-
-
 def synthesize_stabilizer(
     plant: LtiPlant,
     geometry: KktGeometry,
@@ -252,7 +239,7 @@ def synthesize_stabilizer(
     gains blow up.  It is re-validated independently: the closed loop must be
     Hurwitz, its actual H-infinity norm must not exceed gamma, and so must
     that of the loop with A shifted by rho, which certifies decay at rate
-    rho by small gain.  The e-channel margin is reported as loop_margin.
+    rho by small gain.
     """
     aug = loop_transform(plant, geometry, kappa, lipschitz)
     for i, rate in enumerate(_RATES):
@@ -271,10 +258,9 @@ def synthesize_stabilizer(
             "one rung below a shift that passed"
         )
     # the design is fed sigma - D22 u; the stabilizer that runs is fed
-    # sigma, and closing it on aug (which reads D22) gives the loop it runs
-    stab = DynamicStabilizer(
-        *_close_feedthrough(designed, -aug.D22), p=designed.p, m=designed.m
-    )
+    # sigma, and closing it on aug (which reads D22) gives the loop it runs;
+    # with D_s = 0 that changes A_s alone
+    stab = replace(designed, A_s=designed.A_s - designed.B_s @ aug.D22 @ designed.C_s)
     Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, stab)
     achieved = hinf_norm(Acl, Bcl, Ccl, Dcl)
     if achieved == np.inf:
@@ -295,5 +281,4 @@ def synthesize_stabilizer(
         gamma=_GAMMA,
         rate=rate,
         hinf_achieved=achieved,
-        loop_margin=_loop_margin(stab, geometry, lipschitz),
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import types
 
@@ -70,6 +71,17 @@ PARAMETERS = {
     "closed_loop": ["plant", "geometry", "controller"],
 }
 
+# The fields of the result records.  A field added to or removed from one
+# of them changes what callers read, so it must be changed here too.
+FIELDS = {
+    "SynthesisResult": ["stabilizer", "gamma", "rate", "hinf_achieved"],
+    "LmiCertificate": ["P", "alpha", "eig_S_max", "eig_P_min", "status", "witness"],
+    "OptimizerResult": [
+        "x_star", "y_star", "u_star", "objective_value", "kkt_feas", "kkt_grad",
+        "iterations",
+    ],
+}
+
 
 def test_public_names():
     # submodules become attributes of the package once imported; they are
@@ -87,3 +99,9 @@ def test_public_names():
 def test_parameter_names(name):
     signature = inspect.signature(getattr(ossctl, name))
     assert list(signature.parameters) == PARAMETERS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_result_fields(name):
+    fields = dataclasses.fields(getattr(ossctl, name))
+    assert [field.name for field in fields] == FIELDS[name]

@@ -287,9 +287,11 @@ def test_synth_example_vc(tmp_path):
     code = run(["synth", "--scenario", bundled("example_vc.json"), "--out", str(tmp_path)])
     assert code == EXIT_OK
     data = json.loads((tmp_path / "stabilizer.json").read_text())
+    assert sorted(data) == [
+        "A_s", "B_s", "C_s", "D_s", "gamma", "hinf_achieved", "m", "p", "rate",
+    ]
     assert data["gamma"] < 1.0
     assert data["hinf_achieved"] <= data["gamma"]
-    assert data["loop_margin"] > 0
     assert data["rate"] >= 0
     A_s, B_s, C_s, D_s = (np.array(data[k]) for k in ("A_s", "B_s", "C_s", "D_s"))
     p, m = data["p"], data["m"]
@@ -309,6 +311,25 @@ def test_synth_example_vc(tmp_path):
     assert B_s.shape == (ns, p + 2 * m)
     assert C_s.shape == (m, ns)
     assert D_s.shape == (m, p + 2 * m)
+
+
+def test_synthesize_scenario_takes_xs0(tmp_path, capsys):
+    # example_vc synthesizes an order-5 stabilizer: a zero xs0 of length 5
+    # is the default start, and length 6 is refused by simulate
+    data = json.loads(open(bundled("example_vc.json")).read())
+    data["simulation"]["t_final"] = 2.0
+    traces = []
+    for xs0 in (None, [0.0] * 5, [0.0] * 6):
+        data["simulation"]["xs0"] = xs0
+        path = tmp_path / "vc.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / str(len(traces))
+        code = run(["simulate", "--scenario", str(path), "--out", str(out)])
+        traces.append((code, (out / "trace.csv").read_bytes() if code == EXIT_OK else None))
+    assert traces[0] == traces[1] and traces[0][0] == EXIT_OK
+    assert traces[2] == (EXIT_BAD_INPUT, None)
+    err = capsys.readouterr().err
+    assert err.endswith("error: xs0 has length 6, expected length 5\n")
 
 
 def _zero_stabilizer(aug, *variables):
@@ -511,6 +532,10 @@ def _overflowing_quadratic_loop(data, tmp_path):
     _singular_quadratic_loop(data, tmp_path, 1.7e308)
 
 
+def _no_grid(data, tmp_path):
+    del data["verification"]
+
+
 def _negative_dt(data, tmp_path):
     return ["--dt", "-1"]
 
@@ -540,6 +565,7 @@ def _out_below_file(data, tmp_path):
         ("simulate", "va", _nan_dt, EXIT_BAD_INPUT, "error: "),
         ("simulate", "va", _huge_t_final, EXIT_BAD_INPUT, "error: "),
         ("analyze", "va", _out_below_file, EXIT_BAD_INPUT, "error: "),
+        ("tune", "va", _no_grid, EXIT_BAD_INPUT, "error: tune requires verification"),
         ("simulate", "vb", _far_initial_state, EXIT_DIVERGENCE, "divergence: "),
         ("simulate", "vb", _huge_disturbance, EXIT_ASSUMPTION, "assumption failure: "),
         ("simulate", "va", _singular_quadratic_loop, EXIT_ASSUMPTION, "assumption failure: "),

@@ -126,3 +126,27 @@ def test_oracle_solves_on_the_geometry_it_is_given(monkeypatch):
     for d in scn.schedule.values:
         res = oc.solve_steady_state(scn.plant, geometry, scn.objective, d)
         assert res.kkt_feas < 1e-8 and res.kkt_grad < 1e-8
+
+
+@pytest.mark.parametrize(
+    "H, message",
+    [
+        # no curvature: the KKT matrix is singular in exact arithmetic
+        (np.zeros((2, 2)), "singular KKT system: optimizer not unique"),
+        (1e-14 * np.eye(2), r"ill-conditioned KKT system \(cond=1\.\d+e\+14\)"),
+    ],
+)
+def test_closed_form_refuses_a_flat_cost(H, message):
+    # x' = -x + u + d, y = x: the feasible set is the line u = x - d
+    plant = oc.LtiPlant(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+    geometry = oc.build_kkt_geometry(plant)
+    obj = oc.quadratic_objective(H, np.zeros(2), p=1)
+    with pytest.raises(OracleError, match=message):
+        oc.solve_quadratic_closed_form(plant, geometry, obj, np.zeros(1))
+
+
+def test_closed_form_needs_a_quadratic_cost(plant_stable, geometry_stable, cosh_obj):
+    with pytest.raises(OracleError, match="the closed form needs a quadratic cost"):
+        oc.solve_quadratic_closed_form(
+            plant_stable, geometry_stable, cosh_obj, D_SEGMENTS[0]
+        )

@@ -70,6 +70,18 @@ def test_dimension_mismatch_rejected():
         scenario_from_dict(scn)
 
 
+def test_objective_dimensions_must_match_plant():
+    # a 4 x 4 H splits into p = 2 outputs and 2 inputs; the plant has 1
+    with open(bundled("example_va.json")) as fh:
+        scn = json.load(fh)
+    scn["objective"]["H"] = matrix_to_json(np.eye(4))
+    scn["objective"]["q"] = [0.0] * 4
+    with pytest.raises(
+        ScenarioError, match=r"objective dimensions \(2, 2\) do not match plant \(2, 1\)"
+    ):
+        scenario_from_dict(scn)
+
+
 def test_unknown_objective_rejected():
     with open(bundled("example_va.json")) as fh:
         data = json.load(fh)
@@ -99,3 +111,15 @@ def test_matrix_booleans_rejected(field, value):
     obj[field] = value
     with pytest.raises(ScenarioError, match=rf"matrix\.{field}: expected numbers"):
         matrix_from_json(obj)
+
+
+def test_xs0_length_is_checked_against_a_given_controller_only():
+    # a pi law has order 0; a synthesized stabilizer's order is not known
+    # until simulate designs it, so there the scenario takes any length
+    with open(bundled("example_va.json")) as fh:
+        scn = json.load(fh)
+    scn["simulation"]["xs0"] = [0.0]
+    with pytest.raises(ScenarioError, match="simulation.xs0 must have length 0"):
+        scenario_from_dict(scn)
+    scn["controller"] = {"type": "synthesize"}
+    assert np.array_equal(scenario_from_dict(scn).simulation.xs0, [0.0])

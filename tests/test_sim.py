@@ -153,7 +153,7 @@ def test_stabilizer_dynamics_is_the_written_out_loop(
         stab = scalar_pi(10.0, 5.0)
     else:
         stab = _filtered_pi(2.0, 2.0)
-    assert np.any(stab.D_s_e)
+    assert np.any(stab.D_s[:, plant.p + m :])
     loop = oc.closed_loop(plant, geometry, stab)
     rng = np.random.default_rng(34)
     u_prev = None
@@ -511,6 +511,39 @@ def test_csv_writes_without_a_whole_trace_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < full / 4, f"to_csv peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("xs0", np.zeros(3), "xs0 has length 3, expected length 2"),
+        ("x0", np.zeros(5), "x0 has length 5, expected length 4"),
+        ("eta0", np.zeros((1, 1)), r"eta0 has shape \(1, 1\), expected length 1"),
+    ],
+)
+def test_initial_condition_length_is_named(
+    plant_stable, geometry_stable, quadratic_obj, field, value, message
+):
+    sched = DisturbanceSchedule.constant(D_SEGMENTS[0])
+    with pytest.raises(SimulationError, match=message):
+        oc.simulate(
+            plant_stable, geometry_stable, quadratic_obj, _filtered_pi(2.0, 2.0),
+            sched, 0.1, dt=1e-2, **{field: value},
+        )
+
+
+def test_settling_time_is_zero_on_a_settled_segment():
+    # segment 0 sits on its reference, so no sample leaves the band and it
+    # settles at once; segment 1 leaves the band at its last sample
+    rows = 6
+    trace = _random_trace(np.random.default_rng(35), rows, 2, 1)
+    trace.y[:3], trace.u[:3] = trace.y_star[:3], trace.u_star[:3]
+    trace.y[-1] = trace.y_star[-1] + 1e3
+    trace = dataclasses.replace(trace, segment_rows=np.array([0, 3]))
+    first, second = oc.convergence_metrics(trace)
+    assert first["initial_error"] == first["peak_error"] == 0.0
+    assert first["settling_time"] == 0.0
+    assert second["settling_time"] is None
 
 
 def _random_trace(rng, rows, p, m):

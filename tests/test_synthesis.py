@@ -6,7 +6,7 @@ import pytest
 import ossctl as oc
 import ossctl.synthesis as synthesis
 from ossctl.synthesis import SynthesisError, closed_loop_system, loop_transform
-from tests.conftest import D_SEGMENTS, random_quadratic_instance
+from tests.conftest import D_SEGMENTS, random_quadratic_instance, scalar_pi
 
 KAPPA_C, L_C = 1.0, 2.0
 # the sector's center and radius: w = c z + r w_tilde
@@ -51,6 +51,14 @@ def test_loop_transform_rejects_infinite_sector(plant_unstable, geometry_unstabl
         loop_transform(plant_unstable, geometry_unstable, 1.0 / 9.0, np.inf)
 
 
+@pytest.mark.parametrize("kappa, lipschitz", [(0.0, L_C), (-1.0, L_C), (3.0, L_C)])
+def test_loop_transform_rejects_sector_out_of_order(
+    plant_unstable, geometry_unstable, kappa, lipschitz
+):
+    with pytest.raises(SynthesisError, match=r"need 0 < kappa <= L"):
+        loop_transform(plant_unstable, geometry_unstable, kappa, lipschitz)
+
+
 def test_sector_edge_maps_to_edge():
     # phi(v) = kappa v maps to exactly -v after the transformation
     c, r = C_C, R_C
@@ -78,7 +86,6 @@ def test_synthesis_gamma_below_one(synthesis_result):
     _, result = synthesis_result
     assert 0 < result.gamma < 1.0
     assert result.hinf_achieved <= result.gamma
-    assert result.loop_margin > 0
 
 
 def test_synthesized_closed_loop_is_hurwitz(synthesis_result):
@@ -114,6 +121,35 @@ def test_running_loop_is_the_designed_loop(
     )
     for got, want in zip(running, design):
         assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_pi_law_closes_through_the_feedthrough_inverse(
+    plant_unstable, geometry_unstable
+):
+    # a PI law feeds e straight through, so on loop_transform's plant
+    # D_s D22 is nonzero and T = (I - D_s D22)^-1 is not I; the loop it
+    # closes there is closed_loop shifted by w = c z + r w_tilde by hand
+    pi = scalar_pi(2.0, 1.0)
+    aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+    assert (pi.D_s @ aug.D22).any()
+    A, B, C, D = oc.closed_loop(plant_unstable, geometry_unstable, pi)
+    c, r = C_C, R_C
+    L = np.linalg.inv(np.eye(D.shape[0]) - c * D)
+    running = (A + c * B @ L @ C, r * B @ L, L @ C, r * L @ D)
+    for got, want in zip(closed_loop_system(aug, pi), running):
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_ill_posed_feedthrough_loop_is_refused(plant_unstable, geometry_unstable):
+    # K_P = -1/(c R_u') makes D_s D22 = 1 up to rounding, so I - D_s D22 is
+    # zero or one rounding error: singular at its terms' scale, though the
+    # cond of a 1 x 1 matrix is 1
+    aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+    ru = geometry_unstable.R.T[0, plant_unstable.p]
+    pi = scalar_pi(-1.0 / (C_C * ru), 1.0)
+    assert abs(1.0 - (pi.D_s @ aug.D22).item()) <= 1e-15
+    with pytest.raises(SynthesisError, match="feedthrough loop ill-posed"):
+        closed_loop_system(aug, pi)
 
 
 def test_certified_gamma_bounds_empirical_gain(synthesis_result):
@@ -221,6 +257,18 @@ def test_undecided_solve_raises_with_status(
         oc.synthesize_stabilizer(plant_unstable, geometry_unstable, KAPPA_C, L_C)
 
 
+def test_failed_rate_check_raises(plant_unstable, geometry_unstable, monkeypatch):
+    # the loop's own norm passes; its shifted norm above gamma is refused
+    norms = iter([0.5, 0.995])
+    monkeypatch.setattr(synthesis, "hinf_norm", lambda *system: next(norms))
+    with pytest.raises(
+        SynthesisError,
+        match=r"independent rate check failed: the loop shifted by \S+ has "
+        r"H-inf norm 0\.995 above gamma 0\.99$",
+    ):
+        oc.synthesize_stabilizer(plant_unstable, geometry_unstable, KAPPA_C, L_C)
+
+
 def test_synthesized_loop_decays_at_its_rate(synthesis_result):
     # example_vc: the shifted loop's gain below gamma certifies decay at the
     # rate, so every closed-loop pole lies left of -rate
@@ -228,7 +276,6 @@ def test_synthesized_loop_decays_at_its_rate(synthesis_result):
     Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, result.stabilizer)
     assert result.rate > 0
     assert not result.stabilizer.D_s.any()
-    assert result.loop_margin == 1.0
     shifted = Acl + result.rate * np.eye(Acl.shape[0])
     assert oc.hinf_norm(shifted, Bcl, Ccl, Dcl) <= result.gamma
     assert np.linalg.eigvals(Acl).real.max() < -result.rate
