@@ -194,13 +194,12 @@ def closed_loop_system(aug: AugmentedPlant, stab):
     any object with its four matrices stacked along a leading axis, which
     the loops then carry too (lmi.gain_grid_search closes a grid that way).
     With T = (I - D_s D22)^-1 the controller fed sigma is (A_s + B_s D22 T
-    C_s, B_s (I + D22 T D_s), T C_s, T D_s), ill-posed where I - D_s D22 is
-    singular within 1e-12 of its terms' scale (its cond is 1 at m = 1)."""
+    C_s, B_s (I + D22 T D_s), T C_s, T D_s), ill-posed where I - D_s D22 has
+    s_min <= 1e-12 (1 + s_max) (its cond is 1 at m = 1)."""
     D22 = aug.D22
-    M = stab.D_s @ D22
-    well = np.eye(M.shape[-1]) - M
-    tiny = 1e-12 * (1.0 + np.linalg.norm(M, 2, axis=(-2, -1)))
-    if (np.linalg.svd(well, compute_uv=False)[..., -1] <= tiny).any():
+    well = np.eye(D22.shape[-1]) - stab.D_s @ D22
+    s = np.linalg.svd(well, compute_uv=False)
+    if (s[..., -1] <= 1e-12 * (1.0 + s[..., 0])).any():
         raise SynthesisError("controller/measurement feedthrough loop ill-posed")
     T = np.linalg.inv(well)
     C_s, D_s = T @ stab.C_s, T @ stab.D_s

@@ -142,7 +142,7 @@ def test_pi_law_closes_through_the_feedthrough_inverse(
 
 def test_ill_posed_feedthrough_loop_is_refused(plant_unstable, geometry_unstable):
     # K_P = -1/(c R_u') makes D_s D22 = 1 up to rounding, so I - D_s D22 is
-    # zero or one rounding error: singular at its terms' scale, though the
+    # zero or one rounding error: singular at its own scale, though the
     # cond of a 1 x 1 matrix is 1
     aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
     ru = geometry_unstable.R.T[0, plant_unstable.p]
