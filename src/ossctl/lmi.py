@@ -31,15 +31,14 @@ decided in four steps with no iterative solver:
    a pole of A, is evaluated between consecutive crossings (at a crossing
    itself its largest eigenvalue is 0); a positive eigenvalue there makes
    the pair "infeasible".
-4. Riccati certificate.  Otherwise the Riccati equation with its constant
-   term raised by eps ||MM_k|| I, for eps = 1e-1, 1e-2, ..., 1e-8 in turn,
-   gives candidate P's: its stabilizing solution, read off the stable
-   invariant subspace of the same Hamiltonian (Laub, IEEE TAC 1979).  The
-   first P that passes the eigenvalue check on the unshifted inequality
-   makes the pair "feasible".  If none does, and a rung's P failed the check
-   just below a rung whose Hamiltonian has imaginary-axis eigenvalues (no
-   stabilizing solution), eps is bisected between the two; a P that passes
-   there makes the pair "feasible", and otherwise it is "undecided".
+4. Riccati certificate.  Otherwise the unshifted form is raised to
+   MM + delta I, for delta = eps |lambda_max| of MM's w-w block and
+   eps = 1e-1, 1e-2, ..., 1e-8 in turn; its w-w block stays negative
+   definite.  The stabilizing solution of its Riccati equation, read off the
+   stable invariant subspace of its Hamiltonian (Laub, IEEE TAC 1979), makes
+   S(P, 1) <= -delta I.  The first P that passes the eigenvalue check on
+   the unshifted inequality makes the pair "feasible"; if none does, it is
+   "undecided".
 
 So "feasible" rests only on the eigenvalue check of S(P, 1) and P, and
 "infeasible" only on a witness the caller can re-evaluate: a frequency at
@@ -49,12 +48,11 @@ member of the sector whose loop is not Hurwitz.
 
 A gain grid is decided as one stack (gain_grid_search): its loops carry a
 leading pair axis, and each step is one stacked LAPACK call on the pairs
-still pending (each Riccati rung or bisection step one eig and one solve),
-with bisection bounds per pair and each frequency witness evaluated on its
-own pair's crossings.  verify_stability is the stack of one.  A stacked
-eig, eigvalsh, inv or solve gives each matrix the bits of the same call on
-it alone, and every Frobenius norm is taken pair by pair, so each grid row
-is exactly its pair's own decision.
+still pending (each Riccati rung one eig and one solve), with each
+frequency witness evaluated on its own pair's crossings.  verify_stability
+is the stack of one.  A stacked eig, eigvalsh, inv or solve gives each
+matrix the bits of the same call on it alone, and every Frobenius norm is
+taken pair by pair, so each grid row is exactly its pair's own decision.
 """
 
 import itertools
@@ -85,10 +83,9 @@ from .synthesis import (  # noqa: F401  (solve_feasibility: see synthesis)
 
 # a frequency witness's eigenvalue must exceed this fraction of ||xi* MM xi||_F
 _WITNESS_RTOL = 1e-8
-# the Riccati constant-term shifts eps, relative to ||MM_k||, tried in turn
+# the whole-form shifts eps, relative to |lambda_max| of MM's w-w block,
+# tried in turn
 _RICCATI_SHIFTS = 10.0 ** -np.arange(1.0, 9.0)
-# geometric bisection steps between two rungs when every rung fails
-_BISECTIONS = 20
 
 
 @dataclass(frozen=True)
@@ -170,10 +167,10 @@ def _decide(loops, kappa: float, lipschitz: float) -> list[LmiCertificate]:
         )
 
     # 1. omega = inf
-    lam = np.linalg.eigvalsh(MM[:, nm:, nm:])[:, -1]
-    live = lam < 0
+    ww = np.linalg.eigvalsh(MM[:, nm:, nm:])[:, -1]
+    live = ww < 0
     for i in np.flatnonzero(~live):
-        rule_out(i, "frequency", np.inf, lam[i])
+        rule_out(i, "frequency", np.inf, ww[i])
     live = np.flatnonzero(live)
 
     # 2. the loop shifted to its lower sector edge; I - kappa D is invertible
@@ -206,25 +203,23 @@ def _decide(loops, kappa: float, lipschitz: float) -> list[LmiCertificate]:
                 rule_out(i, "frequency", omegas[h], lam[h])
                 crossed[j] = True
     rest = keep[~crossed]
-    H, idx = H[~crossed], live[rest]
-    del zw, Al, Bl, Cl, W, T, Ak, Bk, ev  # freed before step 4's peak
+    idx = live[rest]
+    Ak, Bk, MMk, T = Ak[rest], Bk[rest], MMk[rest], T[rest]
+    del zw, Al, Bl, Cl, W, H, ev  # freed before step 4's peak
 
-    # 4. Riccati candidates: with Q~ raised by eps ||MM_k|| I, the
-    # stabilizing solution P = U2 U1^-1, from the stable invariant subspace
-    # [U1; U2] of H, makes the Schur complement of S(P, 1) -eps ||MM_k|| I;
-    # each P is checked on the unshifted inequality.  P is read off step 3's
-    # Hamiltonian by _stabilizing_solutions, so no Riccati solver is needed
+    # 4. Riccati candidates: MM + delta I is MM_k + delta T'T in step 2's
+    # coordinates.  The stabilizing solution P = U2 U1^-1 of its Riccati
+    # equation, from the stable invariant subspace [U1; U2] of its
+    # Hamiltonian, zeroes the Schur complement of S(P, 1) + delta I, whose
+    # w-w block is < 0; each P is checked on the unshifted inequality
     N2, MMr = np.concatenate([A[idx], B[idx]], axis=-1), MM[idx]
-    shift = np.array([np.linalg.norm(M) for M in MMk[rest]])[:, None, None] * np.eye(nm)
-    Q0 = H[:, nm:, :nm].copy()
-
-    def candidates(js, eps):
-        """For the loops js at shifts eps: which have a stabilizing P, and
-        which of those pass the check (their certificates are recorded)."""
-        Hs = H[js]
-        Hs[:, nm:, :nm] = Q0[js] - eps[:, None, None] * shift[js]
-        P, has_P = _stabilizing_solutions(Hs)
-        passed = np.zeros(js.size, dtype=bool)
+    TtT = -ww[idx][:, None, None] * (_t(T) @ T)
+    js = np.arange(idx.size)
+    for eps in _RICCATI_SHIFTS:
+        if not js.size:
+            break
+        H = _kyp_hamiltonian(Ak[js], Bk[js], MMk[js] + eps * TtT[js])
+        P, has_P = _stabilizing_solutions(H)
         ok = np.flatnonzero(has_P)
         P = P[ok]
         PN = np.concatenate([P @ N2[js[ok]], np.zeros((ok.size, pm, nm + pm))], axis=-2)
@@ -232,6 +227,7 @@ def _decide(loops, kappa: float, lipschitz: float) -> list[LmiCertificate]:
         Sm = 0.5 * (Sm + _t(Sm))
         eig_S = np.linalg.eigvalsh(Sm)[:, -1]
         eig_P = np.linalg.eigvalsh(P)[:, 0]
+        passed = np.zeros(js.size, dtype=bool)
         for o, j in enumerate(ok):
             S_ok = eig_S[o] < -1e-8 * max(np.linalg.norm(Sm[o]), 1e-30)
             if S_ok and eig_P[o] > 1e-10 * max(np.linalg.norm(P[o]), 1e-30):
@@ -239,30 +235,6 @@ def _decide(loops, kappa: float, lipschitz: float) -> list[LmiCertificate]:
                 certs[idx[js[j]]] = LmiCertificate(
                     P[o], 1.0, float(eig_S[o]), float(eig_P[o]), "feasible"
                 )
-        return has_P, passed
-
-    # the ladder; then, for each loop whose first rung with a stabilizing P
-    # failed the check, bisection between it and the rung above, which has
-    # none: with no crossing the frequency inequality is strict, so a P exists
-    lo = np.full(idx.size, np.nan)
-    hi = np.full(idx.size, np.nan)
-    js = np.arange(idx.size)
-    for eps in _RICCATI_SHIFTS:
-        if not js.size:
-            break
-        has_P, passed = candidates(js, np.full(js.size, eps))
-        fresh = np.isnan(lo[js])
-        hi[js[fresh & ~has_P]] = eps
-        lo[js[fresh & has_P & ~passed]] = eps
-        js = js[~passed]
-    js = js[~(np.isnan(lo[js]) | np.isnan(hi[js]))]
-    for _ in range(_BISECTIONS):
-        if not js.size:
-            break
-        eps = np.sqrt(lo[js] * hi[js])
-        has_P, passed = candidates(js, eps)
-        hi[js[~has_P]] = eps[~has_P]
-        lo[js[has_P & ~passed]] = eps[has_P & ~passed]
         js = js[~passed]
     return [
         LmiCertificate(np.zeros((nm, nm)), 0.0, 0.0, 0.0, "undecided") if c is None else c

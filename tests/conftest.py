@@ -145,6 +145,26 @@ def load_script(name):
     return module
 
 
-# random stabilizable/detectable plant plus strictly convex quadratic; the
-# script's own generator, so the tests see the instances the script checks
-random_quadratic_instance = load_script("random_validation").random_instance
+def random_quadratic_instance(rng):
+    """(plant, geometry, objective): a random stable, stabilizable and
+    detectable plant whose KKT geometry builds, and a strictly convex
+    quadratic cost."""
+    while True:
+        n = rng.integers(2, 6)
+        m = rng.integers(1, n + 1)
+        p = rng.integers(1, n + 1)
+        A = rng.normal(size=(n, n))
+        A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.2, 1.0)) * np.eye(n)
+        B = rng.normal(size=(n, m))
+        C = rng.normal(size=(p, n))
+        plant = oc.LtiPlant(A, B, C)
+        if not (oc.check_stabilizable(plant) and oc.check_detectable(plant)):
+            continue
+        try:
+            geo = oc.build_kkt_geometry(plant)
+        except oc.KktError:
+            continue
+        G = rng.normal(size=(p + m, p + m))
+        H = G @ G.T + 0.1 * np.eye(p + m)
+        q = rng.normal(size=p + m)
+        return plant, geo, oc.quadratic_objective(H, q, p)

@@ -229,9 +229,9 @@ def test_infeasible_pair_carries_witness(plant_stable, geometry_stable):
 
 @pytest.mark.parametrize("kp, ki", [(0.001, 0.001), (0.01, 0.001), (0.1, 0.001)])
 def test_slow_loops_are_certified(plant_stable, geometry_stable, kp, ki):
-    # with k_I = 1e-3 the shifted loop's slowest mode is near -1e-3; no rung
-    # of the Riccati ladder passes the check, and the bisection between the
-    # first rung with a stabilizing solution and the one above it does
+    # with k_I = 1e-3 the shifted loop's slowest mode is near -1e-3; the
+    # whole form raised by delta I gives a P with S(P, 1) <= -delta I, so a
+    # rung of the ladder passes the check
     pi = scalar_pi(kp, ki)
     cert = oc.verify_stability(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
     assert cert.status == "feasible"
@@ -242,9 +242,9 @@ def test_slow_loops_are_certified(plant_stable, geometry_stable, kp, ki):
 
 
 def test_slowest_loop_is_undecided(plant_stable, geometry_stable):
-    # with k_I = 1e-4 no witness is found, and no Riccati candidate, on the
-    # ladder or in the bisection, passes the eigenvalue check.  If a later
-    # change decides this pair, move the test to a pair it still leaves open
+    # with k_I = 1e-4 no witness is found, and no Riccati candidate on the
+    # ladder passes the eigenvalue check.  If a later change decides this
+    # pair, move the test to a pair it still leaves open
     pi = scalar_pi(0.1, 1e-4)
     cert = oc.verify_stability(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
     assert cert.status == "undecided"
@@ -265,30 +265,30 @@ def test_grid_search_repeats_verify_stability(plant_stable, geometry_stable):
     assert sum(r["certified"] for r in records) == 98
 
 
-def test_grid_decides_each_pair_as_it_alone(monkeypatch):
+def test_grid_decides_each_pair_as_it_alone(monkeypatch, plant_stable, geometry_stable):
     # random plants and quadratic costs, 4 x 4 grids of gains log-uniform in
-    # [1e-2, 10], decided as one stack: each pair's certificate is bit for
-    # bit the one verify_stability gives it alone, and the grids reach every
-    # outcome, undecided after a bisection among them
-    grids, solves = [], []
-    decide, solutions = lmi._decide, lmi._stabilizing_solutions
+    # [1e-2, 10], and a grid on example_va's plant that holds its slowest
+    # loops, decided as one stack: each pair's certificate is bit for bit
+    # the one verify_stability gives it alone, and the grids reach every
+    # outcome
+    grids = []
+    decide = lmi._decide
     monkeypatch.setattr(lmi, "_decide", lambda *a: grids.append(decide(*a)) or grids[-1])
-    monkeypatch.setattr(
-        lmi, "_stabilizing_solutions", lambda H: solves.append(1) or solutions(H)
-    )
+    instances = [(plant_stable, geometry_stable, [0.1, 1.0], [1e-4, 1e-3, 2.0], KAPPA_A, L_A)]
     rng = np.random.default_rng(11)
-    outcomes = set()
     for _ in range(40):
         plant, geometry, obj = random_quadratic_instance(rng)
         kp, ki = 10.0 ** rng.uniform(-2.0, 1.0, (2, 4))
-        rows = oc.gain_grid_search(plant, geometry, kp, ki, obj.kappa, obj.lipschitz)
+        instances.append((plant, geometry, kp, ki, obj.kappa, obj.lipschitz))
+    outcomes = set()
+    for plant, geometry, kp, ki, kappa, lipschitz in instances:
+        rows = oc.gain_grid_search(plant, geometry, kp, ki, kappa, lipschitz)
         grid = grids[-1]
-        assert len(rows) == len(grid) == 16
+        assert len(rows) == len(grid) == len(kp) * len(ki)
         for r, cert in zip(rows, grid):
             I = np.eye(plant.m)
             pi = oc.DynamicStabilizer.pi(r["k_P"] * I, r["k_I"] * I, plant.p)
-            solves.clear()
-            alone = oc.verify_stability(plant, geometry, pi, obj.kappa, obj.lipschitz)
+            alone = oc.verify_stability(plant, geometry, pi, kappa, lipschitz)
             assert (r["status"], r["margin"]) == (alone.status, -alone.eig_S_max)
             assert (cert.status, cert.eig_S_max, cert.eig_P_min, cert.alpha) == (
                 alone.status, alone.eig_S_max, alone.eig_P_min, alone.alpha
@@ -300,12 +300,7 @@ def test_grid_decides_each_pair_as_it_alone(monkeypatch):
             else:
                 kind, at, _ = cert.witness
                 outcomes.add("infinity" if at == np.inf else kind)
-            # alone, each solve is one rung of the ladder or one bisection step
-            if cert.status == "undecided" and len(solves) > len(lmi._RICCATI_SHIFTS):
-                outcomes.add("bisected")
-    assert outcomes == {
-        "feasible", "undecided", "bisected", "infinity", "frequency", "member"
-    }
+    assert outcomes == {"feasible", "undecided", "infinity", "frequency", "member"}
 
 
 def test_grid_raises_the_error_of_its_first_failing_pair(plant_stable, geometry_stable):
@@ -339,15 +334,14 @@ def test_grid_raises_the_error_of_its_first_failing_pair(plant_stable, geometry_
 
 
 def test_random_loops_are_all_decided():
-    # random stable plants, quadratic costs and PI gains in [0.1, 2], the
-    # range where no pair is left undecided (with gains down to 1e-2, 7 of
-    # 300 are: see CHANGES.md); every certificate passes the tests' own
-    # eigenvalue check, and every witness re-validates
+    # random stable plants, quadratic costs and PI gains log-uniform in
+    # [1e-2, 10]: no pair is left undecided, every certificate passes the
+    # tests' own eigenvalue check, and every witness re-validates
     rng = np.random.default_rng(5)
     statuses = []
     for _ in range(50):
         plant, geometry, obj = random_quadratic_instance(rng)
-        kp, ki = rng.uniform(0.1, 2.0, 2)
+        kp, ki = 10.0 ** rng.uniform(-2.0, 1.0, 2)
         pi = oc.DynamicStabilizer.pi(kp * np.eye(plant.m), ki * np.eye(plant.m), plant.p)
         cert = oc.verify_stability(plant, geometry, pi, obj.kappa, obj.lipschitz)
         statuses.append(cert.status)

@@ -24,13 +24,6 @@ def test_run_examples_quick_vc(tmp_path, capsys):
     assert (tmp_path / "example_vc_trace.csv").is_file()
 
 
-def test_random_validation_main(monkeypatch, capsys):
-    random_validation = load_script("random_validation")
-    monkeypatch.setattr("sys.argv", ["random_validation.py", "--trials", "3"])
-    random_validation.main()
-    assert "worst drift" in capsys.readouterr().out
-
-
 def test_traced_benchmark_names_exist():
     # the traced benchmark replaces ossctl functions under the names their
     # callers look up; installing it fails if one of those names is gone

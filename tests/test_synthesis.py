@@ -282,8 +282,8 @@ def test_synthesized_loop_decays_at_its_rate(synthesis_result):
 
 
 def _random_loop(rng, draw):
-    """One of the random synthesis loops: random_validation's plant, with A
-    shifted right by U(0.5, 2) on every odd draw, and the sector
+    """One of the random synthesis loops: random_quadratic_instance's plant,
+    with A shifted right by U(0.5, 2) on every odd draw, and the sector
     [kappa, kappa U(1.05, 11)] with kappa ~ U(0.1, 1)."""
     plant, geometry, _ = random_quadratic_instance(rng)
     if draw % 2:
