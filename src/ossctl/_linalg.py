@@ -34,7 +34,10 @@ def _kyp_hamiltonian(A: np.ndarray, B: np.ndarray, MM: np.ndarray) -> np.ndarray
     """Hamiltonian of the Riccati equation F'P + PF - P G P + Q~ = 0 of the
     KYP form (x, w)' MM (x, w) on x' = A x + B w, with MM = [Q S; S' R],
     F = A - B R^-1 S', G = B R^-1 B' and Q~ = Q - S R^-1 S'.  Broadcasts
-    over a leading axis of stacked forms."""
+    over a leading axis of stacked forms.  An input change of variables
+    w = K x + V w~, which makes the form T' MM T on x' = (A + B K) x + B V w~
+    with T = [[I, 0], [K, V]], leaves the Riccati equation and so the
+    Hamiltonian unchanged (Willems, IEEE TAC 1971)."""
     n = A.shape[-1]
     Q, S, R = MM[..., :n, :n], MM[..., :n, n:], MM[..., n:, n:]
     Ri = np.linalg.inv(R)
@@ -112,9 +115,11 @@ def _form_max(xi: np.ndarray, MM: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hinf_norm(A, B, C, D) -> float:
     """H-infinity norm of a state-space system, at most a relative 2e-6 above
-    it, by the level-set method (Bruinsma & Steinbuch, SCL 1990): the gain is
-    re-measured between the crossings of a level just above the largest gain
-    so far, until none exceeds it.  Returns inf if A is not Hurwitz."""
+    the larger of it and a floor of 1e-12 (a norm below the floor, a zero
+    channel's among them, reads 1.000002e-12), by the level-set method
+    (Bruinsma & Steinbuch, SCL 1990): the gain is re-measured between the
+    crossings of a level just above the largest gain so far, until none
+    exceeds it.  Returns inf if A is not Hurwitz."""
     A, D = np.atleast_2d(A), np.atleast_2d(D)
     poles = np.linalg.eigvals(A)
     if poles.size and poles.real.max() >= 0:

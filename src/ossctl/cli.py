@@ -128,7 +128,6 @@ def cmd_verify(scn: Scenario, out_dir: str, dt: float) -> int:
         "scenario": scn.name,
         "certified": cert.feasible,
         "status": cert.status,
-        "alpha": cert.alpha,
         "eig_S_max": cert.eig_S_max,
         "eig_P_min": cert.eig_P_min,
         "witness": witness,

@@ -17,28 +17,30 @@ decided in four steps with no iterative solver:
 
 1. omega = inf.  The w-w block of S is alpha times that of MM; if the latter
    is not negative definite, the pair is "infeasible".
-2. Shift to the lower sector edge.  w = kappa z + w~ is a congruence on
-   (x, w), so it keeps P and alpha.  The loop becomes
-   A_k = A + kappa B (I - kappa D)^-1 C, and the shifted form MM_k has an x-x
-   block of exactly 0, so S < 0 needs A_k'P + P A_k < 0.  If A_k is not
-   Hurwitz, the linear member w = kappa z destabilizes the loop and the pair
-   is "infeasible"; if it is, P > 0 follows from S < 0.
-3. Hamiltonian test.  The frequency form xi* MM_k xi, with
-   xi(w) = [(jwI - A_k)^-1 B_k; I], is negative at omega = inf and can only
-   turn nonnegative through a frequency where it is singular, which is an
-   imaginary-axis eigenvalue of the inequality's Riccati Hamiltonian.  The
-   unshifted form xi* MM xi, congruent to it at every omega > 0 that is not
-   a pole of A, is evaluated between consecutive crossings (at a crossing
-   itself its largest eigenvalue is 0); a positive eigenvalue there makes
-   the pair "infeasible".
-4. Riccati certificate.  Otherwise the unshifted form is raised to
-   MM + delta I, for delta = eps |lambda_max| of MM's w-w block and
-   eps = 1e-1, 1e-2, ..., 1e-8 in turn; its w-w block stays negative
-   definite.  The stabilizing solution of its Riccati equation, read off the
-   stable invariant subspace of its Hamiltonian (Laub, IEEE TAC 1979), makes
-   S(P, 1) <= -delta I.  The first P that passes the eigenvalue check on
-   the unshifted inequality makes the pair "feasible"; if none does, it is
-   "undecided".
+2. The lower sector edge.  The linear member w = kappa z closes the loop
+   A_k = A + kappa B (I - kappa D)^-1 C.  If A_k is not Hurwitz, it
+   destabilizes the loop and the pair is "infeasible".  If it is, P > 0
+   follows from S < 0: w = kappa z + w~ is a congruence on (x, w) that keeps
+   P and alpha and turns S into the inequality of the shifted loop (A_k, B_k)
+   with a form MM_k whose x-x block is exactly 0, so S < 0 needs
+   A_k'P + P A_k < 0.
+3. Hamiltonian test.  The shifted frequency form xi_k* MM_k xi_k, with
+   xi_k(w) = [(jwI - A_k)^-1 B_k; I], is negative at omega = inf and can
+   only turn nonnegative through a frequency where it is singular, which is
+   an imaginary-axis eigenvalue of the inequality's Riccati Hamiltonian.  An
+   input change of variables w = K x + V w~ leaves that Riccati equation,
+   and so its Hamiltonian, unchanged, so it is built from the loop's own
+   (A, B, MM).  The form xi* MM xi, congruent to the shifted one at every
+   omega > 0 that is not a pole of A, is evaluated between consecutive
+   crossings (at a crossing itself its largest eigenvalue is 0); a positive
+   eigenvalue there makes the pair "infeasible".
+4. Riccati certificate.  Otherwise the form is raised to MM + delta I, for
+   delta = eps |lambda_max| of MM's w-w block and eps = 1e-1, 1e-2, ...,
+   1e-8 in turn; its w-w block stays negative definite.  The stabilizing
+   solution of its Riccati equation, read off the stable invariant subspace
+   of its Hamiltonian (Laub, IEEE TAC 1979), makes S(P, 1) <= -delta I.
+   The first P that passes the eigenvalue check on the inequality makes the
+   pair "feasible"; if none does, it is "undecided".
 
 So "feasible" rests only on the eigenvalue check of S(P, 1) and P, and
 "infeasible" only on a witness the caller can re-evaluate: a frequency at
@@ -91,7 +93,6 @@ _RICCATI_SHIFTS = 10.0 ** -np.arange(1.0, 9.0)
 @dataclass(frozen=True)
 class LmiCertificate:
     P: np.ndarray
-    alpha: float
     eig_S_max: float
     eig_P_min: float
     status: str
@@ -140,7 +141,7 @@ def verify_stability(
 
     Statuses: "feasible" (a certificate validated by eigenvalue checks on
     the actual matrices), "infeasible" (a frequency or member witness rules
-    out every (P, alpha); P and alpha are reported as 0), "undecided" (no
+    out every (P, alpha); P is reported as 0), "undecided" (no
     witness, and no Riccati candidate passed the check).
     """
     loop = closed_loop(plant, geometry, controller)
@@ -163,7 +164,7 @@ def _decide(loops, kappa: float, lipschitz: float) -> list[LmiCertificate]:
 
     def rule_out(i, kind, at, value):
         certs[i] = LmiCertificate(
-            np.zeros((nm, nm)), 0.0, 0.0, 0.0, "infeasible", (kind, float(at), float(value))
+            np.zeros((nm, nm)), 0.0, 0.0, "infeasible", (kind, float(at), float(value))
         )
 
     # 1. omega = inf
@@ -173,52 +174,44 @@ def _decide(loops, kappa: float, lipschitz: float) -> list[LmiCertificate]:
         rule_out(i, "frequency", np.inf, ww[i])
     live = np.flatnonzero(live)
 
-    # 2. the loop shifted to its lower sector edge; I - kappa D is invertible
-    # here, since on w = kappa z the form is 0, and MM's w-w block is < 0
-    Al, Bl, Cl = A[live], B[live], C[live]
+    # 2. the linear member w = kappa z; I - kappa D is invertible here,
+    # since on w = kappa z the form is 0, and MM's w-w block is < 0
     W = np.linalg.inv(np.eye(pm) - kappa * D[live])
-    above = np.broadcast_to(np.hstack([np.eye(nm), np.zeros((nm, pm))]), (live.size, nm, nm + pm))
-    T = np.concatenate([above, np.concatenate([kappa * W @ Cl, W], axis=-1)], axis=-2)
-    Ak, Bk = Al + kappa * Bl @ W @ Cl, Bl @ W
-    MMk = _t(T) @ MM[live] @ T
-    MMk = 0.5 * (MMk + _t(MMk))
-    growth = np.linalg.eigvals(Ak).real.max(axis=-1)
+    growth = np.linalg.eigvals(A[live] + kappa * B[live] @ W @ C[live]).real.max(axis=-1)
     for j in np.flatnonzero(growth >= 0):
         rule_out(live[j], "member", kappa, growth[j])
-    keep = np.flatnonzero(~(growth >= 0))
+    keep = live[~(growth >= 0)]
 
     # 3. crossings of the frequency form: imaginary-axis eigenvalues of the
     # Hamiltonian of its Riccati equation
-    H = _kyp_hamiltonian(Ak[keep], Bk[keep], MMk[keep])
-    ev = np.linalg.eigvals(H)
+    ev = np.linalg.eigvals(_kyp_hamiltonian(A[keep], B[keep], MM[keep]))
     crossed = np.zeros(keep.size, dtype=bool)
     for j in np.flatnonzero(_on_axis(ev).any(axis=-1)):
         omegas = _crossing_midpoints(ev[j])
-        if omegas.size:  # the witness is evaluated on the loop itself
-            i = live[keep[j]]
+        if omegas.size:
+            i = keep[j]
             lam, scale = _form_max(_xi(A[i], B[i], omegas), MM[i])
             hits = np.flatnonzero(lam > _WITNESS_RTOL * scale)
             if hits.size:
                 h = hits[np.argmax(lam[hits])]
                 rule_out(i, "frequency", omegas[h], lam[h])
                 crossed[j] = True
-    rest = keep[~crossed]
-    idx = live[rest]
-    Ak, Bk, MMk, T = Ak[rest], Bk[rest], MMk[rest], T[rest]
-    del zw, Al, Bl, Cl, W, H, ev  # freed before step 4's peak
+    idx = keep[~crossed]
+    del zw, W, ev  # freed before step 4's peak
 
-    # 4. Riccati candidates: MM + delta I is MM_k + delta T'T in step 2's
-    # coordinates.  The stabilizing solution P = U2 U1^-1 of its Riccati
-    # equation, from the stable invariant subspace [U1; U2] of its
-    # Hamiltonian, zeroes the Schur complement of S(P, 1) + delta I, whose
-    # w-w block is < 0; each P is checked on the unshifted inequality
-    N2, MMr = np.concatenate([A[idx], B[idx]], axis=-1), MM[idx]
-    TtT = -ww[idx][:, None, None] * (_t(T) @ T)
+    # 4. Riccati candidates.  The stabilizing solution P = U2 U1^-1 of the
+    # Riccati equation of MM + delta I, from the stable invariant subspace
+    # [U1; U2] of its Hamiltonian, zeroes the Schur complement of
+    # S(P, 1) + delta I, whose w-w block is < 0; each P is checked on the
+    # inequality itself
+    Ar, Br, MMr = A[idx], B[idx], MM[idx]
+    N2 = np.concatenate([Ar, Br], axis=-1)
+    shift = -ww[idx][:, None, None] * np.eye(nm + pm)  # delta I at eps = 1
     js = np.arange(idx.size)
     for eps in _RICCATI_SHIFTS:
         if not js.size:
             break
-        H = _kyp_hamiltonian(Ak[js], Bk[js], MMk[js] + eps * TtT[js])
+        H = _kyp_hamiltonian(Ar[js], Br[js], MMr[js] + eps * shift[js])
         P, has_P = _stabilizing_solutions(H)
         ok = np.flatnonzero(has_P)
         P = P[ok]
@@ -233,11 +226,11 @@ def _decide(loops, kappa: float, lipschitz: float) -> list[LmiCertificate]:
             if S_ok and eig_P[o] > 1e-10 * max(np.linalg.norm(P[o]), 1e-30):
                 passed[j] = True
                 certs[idx[js[j]]] = LmiCertificate(
-                    P[o], 1.0, float(eig_S[o]), float(eig_P[o]), "feasible"
+                    P[o], float(eig_S[o]), float(eig_P[o]), "feasible"
                 )
         js = js[~passed]
     return [
-        LmiCertificate(np.zeros((nm, nm)), 0.0, 0.0, 0.0, "undecided") if c is None else c
+        LmiCertificate(np.zeros((nm, nm)), 0.0, 0.0, "undecided") if c is None else c
         for c in certs
     ]
 

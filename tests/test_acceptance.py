@@ -64,7 +64,7 @@ def test_criterion_2_certification_sweep(plant_stable, geometry_stable):
                 plant_stable, geometry_stable, scalar_pi(kp, ki),
                 1.0 / 9.0, 1.0,
             )
-            S = S_of(cert.P, cert.alpha)
+            S = S_of(cert.P, 1.0)
             assert np.linalg.eigvalsh(0.5 * (S + S.T)).max() < 0
         else:
             assert cert.status == "infeasible", (kp, ki)

@@ -75,7 +75,7 @@ PARAMETERS = {
 # of them changes what callers read, so it must be changed here too.
 FIELDS = {
     "SynthesisResult": ["stabilizer", "gamma", "rate", "hinf_achieved"],
-    "LmiCertificate": ["P", "alpha", "eig_S_max", "eig_P_min", "status", "witness"],
+    "LmiCertificate": ["P", "eig_S_max", "eig_P_min", "status", "witness"],
     "OptimizerResult": [
         "x_star", "y_star", "u_star", "objective_value", "kkt_feas", "kkt_grad",
         "iterations",

@@ -114,10 +114,16 @@ def test_analyze_records_an_oracle_error_segment(tmp_path):
     assert "y_star" in first and "y_star" in third
 
 
+CERTIFICATE_KEYS = [
+    "P", "certified", "eig_P_min", "eig_S_max", "scenario", "status", "witness",
+]
+
+
 def test_verify_va_certifies(tmp_path):
     code = run(["verify", "--scenario", bundled("example_va.json"), "--out", str(tmp_path)])
     assert code == EXIT_OK
     cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert sorted(cert) == CERTIFICATE_KEYS
     assert cert["certified"] is True
     assert cert["eig_S_max"] < 0
     assert cert["witness"] is None
@@ -162,7 +168,9 @@ def test_certificate_json_is_strict_at_infinite_frequency(tmp_path):
     code = run(["verify", "--scenario", bundled("example_vb.json"), "--out", str(tmp_path)])
     assert code == EXIT_CERTIFICATION
     text = (tmp_path / "certificate.json").read_text()
-    witness = json.loads(text, parse_constant=_reject_constant)["witness"]
+    cert = json.loads(text, parse_constant=_reject_constant)
+    assert sorted(cert) == CERTIFICATE_KEYS
+    witness = cert["witness"]
     assert witness["kind"] == "frequency"
     assert witness["omega"] == "inf"
     assert witness["lambda"] > 0

@@ -49,6 +49,14 @@ def test_mimo_with_feedthrough_bounds_a_frequency_grid():
     assert value <= fine.max() * (1 + RTOL)
 
 
+@pytest.mark.parametrize("scale", [0.0, 2e-14])
+def test_norm_below_the_floor_reads_the_floor(scale):
+    # the first level is 1e-12 (1 + 2e-6) at the least: a zero channel and a
+    # system of norm 2e-14 report it
+    value = hinf_norm(np.array([[-1.0]]), np.array([[1.0]]), np.array([[scale]]), np.zeros((1, 1)))
+    assert value == 1e-12 * (1.0 + 2e-6)
+
+
 @pytest.mark.parametrize("growth", [0.0, 0.5])
 def test_unstable_system_has_infinite_norm(growth):
     A = np.diag([-1.0, growth])
@@ -96,3 +104,25 @@ def test_a_singular_subspace_fails_only_its_own_hamiltonian():
     assert ok.all()
     assert np.array_equal(P[0], _stabilizing_solution(spiral))
     assert np.array_equal(P[1], _stabilizing_solution(real2))
+
+
+def test_kyp_hamiltonian_is_invariant_under_an_input_change_of_variables():
+    # w = K x + V w~ turns the form (x, w)' MM (x, w) on x' = A x + B w into
+    # T' MM T on x' = (A + B K) x + B V w~, T = [[I, 0], [K, V]]; the Riccati
+    # equation, and so its Hamiltonian, is the same (the sector LMI's steps 3
+    # and 4 read the loop's own form for the one shifted to its lower edge)
+    from ossctl._linalg import _kyp_hamiltonian, _t
+
+    rng, k = np.random.default_rng(3), 20
+    for n, m in [(1, 1), (3, 1), (4, 2), (6, 3)]:
+        A, B = rng.normal(size=(k, n, n)), rng.normal(size=(k, n, m))
+        G = rng.normal(size=(k, n + m, n + m))
+        MM = G + _t(G)
+        R = rng.normal(size=(k, m, m))
+        MM[:, n:, n:] = -(R @ _t(R)) - 0.1 * np.eye(m)
+        K, V = rng.normal(size=(k, m, n)), rng.normal(size=(k, m, m)) + 2.0 * np.eye(m)
+        T = np.block([[np.broadcast_to(np.eye(n), (k, n, n)), np.zeros((k, n, m))], [K, V]])
+        H = _kyp_hamiltonian(A, B, MM)
+        H_shifted = _kyp_hamiltonian(A + B @ K, B @ V, _t(T) @ MM @ T)
+        err = np.linalg.norm(H_shifted - H, axis=(-2, -1))
+        assert (err <= 1e-11 * np.linalg.norm(H, axis=(-2, -1))).all(), err.max()

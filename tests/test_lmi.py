@@ -118,7 +118,6 @@ def test_verify_certifies_example_gain(plant_stable, geometry_stable):
     # certificate re-validates by eigenvalue check
     assert cert.eig_S_max < 0
     assert cert.eig_P_min > 0
-    assert cert.alpha >= 0
 
 
 def test_certificate_eigenvalue_revalidation(plant_stable, geometry_stable):
@@ -126,7 +125,7 @@ def test_certificate_eigenvalue_revalidation(plant_stable, geometry_stable):
     cert = oc.verify_stability(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
     assert cert.feasible
     _, _, _, S_of = sector_lmi(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
-    S = S_of(cert.P, cert.alpha)
+    S = S_of(cert.P, 1.0)
     S = 0.5 * (S + S.T)
     assert np.linalg.eigvalsh(S).max() < 0
     assert np.linalg.eigvalsh(cert.P).min() > 0
@@ -236,7 +235,7 @@ def test_slow_loops_are_certified(plant_stable, geometry_stable, kp, ki):
     cert = oc.verify_stability(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
     assert cert.status == "feasible"
     _, _, _, S_of = sector_lmi(plant_stable, geometry_stable, pi, KAPPA_A, L_A)
-    S = S_of(cert.P, cert.alpha)
+    S = S_of(cert.P, 1.0)
     assert np.linalg.eigvalsh(0.5 * (S + S.T)).max() < -1e-8 * np.linalg.norm(S)
     assert np.linalg.eigvalsh(cert.P).min() > 0
 
@@ -290,8 +289,8 @@ def test_grid_decides_each_pair_as_it_alone(monkeypatch, plant_stable, geometry_
             pi = oc.DynamicStabilizer.pi(r["k_P"] * I, r["k_I"] * I, plant.p)
             alone = oc.verify_stability(plant, geometry, pi, kappa, lipschitz)
             assert (r["status"], r["margin"]) == (alone.status, -alone.eig_S_max)
-            assert (cert.status, cert.eig_S_max, cert.eig_P_min, cert.alpha) == (
-                alone.status, alone.eig_S_max, alone.eig_P_min, alone.alpha
+            assert (cert.status, cert.eig_S_max, cert.eig_P_min) == (
+                alone.status, alone.eig_S_max, alone.eig_P_min
             )
             assert cert.witness == alone.witness
             assert np.array_equal(cert.P, alone.P)
@@ -347,7 +346,7 @@ def test_random_loops_are_all_decided():
         statuses.append(cert.status)
         if cert.feasible:
             _, _, _, S_of = sector_lmi(plant, geometry, pi, obj.kappa, obj.lipschitz)
-            S = S_of(cert.P, cert.alpha)
+            S = S_of(cert.P, 1.0)
             assert np.linalg.eigvalsh(0.5 * (S + S.T)).max() < 0
             assert np.linalg.eigvalsh(cert.P).min() > 0
         else:
