@@ -2,14 +2,16 @@
 
 Fixed-step classical Runge-Kutta on one loop, built once per call: the
 loop the controller closes on the plant (synthesis.closed_loop), with the
-state s = (x, eta, x_s).  In general each stage evaluates that loop with
-controller.stabilizer_dynamics, which re-solves the implicit input equation.
-For quadratic costs the loop is affine, and the RK4 step
-reduces to one affine map s+ = Phi s + psi.  Each segment then advances in
-blocks of J = _BLOCK steps: the stacked powers Phi^1..Phi^J and their offsets
-give a whole block of rows from its first state in one matrix product, with
-one divergence test per block.  This is the same RK4 discretization, so the
-trace agrees with stepping the map one row at a time to rounding.
+state s = (x, eta, x_s).  In general the loop's stage evaluator
+(controller._loop_dynamics; controller.stabilizer_dynamics is that
+evaluator applied once) is built once per run, and each stage calls it to
+re-solve the implicit input equation.  For quadratic costs the loop is
+affine, and the RK4 step reduces to one affine map s+ = Phi s + psi.  Each
+segment then advances in blocks of J = _BLOCK steps: the stacked powers
+Phi^1..Phi^J and their offsets give a whole block of rows from its first
+state in one matrix product, with one divergence test per block.  This is
+the same RK4 discretization, so the trace agrees with stepping the map one
+row at a time to rounding.
 
 Trace.to_csv formats chunks of _CSV_ROWS rows with _trace_csv.csv_bytes
 (digits from integer tables where float64 proves them correctly rounded,
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._trace_csv import csv_bytes
-from .controller import stabilizer_dynamics
+from .controller import _loop_dynamics, stabilizer_dynamics
 from .errors import AlgebraicLoopError, DivergenceError, SimulationError
 from .kkt import KktGeometry
 from .objective import SteadyStateObjective
@@ -45,8 +47,9 @@ _NORM_ROWS = 4096
 #: a state whose norm exceeds this (or is not finite) has diverged
 _DIVERGENCE_NORM = 1e9
 
-# nothing here calls this name: only perfbench/tracing.py looks it up, and
-# it goes when the benchmark traces stabilizer_dynamics (ROADMAP item 5)
+# nothing here calls stabilizer_dynamics or this alias: only
+# perfbench/tracing.py looks them up, and pi_dynamics goes when the benchmark
+# traces the stage evaluator (ROADMAP item 1)
 pi_dynamics = stabilizer_dynamics
 
 
@@ -288,6 +291,7 @@ def simulate(
     if affine:
         F, c0, M, m0 = _affine_closed_loop(loop, geometry, objective)
     else:
+        dynamics = _loop_dynamics(loop, objective)
         u_rec = np.empty((t_arr.size, m))
         e_rec = np.empty((t_arr.size, m))
 
@@ -304,16 +308,16 @@ def simulate(
         for _ in range(n_steps):
             # the first stage is evaluated at the stored state, so its u and
             # e (the eta rows of the derivative) are that row's
-            k1, u = stabilizer_dynamics(loop, objective, s, drift, u)
+            k1, u = dynamics(s, drift, u)
             u_rec[row], e_rec[row] = u, k1[n : n + m]
-            k2, u = stabilizer_dynamics(loop, objective, s + half * k1, drift, u)
-            k3, u = stabilizer_dynamics(loop, objective, s + half * k2, drift, u)
-            k4, u = stabilizer_dynamics(loop, objective, s + h * k3, drift, u)
+            k2, u = dynamics(s + half * k1, drift, u)
+            k3, u = dynamics(s + half * k2, drift, u)
+            k4, u = dynamics(s + h * k3, drift, u)
             s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             row += 1
             # np.linalg.norm of a real vector, to the bit; also catches inf
             # and nan
-            if not math.sqrt(s @ s) <= _DIVERGENCE_NORM:
+            if not math.sqrt(s.dot(s)) <= _DIVERGENCE_NORM:
                 raise DivergenceError(f"state diverged at t = {t_arr[row]:.6g}")
             hist[row] = s
 
@@ -321,7 +325,7 @@ def simulate(
         ue = hist @ M.T + m0
         u_rec, e_rec = ue[:, :m], ue[:, m:]
     else:
-        k1, u_rec[-1] = stabilizer_dynamics(loop, objective, s, drift, u)
+        k1, u_rec[-1] = dynamics(s, drift, u)
         e_rec[-1] = k1[n : n + m]
 
     x_arr = hist[:, :n]

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import ossctl as oc
 from ossctl._trace_csv import csv_bytes
+from ossctl.scenario import load_scenario
 from ossctl.sim import (
     _CSV_ROWS,
     _DIVERGENCE_NORM,
@@ -18,8 +21,9 @@ from ossctl.sim import (
     Trace,
     _affine_closed_loop,
     _rk4_one_step_maps,
+    _segment_steps,
 )
-from tests.conftest import D_SEGMENTS, scalar_pi
+from tests.conftest import A_STABLE, C_ROWS, D_SEGMENTS, scalar_pi
 
 
 def _written_out(plant, geometry, obj, stab, s, d, u):
@@ -188,6 +192,142 @@ def test_recorded_input_satisfies_pi_law_cosh(
     )
     e = -grad @ geometry_stable.R
     assert np.all(np.abs(trace.e - e) <= 1e-9 * (1.0 + np.abs(e)))
+
+
+def _example_vb():
+    return load_scenario(
+        str(resources.files("ossctl").joinpath("scenarios/example_vb.json"))
+    )
+
+
+def _two_input_cosh_objective():
+    """g = cosh(y1/2) + cosh(y2/3) + u1^2 + u2^2 + u1 u2 / 2 + cosh(u1 - u2) / 4
+    on p = 2 outputs and m = 2 inputs: strongly convex, with a gradient
+    nonlinear in u, so the several-input solve takes Newton steps."""
+
+    def value(y, u):
+        return (
+            math.cosh(y[0] / 2.0) + math.cosh(y[1] / 3.0)
+            + u[0] ** 2 + u[1] ** 2 + 0.5 * u[0] * u[1]
+            + 0.25 * math.cosh(u[0] - u[1])
+        )
+
+    def gradient(y, u):
+        c = 0.25 * math.sinh(u[0] - u[1])
+        return np.array(
+            [
+                0.5 * math.sinh(y[0] / 2.0),
+                math.sinh(y[1] / 3.0) / 3.0,
+                2.0 * u[0] + 0.5 * u[1] + c,
+                2.0 * u[1] + 0.5 * u[0] - c,
+            ]
+        )
+
+    def hessian(y, u):
+        c = 0.25 * math.cosh(u[0] - u[1])
+        h = np.zeros((4, 4))
+        h[0, 0] = math.cosh(y[0] / 2.0) / 4.0
+        h[1, 1] = math.cosh(y[1] / 3.0) / 9.0
+        h[2:, 2:] = [[2.0 + c, 0.5 - c], [0.5 - c, 2.0 + c]]
+        return h
+
+    return oc.SteadyStateObjective(
+        value=value, gradient=gradient, hessian=hessian, p=2, m=2,
+        kappa=1.0 / 9.0, lipschitz=np.inf,
+    )
+
+
+def _rk4_by_stabilizer_dynamics(plant, geometry, objective, controller, schedule, t_final, dt):
+    """(states, u, e) rows of classical RK4 on oc.closed_loop with
+    oc.stabilizer_dynamics at each of the four stages, each stage's solve
+    starting from the previous stage's u, and one more evaluation at the
+    final state: the loop simulate runs, from s = 0."""
+    loop = oc.closed_loop(plant, geometry, controller)
+    n, m = plant.n, plant.m
+    s = np.zeros(loop[0].shape[0])
+    states, us, es = [s], [], []
+    u = None
+    for t0, t1, d in schedule.segments(t_final):
+        n_steps, h = _segment_steps(t0, t1, dt)
+        half = 0.5 * h
+        drift = np.concatenate([d, np.zeros(s.size - n)])
+        for _ in range(n_steps):
+            k1, u = oc.stabilizer_dynamics(loop, objective, s, drift, u)
+            us.append(u)
+            es.append(k1[n : n + m])
+            k2, u = oc.stabilizer_dynamics(loop, objective, s + half * k1, drift, u)
+            k3, u = oc.stabilizer_dynamics(loop, objective, s + half * k2, drift, u)
+            k4, u = oc.stabilizer_dynamics(loop, objective, s + h * k3, drift, u)
+            s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states.append(s)
+    k1, u = oc.stabilizer_dynamics(loop, objective, s, drift, u)
+    us.append(u)
+    es.append(k1[n : n + m])
+    return np.array(states), np.array(us), np.array(es)
+
+
+@pytest.mark.parametrize("case", ["example_vb", "filtered", "two_inputs"])
+def test_simulate_is_the_rk4_of_stabilizer_dynamics(
+    case, plant_stable, geometry_stable, cosh_obj
+):
+    # simulate evaluates the nonlinear loop through an evaluator it builds
+    # once; every row it records is, to the bit, the one RK4 gives with
+    # stabilizer_dynamics called afresh at each stage.  Each case spans a
+    # disturbance switch
+    values = D_SEGMENTS[:2].tolist()
+    if case == "example_vb":
+        scn = _example_vb()
+        plant, objective, controller = scn.plant, scn.objective, scn.controller
+        values = scn.schedule.values[:2]
+    elif case == "filtered":
+        plant, objective = plant_stable, cosh_obj
+        controller = _filtered_pi(2.0, 2.0)
+    else:
+        B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        plant = oc.LtiPlant(A=A_STABLE, B=B, C=C_ROWS)
+        objective = _two_input_cosh_objective()
+        controller = oc.DynamicStabilizer.pi(2.0 * np.eye(2), 2.0 * np.eye(2), 2)
+    geometry = oc.build_kkt_geometry(plant)
+    sched = DisturbanceSchedule(times=[0.0, 0.15], values=values)
+    trace = oc.simulate(plant, geometry, objective, controller, sched, 0.3, dt=1e-3)
+    states, u, e = _rk4_by_stabilizer_dynamics(
+        plant, geometry, objective, controller, sched, 0.3, 1e-3
+    )
+    n, m = plant.n, plant.m
+    assert trace.t.size == states.shape[0] == 301
+    assert states.shape[1] == n + m + controller.order
+    assert np.array_equal(trace.x, states[:, :n])
+    assert np.array_equal(trace.eta, states[:, n : n + m])
+    assert np.array_equal(trace.x_s, states[:, n + m :])
+    assert np.array_equal(trace.u, u)
+    assert np.array_equal(trace.e, e)
+
+
+def test_newton_work_on_example_vb_is_pinned():
+    # the number of cost evaluations on a short example_vb run: 1,201 RK4
+    # stages (300 steps and the final row) and the two segments' oracle
+    # solves.  Building the stage evaluator once saves bookkeeping, not
+    # solves: these are the counts the per-stage evaluation made
+    scn = _example_vb()
+    calls = {"gradient": 0, "hessian": 0}
+
+    def counted(name):
+        fn = getattr(scn.objective, name)
+
+        def wrapper(y, u):
+            calls[name] += 1
+            return fn(y, u)
+
+        return wrapper
+
+    objective = dataclasses.replace(
+        scn.objective, gradient=counted("gradient"), hessian=counted("hessian")
+    )
+    sched = DisturbanceSchedule(times=[0.0, 0.15], values=scn.schedule.values[:2])
+    geometry = oc.build_kkt_geometry(scn.plant)
+    trace = oc.simulate(scn.plant, geometry, objective, scn.controller, sched, 0.3, dt=1e-3)
+    assert trace.t.size == 301
+    assert calls == {"gradient": 2413, "hessian": 1206}
 
 
 def test_segment_boundaries_on_step_grid(plant_stable, geometry_stable, quadratic_obj):
