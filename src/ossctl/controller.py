@@ -178,18 +178,6 @@ def _input_solver(D_u: np.ndarray, objective: SteadyStateObjective):
     return solve
 
 
-def _solve_implicit_input(
-    D_u: np.ndarray,
-    offset: float | np.ndarray,
-    objective: SteadyStateObjective,
-    y: np.ndarray,
-    u0: float | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(u, grad_g(y, u)) with u solving u = offset + D_u grad_g(y, u), from
-    u0: the one solve of _input_solver(D_u, objective)."""
-    return _input_solver(D_u, objective)(offset, y, u0)
-
-
 def _loop_dynamics(loop: tuple, objective: SteadyStateObjective):
     """dynamics(s, drift, u_prev=None) -> (s_dot, u), stabilizer_dynamics on
     one loop and cost: the loop's matrices, its input rows and the input

@@ -76,12 +76,7 @@ from .controller import DynamicStabilizer
 from .errors import LmiError
 from .kkt import KktGeometry
 from .plant import LtiPlant
-from .synthesis import (  # noqa: F401  (solve_feasibility: see synthesis)
-    closed_loop,
-    closed_loop_system,
-    open_loop,
-    solve_feasibility,
-)
+from .synthesis import closed_loop, solve_feasibility  # noqa: F401  (see synthesis)
 
 # a frequency witness's eigenvalue must exceed this fraction of ||xi* MM xi||_F
 _WITNESS_RTOL = 1e-8
@@ -247,7 +242,7 @@ def gain_grid_search(
     loop.  Each row is one line of tune.csv: k_P, k_I, certified, status and
     margin = -eig_S_max of the pair's verify_stability.
 
-    The grid is decided as one stack: closed_loop_system closes the stacked
+    The grid is decided as one stack: closed_loop closes the stacked
     PI laws D_s = [0, K_I, K_P] on the plant at once, and _decide gives each
     pair the decision verify_stability gives it alone."""
     gains = np.array(list(itertools.product(kp_values, ki_values)), dtype=float).reshape(-1, 2)
@@ -264,12 +259,12 @@ def gain_grid_search(
     certs = []
     if stop:
         laws = SimpleNamespace(
-            A_s=np.zeros((0, 0)),
-            B_s=np.zeros((0, p + 2 * m)),
-            C_s=np.zeros((m, 0)),
+            A_s=np.zeros((stop, 0, 0)),
+            B_s=np.zeros((stop, 0, p + 2 * m)),
+            C_s=np.zeros((stop, m, 0)),
             D_s=D_s[:stop],
         )
-        certs = _decide(closed_loop_system(open_loop(plant, geometry), laws), kappa, lipschitz)
+        certs = _decide(closed_loop(plant, geometry, laws), kappa, lipschitz)
     if bad.size:
         DynamicStabilizer.pi(K_P[stop], K_I[stop], p)
     return [

@@ -10,7 +10,9 @@ the transformed channel below 0.99 is the central H-infinity controller of
 two Riccati equations (Doyle, Glover, Khargonekar & Francis, IEEE TAC
 1989), on the plant regularized by eps = 1e-2 and with A shifted to
 A + rho I; gain below one certifies the nonlinear loop by small gain, and
-the shifted loop's gain below one certifies its decay at rate rho.
+the shifted loop's gain below one certifies its decay at rate rho.  Both
+gains are re-checked on closed_loop, the loop simulate runs, shifted by
+w = c z + r w_tilde.
 """
 
 from dataclasses import dataclass, replace
@@ -72,7 +74,7 @@ def open_loop(plant: LtiPlant, geometry: KktGeometry) -> AugmentedPlant:
     """The generalized plant of the loop before any sector shift: inputs
     w = grad_g and u, outputs z = (y, u) and sigma = (y, eta, e) with
     e = -R' w, state (x, eta).  Every closed loop is this plant closed by a
-    stabilizer (closed_loop_system)."""
+    stabilizer (closed_loop)."""
     n, m, p = plant.n, plant.m, plant.p
     RT = geometry.R.T
     ng = n + m
@@ -125,18 +127,19 @@ def loop_transform(
 
 
 def _central_controller(aug: AugmentedPlant, rho: float) -> DynamicStabilizer | None:
-    """The central controller holding gain 0.99 on aug with A shifted to
-    A + rho I, written for aug itself, or None where the Riccati conditions
-    fail (Zhou, Doyle & Glover, Robust and Optimal Control, 1996, the form
-    with D12'C1 != 0 and B1 D21' != 0).
+    """The stabilizer that runs: the central controller holding gain 0.99
+    on aug with A shifted to A + rho I, written for aug itself, or None
+    where the Riccati conditions fail (Zhou, Doyle & Glover, Robust and
+    Optimal Control, 1996, the form with D12'C1 != 0 and B1 D21' != 0).
 
     D21 has rank at most m, so the plant is regularized by _EPS: noise on
     every state and measurement, and the state as a further output.  aug's
     channel is a sub-block of the regularized one, so it keeps the bound.
     After D21 D21' = I is normalized by a Cholesky factor, X and Y solve
     the two Riccati equations, and X, Y >= 0 with rho(XY) < gamma^2 gives
-    the controller.  It is strictly proper and fed sigma0 = sigma - D22 u,
-    the measurement without its feedthrough."""
+    the controller.  It is strictly proper and designed for sigma0 =
+    sigma - D22 u, the measurement without its feedthrough; fed sigma itself,
+    as closed_loop feeds it, its A_s carries - B_s D22 C_s more."""
     n = aug.A.shape[0]
     ny, nu = aug.D21.shape[0], aug.D12.shape[1]
     g2 = _GAMMA * _GAMMA
@@ -176,9 +179,10 @@ def _central_controller(aug: AugmentedPlant, rho: float) -> DynamicStabilizer | 
     ZL = np.linalg.solve(np.eye(n) - Y @ X / g2, L)
     # designed for A + rho I; the controller of aug has A_s shifted back
     A_s = aug.A + B1 @ B1.T @ X / g2 + B2 @ F + ZL @ (C2 + D21 @ B1.T @ X / g2)
+    B_s = -ZL @ Sy
     return DynamicStabilizer(
-        A_s=A_s,
-        B_s=-ZL @ Sy,
+        A_s=A_s - B_s @ aug.D22 @ F,
+        B_s=B_s,
         C_s=F,
         D_s=np.zeros((nu, ny)),
         p=aug.p,
@@ -186,42 +190,25 @@ def _central_controller(aug: AugmentedPlant, rho: float) -> DynamicStabilizer | 
     )
 
 
-def closed_loop_system(aug: AugmentedPlant, stab):
-    """(A, B, C, D) of the w -> z channel of aug with the stabilizer in
-    feedback on sigma = C2 x + D21 w + D22 u, on the state (aug's state,
-    x_s).  D22 is zero on open_loop; on a loop_transform plant it is the
-    sector shift's path from u through e.  stab is a DynamicStabilizer, or
-    any object with its four matrices stacked along a leading axis, which
-    the loops then carry too (lmi.gain_grid_search closes a grid that way).
-    With T = (I - D_s D22)^-1 the controller fed sigma is (A_s + B_s D22 T
-    C_s, B_s (I + D22 T D_s), T C_s, T D_s), ill-posed where I - D_s D22 has
-    s_min <= 1e-12 (1 + s_max) (its cond is 1 at m = 1)."""
-    D22 = aug.D22
-    well = np.eye(D22.shape[-1]) - stab.D_s @ D22
-    s = np.linalg.svd(well, compute_uv=False)
-    if (s[..., -1] <= 1e-12 * (1.0 + s[..., 0])).any():
-        raise SynthesisError("controller/measurement feedthrough loop ill-posed")
-    T = np.linalg.inv(well)
-    C_s, D_s = T @ stab.C_s, T @ stab.D_s
-    A_s = stab.A_s + stab.B_s @ D22 @ C_s
-    B_s = stab.B_s @ (np.eye(D22.shape[0]) + D22 @ D_s)
+def closed_loop(plant: LtiPlant, geometry: KktGeometry, controller: DynamicStabilizer):
+    """(A, B, C, D) of the loop the controller closes on the plant: input
+    w = grad_g, output z = (y, u), state (x, eta, x_s).  The controller is
+    fed open_loop's sigma = C2 x + D21 w, which has no path from u.  It is a
+    DynamicStabilizer, or any object with its four matrices stacked along a
+    leading axis, which the loops then carry too (lmi.gain_grid_search
+    closes a grid that way)."""
+    o = open_loop(plant, geometry)
+    A_s, B_s, C_s, D_s = controller.A_s, controller.B_s, controller.C_s, controller.D_s
     Acl = np.concatenate(
         [
-            np.concatenate([aug.A + aug.B2 @ D_s @ aug.C2, aug.B2 @ C_s], axis=-1),
-            np.concatenate([B_s @ aug.C2, A_s], axis=-1),
+            np.concatenate([o.A + o.B2 @ D_s @ o.C2, o.B2 @ C_s], axis=-1),
+            np.concatenate([B_s @ o.C2, A_s], axis=-1),
         ],
         axis=-2,
     )
-    Bcl = np.concatenate([aug.B1 + aug.B2 @ D_s @ aug.D21, B_s @ aug.D21], axis=-2)
-    Ccl = np.concatenate([aug.C1 + aug.D12 @ D_s @ aug.C2, aug.D12 @ C_s], axis=-1)
-    Dcl = aug.D12 @ D_s @ aug.D21
-    return Acl, Bcl, Ccl, Dcl
-
-
-def closed_loop(plant: LtiPlant, geometry: KktGeometry, controller: DynamicStabilizer):
-    """(A, B, C, D) of the loop the controller closes on the plant: input
-    w = grad_g, output z = (y, u), state (x, eta, x_s)."""
-    return closed_loop_system(open_loop(plant, geometry), controller)
+    Bcl = np.concatenate([o.B1 + o.B2 @ D_s @ o.D21, B_s @ o.D21], axis=-2)
+    Ccl = np.concatenate([o.C1 + o.D12 @ D_s @ o.C2, o.D12 @ C_s], axis=-1)
+    return Acl, Bcl, Ccl, o.D12 @ D_s @ o.D21
 
 
 def synthesize_stabilizer(
@@ -235,10 +222,11 @@ def synthesize_stabilizer(
 
     The shifts rho of _RATES are tried from the largest down; the controller
     is designed one rung below the first that passes, off the edge where its
-    gains blow up.  It is re-validated independently: the closed loop must be
-    Hurwitz, its actual H-infinity norm must not exceed gamma, and so must
-    that of the loop with A shifted by rho, which certifies decay at rate
-    rho by small gain.
+    gains blow up.  It is re-validated independently on the loop simulate
+    runs and verify decides, closed_loop, shifted by w = c z + r w_tilde
+    (D = 0, as D_s = 0): that loop must be Hurwitz, its actual H-infinity
+    norm must not exceed gamma, and so must that of the loop with A shifted
+    by rho, which certifies decay at rate rho by small gain.
     """
     aug = loop_transform(plant, geometry, kappa, lipschitz)
     for i, rate in enumerate(_RATES):
@@ -250,17 +238,15 @@ def synthesize_stabilizer(
             "Riccati conditions fail at every decay-rate shift down to 0"
         )
     rate = _RATES[min(i + 1, len(_RATES) - 1)]
-    designed = _central_controller(aug, rate)
-    if designed is None:
+    stab = _central_controller(aug, rate)
+    if stab is None:
         raise SynthesisError(
             f"no controller found at gamma = {_GAMMA:g} and rate {rate:g}, "
             "one rung below a shift that passed"
         )
-    # the design is fed sigma - D22 u; the stabilizer that runs is fed
-    # sigma, and closing it on aug (which reads D22) gives the loop it runs;
-    # with D_s = 0 that changes A_s alone
-    stab = replace(designed, A_s=designed.A_s - designed.B_s @ aug.D22 @ designed.C_s)
-    Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, stab)
+    A, B, C, Dcl = closed_loop(plant, geometry, stab)
+    c, r = 0.5 * (lipschitz + kappa), 0.5 * (lipschitz - kappa)
+    Acl, Bcl, Ccl = A + c * B @ C, r * B, C
     achieved = hinf_norm(Acl, Bcl, Ccl, Dcl)
     if achieved == np.inf:
         raise SynthesisError("synthesized closed loop is not Hurwitz")

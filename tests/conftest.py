@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import ossctl as oc
-import ossctl.synthesis as synthesis
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -49,10 +48,9 @@ def geometry_unstable(plant_unstable):
 
 @pytest.fixture(scope="session")
 def synthesis_result(plant_unstable, geometry_unstable):
-    """(loop-transformed plant, synthesis result) of example_vc: plant_unstable
-    and the sector [1, 2]."""
-    aug = synthesis.loop_transform(plant_unstable, geometry_unstable, 1.0, 2.0)
-    return aug, oc.synthesize_stabilizer(plant_unstable, geometry_unstable, 1.0, 2.0)
+    """The synthesis result of example_vc: plant_unstable and the sector
+    [1, 2]."""
+    return oc.synthesize_stabilizer(plant_unstable, geometry_unstable, 1.0, 2.0)
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +67,16 @@ def cosh_obj():
 def scalar_pi(k_p, k_i):
     """The PI law u = k_i eta + k_p e for the test plants (p = 2, m = 1)."""
     return oc.DynamicStabilizer.pi(k_p * np.eye(1), k_i * np.eye(1), p=2)
+
+
+def shifted_loop(plant, geometry, controller, kappa, lipschitz):
+    """(A, B, C, D) of oc.closed_loop with the sector-[kappa, L] gradient
+    replaced by w = c z + r w_tilde (c, r the sector's center and radius):
+    the w_tilde -> z channel the small-gain bound is read on."""
+    A, B, C, D = oc.closed_loop(plant, geometry, controller)
+    c, r = 0.5 * (lipschitz + kappa), 0.5 * (lipschitz - kappa)
+    L = np.linalg.inv(np.eye(D.shape[0]) - c * D)
+    return A + c * B @ L @ C, r * B @ L, L @ C, r * L @ D
 
 
 def sector_lmi(plant, geometry, controller, kappa, lipschitz):

@@ -24,6 +24,9 @@ from ossctl.cli import (
 from ossctl.kkt import build_kkt_geometry
 from ossctl.lmi import gain_grid_search
 from ossctl.scenario import load_scenario, matrix_to_json
+from tests.conftest import shifted_loop
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def bundled(name):
@@ -195,7 +198,7 @@ def test_verify_certifies_synthesized_stabilizer(tmp_path, synthesis_result):
     # example_vc with its synthesized stabilizer as the scenario controller:
     # the sector LMI certifies the loop that small gain certified
     data = json.loads(open(bundled("example_vc.json")).read())
-    stab = synthesis_result[1].stabilizer
+    stab = synthesis_result.stabilizer
     data["controller"] = {"type": "stabilizer"} | {
         name: matrix_to_json(getattr(stab, name)) for name in ("A_s", "B_s", "C_s", "D_s")
     }
@@ -306,11 +309,10 @@ def test_synth_example_vc(tmp_path):
     # the loop shifted by the reported rate keeps the gain below gamma
     scn = load_scenario(bundled("example_vc.json"))
     geometry = build_kkt_geometry(scn.plant)
-    aug = synthesis.loop_transform(
-        scn.plant, geometry, scn.objective.kappa, scn.objective.lipschitz
-    )
     stab = ossctl.DynamicStabilizer(A_s=A_s, B_s=B_s, C_s=C_s, D_s=D_s, p=p, m=m)
-    Acl, Bcl, Ccl, Dcl = synthesis.closed_loop_system(aug, stab)
+    Acl, Bcl, Ccl, Dcl = shifted_loop(
+        scn.plant, geometry, stab, scn.objective.kappa, scn.objective.lipschitz
+    )
     shifted = Acl + data["rate"] * np.eye(Acl.shape[0])
     assert ossctl.hinf_norm(shifted, Bcl, Ccl, Dcl) <= data["gamma"]
     ns = A_s.shape[0]
@@ -319,6 +321,24 @@ def test_synth_example_vc(tmp_path):
     assert B_s.shape == (ns, p + 2 * m)
     assert C_s.shape == (m, ns)
     assert D_s.shape == (m, p + 2 * m)
+
+
+def test_synth_json_matches_the_recorded_stabilizer(tmp_path):
+    # example_vc's stabilizer.json against a recorded copy: the matrices
+    # and the achieved norm each within 16 ulp, gamma, rate, p and m
+    # exactly, so a change in the synthesis arithmetic fails here
+    code = run(["synth", "--scenario", bundled("example_vc.json"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    got = json.loads((tmp_path / "stabilizer.json").read_text())
+    want = json.loads((DATA / "example_vc_stabilizer.json").read_text())
+    assert sorted(got) == sorted(want)
+    for key in ("gamma", "rate", "p", "m"):
+        assert got[key] == want[key], key
+    for key in ("A_s", "B_s", "C_s", "D_s", "hinf_achieved"):
+        g, w = np.array(got[key], dtype=float), np.array(want[key], dtype=float)
+        assert g.shape == w.shape, key
+        moved = np.argwhere(~(np.abs(g - w) <= 16 * np.spacing(np.abs(w))))
+        assert moved.size == 0, (key, moved.tolist())
 
 
 def test_synthesize_scenario_takes_xs0(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import ossctl as oc
 import ossctl.controller as controller
-from ossctl.controller import MAX_ITER, TOL, _solve_implicit_input
+from ossctl.controller import MAX_ITER, TOL, _input_solver
 from ossctl.scenario import load_scenario
 from ossctl.sim import _affine_closed_loop
 from tests.conftest import random_quadratic_instance
@@ -135,7 +135,7 @@ def test_singular_scalar_jacobian_is_an_algebraic_loop_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division by the zero Jacobian
         with pytest.raises(oc.AlgebraicLoopError):
-            _solve_implicit_input(D_u, 1.0, obj, np.zeros(2), 0.0)
+            _input_solver(D_u, obj)(1.0, np.zeros(2), 0.0)
 
 
 def test_singular_matrix_jacobian_is_an_algebraic_loop_error():
@@ -148,9 +148,7 @@ def test_singular_matrix_jacobian_is_an_algebraic_loop_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(oc.AlgebraicLoopError):
-            _solve_implicit_input(
-                D_u, np.array([1.0, -2.0]), obj, np.zeros(1), np.array([0.3, 0.0])
-            )
+            _input_solver(D_u, obj)(np.array([1.0, -2.0]), np.zeros(1), np.array([0.3, 0.0]))
 
 
 def _array_newton(D_u, offset, objective, y, u0):
@@ -258,7 +256,7 @@ def test_one_input_newton_is_bitwise_the_array_newton():
                 u_want, w_want, k = _array_newton(D[p:], z[p:], objective, z[:p], u0)
                 halvings += k
                 s_dot, u = oc.stabilizer_dynamics(loop, objective, s, drift, u_prev)
-                _, w = _solve_implicit_input(D[p:], z.item(p), objective, z[:p], u0.item(0))
+                _, w = _input_solver(D[p:], objective)(z.item(p), z[:p], u0.item(0))
                 assert np.array_equal(s_dot, A @ s + B @ w_want + drift)
                 assert np.array_equal(u, u_want)
                 assert np.array_equal(w, w_want)
@@ -271,15 +269,11 @@ def test_iteration_limit_is_an_algebraic_loop_error(monkeypatch, cosh_obj):
     # iteration-limit error on the one-input path and on the matrix path
     monkeypatch.setattr(controller, "MAX_ITER", 1)
     with pytest.raises(oc.AlgebraicLoopError, match="iteration limit"):
-        _solve_implicit_input(
-            np.array([[0.0, 0.0, -6.0]]), 1.0, cosh_obj, np.array([0.5, -1.0]), 5.0
-        )
+        _input_solver(np.array([[0.0, 0.0, -6.0]]), cosh_obj)(1.0, np.array([0.5, -1.0]), 5.0)
     obj = oc.quadratic_objective(np.eye(3), np.array([0.0, 1.0, 2.0]), 1)
     D_u = np.array([[0.0, -1.0, 0.5], [0.0, 0.5, -2.0]])
     with pytest.raises(oc.AlgebraicLoopError, match="iteration limit"):
-        _solve_implicit_input(
-            D_u, np.array([1.0, -2.0]), obj, np.zeros(1), np.array([3.0, 4.0])
-        )
+        _input_solver(D_u, obj)(np.array([1.0, -2.0]), np.zeros(1), np.array([3.0, 4.0]))
 
 
 def test_stop_rule_never_accepts_an_infinite_tolerance(cosh_obj):
@@ -288,19 +282,17 @@ def test_stop_rule_never_accepts_an_infinite_tolerance(cosh_obj):
     # it is infinite only from u = inf, which raises.  The matrix path's
     # tolerance is inf, and it raises instead of returning the start unsolved
     D_u, y = np.array([[0.0, 0.0, -6.0]]), np.array([0.5, -1.0])
-    u, w = _solve_implicit_input(D_u, 1.0, cosh_obj, y, 1e155)
+    u, w = _input_solver(D_u, cosh_obj)(1.0, y, 1e155)
     assert u[0] == pytest.approx(1.0 / 13.0, rel=1e-12)
     assert abs(u[0] - 1.0 - D_u[0] @ w) <= TOL * (1.0 + abs(u[0]))
     with pytest.raises(oc.AlgebraicLoopError, match="too large for the stop rule"):
-        _solve_implicit_input(D_u, 1.0, cosh_obj, y, np.inf)
+        _input_solver(D_u, cosh_obj)(1.0, y, np.inf)
     obj = oc.quadratic_objective(np.eye(3), np.array([0.0, 1.0, 2.0]), 1)
     D_u = np.array([[0.0, -1.0, 0.5], [0.0, 0.5, -2.0]])
     with np.errstate(over="ignore"), pytest.raises(
         oc.AlgebraicLoopError, match="too large for the stop rule"
     ):
-        _solve_implicit_input(
-            D_u, np.array([1.0, -2.0]), obj, np.zeros(1), np.array([1e155, 0.0])
-        )
+        _input_solver(D_u, obj)(np.array([1.0, -2.0]), np.zeros(1), np.array([1e155, 0.0]))
 
 
 def test_stabilizer_shape_validation():

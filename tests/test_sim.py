@@ -123,7 +123,7 @@ def test_affine_map_is_the_generic_derivative(
     if kind == "pi":
         stab = scalar_pi(2.0, 1.5)
     else:
-        stab = synthesis_result[1].stabilizer
+        stab = synthesis_result.stabilizer
     loop = oc.closed_loop(plant, geometry, stab)
     F, c0, M, m0 = _affine_closed_loop(loop, geometry, obj)
     assert F.shape == (n + m + stab.order,) * 2
@@ -417,7 +417,7 @@ def test_block_map_matches_stepwise_map(
         stab = scalar_pi(2.0, 2.0)
     else:
         plant, geometry = plant_unstable, geometry_unstable
-        stab = synthesis_result[1].stabilizer
+        stab = synthesis_result.stabilizer
     dt = 1e-2
     times = dt * np.cumsum([0, 1, 255, 256, 257])
     sched = DisturbanceSchedule(

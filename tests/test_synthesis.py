@@ -1,12 +1,13 @@
-from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import ossctl as oc
 import ossctl.synthesis as synthesis
-from ossctl.synthesis import SynthesisError, closed_loop_system, loop_transform
-from tests.conftest import D_SEGMENTS, random_quadratic_instance, scalar_pi
+from ossctl.scenario import load_scenario
+from ossctl.synthesis import SynthesisError, loop_transform
+from tests.conftest import D_SEGMENTS, random_quadratic_instance, shifted_loop
 
 KAPPA_C, L_C = 1.0, 2.0
 # the sector's center and radius: w = c z + r w_tilde
@@ -83,79 +84,86 @@ def test_transformed_gradient_is_contractive(quadratic_obj):
 
 
 def test_synthesis_gamma_below_one(synthesis_result):
-    _, result = synthesis_result
-    assert 0 < result.gamma < 1.0
-    assert result.hinf_achieved <= result.gamma
+    assert 0 < synthesis_result.gamma < 1.0
+    assert synthesis_result.hinf_achieved <= synthesis_result.gamma
 
 
-def test_synthesized_closed_loop_is_hurwitz(synthesis_result):
-    aug, result = synthesis_result
-    Acl, _, _, _ = closed_loop_system(aug, result.stabilizer)
+def test_synthesized_closed_loop_is_hurwitz(
+    plant_unstable, geometry_unstable, synthesis_result
+):
+    Acl, _, _, _ = shifted_loop(
+        plant_unstable, geometry_unstable, synthesis_result.stabilizer, KAPPA_C, L_C
+    )
     assert np.linalg.eigvals(Acl).real.max() < 0
 
 
-def test_running_loop_is_the_designed_loop(
-    plant_unstable, geometry_unstable, monkeypatch
-):
-    # the central controller is designed for sigma - D22 u.  The loop
-    # simulate runs is open_loop closed by the synthesized stabilizer, then
-    # shifted by w = c z + r w_tilde; it must be the designed loop
-    designed = []
-    central = synthesis._central_controller
-
-    def recorded(*args):
-        designed.append(central(*args))
-        return designed[-1]
-
-    monkeypatch.setattr(synthesis, "_central_controller", recorded)
+def test_running_loop_is_the_designed_loop(plant_unstable, geometry_unstable):
+    # the central controller is designed on loop_transform's plant for
+    # sigma0 = sigma - D22 u; fed sigma = C2 x + D21 w + D22 C_s x_s, the
+    # stabilizer that runs closes the design's loop, whose controller
+    # state matrix is A_s + B_s D22 C_s.  The loop simulate runs is
+    # open_loop closed by that stabilizer, then shifted by
+    # w = c z + r w_tilde; it must be the designed loop
     stab = oc.synthesize_stabilizer(
         plant_unstable, geometry_unstable, KAPPA_C, L_C
     ).stabilizer
-    A, B, C, D = oc.closed_loop(plant_unstable, geometry_unstable, stab)
+    assert not stab.D_s.any()
     aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
-    c, r = C_C, R_C
-    L = np.linalg.inv(np.eye(D.shape[0]) - c * D)
-    running = (A + c * B @ L @ C, r * B @ L, L @ C, r * L @ D)
-    design = closed_loop_system(
-        replace(aug, D22=np.zeros_like(aug.D22)), designed[-1]
+    A_s, B_s, C_s = stab.A_s, stab.B_s, stab.C_s
+    design = (
+        np.block([[aug.A, aug.B2 @ C_s], [B_s @ aug.C2, A_s + B_s @ aug.D22 @ C_s]]),
+        np.vstack([aug.B1, B_s @ aug.D21]),
+        np.hstack([aug.C1, aug.D12 @ C_s]),
+        np.zeros((aug.C1.shape[0], aug.B1.shape[1])),
     )
+    running = shifted_loop(plant_unstable, geometry_unstable, stab, KAPPA_C, L_C)
     for got, want in zip(running, design):
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
-def test_pi_law_closes_through_the_feedthrough_inverse(
-    plant_unstable, geometry_unstable
+@pytest.mark.parametrize("case", ["example_vc", "plant_unstable"])
+def test_synthesis_checks_the_loop_closed_loop_returns(
+    case, plant_unstable, geometry_unstable, monkeypatch
 ):
-    # a PI law feeds e straight through, so on loop_transform's plant
-    # D_s D22 is nonzero and T = (I - D_s D22)^-1 is not I; the loop it
-    # closes there is closed_loop shifted by w = c z + r w_tilde by hand
-    pi = scalar_pi(2.0, 1.0)
-    aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
-    assert (pi.D_s @ aug.D22).any()
-    A, B, C, D = oc.closed_loop(plant_unstable, geometry_unstable, pi)
-    c, r = C_C, R_C
-    L = np.linalg.inv(np.eye(D.shape[0]) - c * D)
-    running = (A + c * B @ L @ C, r * B @ L, L @ C, r * L @ D)
-    for got, want in zip(closed_loop_system(aug, pi), running):
-        assert np.max(np.abs(got - want)) <= 1e-10
+    # the two H-inf norms synthesize_stabilizer checks are taken, bit for
+    # bit, of closed_loop shifted by w = c z + r w_tilde (D = 0, as D_s = 0),
+    # and of that loop with A shifted by the rate
+    if case == "example_vc":
+        scn = load_scenario(str(resources.files("ossctl").joinpath("scenarios/example_vc.json")))
+        plant, kappa, lipschitz = scn.plant, scn.objective.kappa, scn.objective.lipschitz
+        geometry = oc.build_kkt_geometry(plant)
+    else:
+        plant, geometry, kappa, lipschitz = plant_unstable, geometry_unstable, 0.5, 4.0
+    calls = []
+    norm = synthesis.hinf_norm
+
+    def recorded(*system):
+        calls.append(system)
+        return norm(*system)
+
+    monkeypatch.setattr(synthesis, "hinf_norm", recorded)
+    result = oc.synthesize_stabilizer(plant, geometry, kappa, lipschitz)
+    A, B, C, D = oc.closed_loop(plant, geometry, result.stabilizer)
+    assert not D.any()
+    c, r = 0.5 * (lipschitz + kappa), 0.5 * (lipschitz - kappa)
+    loop = (A + c * B @ C, r * B, C, D)
+    rated = (loop[0] + result.rate * np.eye(A.shape[0]),) + loop[1:]
+    assert len(calls) == 2
+    for got, want in zip(calls, (loop, rated)):
+        assert len(got) == 4
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert result.hinf_achieved == norm(*loop)
 
 
-def test_ill_posed_feedthrough_loop_is_refused(plant_unstable, geometry_unstable):
-    # K_P = -1/(c R_u') makes D_s D22 = 1 up to rounding, so I - D_s D22 is
-    # zero or one rounding error: singular at its own scale, though the
-    # cond of a 1 x 1 matrix is 1
-    aug = loop_transform(plant_unstable, geometry_unstable, KAPPA_C, L_C)
-    ru = geometry_unstable.R.T[0, plant_unstable.p]
-    pi = scalar_pi(-1.0 / (C_C * ru), 1.0)
-    assert abs(1.0 - (pi.D_s @ aug.D22).item()) <= 1e-15
-    with pytest.raises(SynthesisError, match="feedthrough loop ill-posed"):
-        closed_loop_system(aug, pi)
-
-
-def test_certified_gamma_bounds_empirical_gain(synthesis_result):
+def test_certified_gamma_bounds_empirical_gain(
+    plant_unstable, geometry_unstable, synthesis_result
+):
     # gain of the transformed channel under random sinusoidal probes
-    aug, result = synthesis_result
-    Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, result.stabilizer)
+    result = synthesis_result
+    Acl, Bcl, Ccl, Dcl = shifted_loop(
+        plant_unstable, geometry_unstable, result.stabilizer, KAPPA_C, L_C
+    )
     rng = np.random.default_rng(15)
     nw = Bcl.shape[1]
     for _ in range(100):
@@ -171,7 +179,7 @@ def test_certified_gamma_bounds_empirical_gain(synthesis_result):
 def test_validation_tracks_oracle(
     plant_unstable, geometry_unstable, quadratic_obj, synthesis_result
 ):
-    _, result = synthesis_result
+    result = synthesis_result
     sched = oc.DisturbanceSchedule.constant(D_SEGMENTS[0])
     trace = oc.simulate(
         plant_unstable, geometry_unstable, quadratic_obj,
@@ -185,7 +193,7 @@ def test_stabilizer_equilibrium_matches_oracle(
     plant_unstable, geometry_unstable, quadratic_obj, synthesis_result
 ):
     # the architecture keeps eta' = e, so equilibria coincide with KKT points
-    _, result = synthesis_result
+    result = synthesis_result
     for d in D_SEGMENTS:
         ref = oc.solve_quadratic_closed_form(
             plant_unstable, geometry_unstable, quadratic_obj, d
@@ -201,9 +209,10 @@ def test_stabilizer_equilibrium_matches_oracle(
 
 def test_pi_stabilizer_small_gain(plant_stable, geometry_stable):
     # a certified PI loop on the stable plant passes the small-gain analysis
-    gamma = oc.hinf_norm(*closed_loop_system(
-        loop_transform(plant_stable, geometry_stable, 1.0 / 9.0, 1.0),
+    gamma = oc.hinf_norm(*shifted_loop(
+        plant_stable, geometry_stable,
         oc.DynamicStabilizer.pi(0.2 * np.eye(1), 0.2 * np.eye(1), plant_stable.p),
+        1.0 / 9.0, 1.0,
     ))
     assert gamma < 1.0
 
@@ -269,11 +278,15 @@ def test_failed_rate_check_raises(plant_unstable, geometry_unstable, monkeypatch
         oc.synthesize_stabilizer(plant_unstable, geometry_unstable, KAPPA_C, L_C)
 
 
-def test_synthesized_loop_decays_at_its_rate(synthesis_result):
+def test_synthesized_loop_decays_at_its_rate(
+    plant_unstable, geometry_unstable, synthesis_result
+):
     # example_vc: the shifted loop's gain below gamma certifies decay at the
     # rate, so every closed-loop pole lies left of -rate
-    aug, result = synthesis_result
-    Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, result.stabilizer)
+    result = synthesis_result
+    Acl, Bcl, Ccl, Dcl = shifted_loop(
+        plant_unstable, geometry_unstable, result.stabilizer, KAPPA_C, L_C
+    )
     assert result.rate > 0
     assert not result.stabilizer.D_s.any()
     shifted = Acl + result.rate * np.eye(Acl.shape[0])
@@ -307,8 +320,7 @@ def test_random_loops_synthesize_and_validate():
             result = oc.synthesize_stabilizer(plant, geometry, kappa, lipschitz)
         except SynthesisError:
             continue
-        aug = loop_transform(plant, geometry, kappa, lipschitz)
-        Acl, Bcl, Ccl, Dcl = closed_loop_system(aug, result.stabilizer)
+        Acl, Bcl, Ccl, Dcl = shifted_loop(plant, geometry, result.stabilizer, kappa, lipschitz)
         assert np.linalg.eigvals(Acl).real.max() < 0, draw
         assert oc.hinf_norm(Acl, Bcl, Ccl, Dcl) <= result.gamma, draw
         shifted = Acl + result.rate * np.eye(Acl.shape[0])
